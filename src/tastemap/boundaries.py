@@ -10,7 +10,7 @@ from typing import Hashable, Mapping, Sequence
 import numpy as np
 from scipy import stats
 
-from .errors import DataError
+from .errors import DataError, UndefinedMetric
 
 _EIG_ZERO_REL = 1e-12
 
@@ -161,6 +161,8 @@ def _kmeans_once(unit: np.ndarray, k: int, rng: np.random.Generator, max_iter: i
         prev = labels.copy()
         for c in range(k):
             members = unit[labels == c]
+            if not len(members):
+                continue
             mean = members.mean(axis=0)
             norm = np.linalg.norm(mean)
             if norm > 0:
@@ -182,6 +184,8 @@ def kmeans_cosine(
 
     Fully deterministic for a given (input, seed): restart r draws from an
     independent stream keyed by (seed, r) and ties keep the earlier restart.
+    Raises UndefinedMetric when the best restart still leaves a cluster
+    empty, which happens when the rows have too few distinct directions.
     """
     X = np.asarray(scores, np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -207,6 +211,8 @@ def kmeans_cosine(
         if best is None or objective < best[0]:
             best = (objective, labels, centroids, iterations, history)
     objective, labels, centroids, iterations, history = best
+    if len(np.unique(labels)) < k:
+        raise UndefinedMetric(f"the rows have too few distinct directions for k={k} clusters")
     return ClusterReport(
         k=k,
         seed=seed,

@@ -33,15 +33,15 @@ from .ingest import (
     top_cells,
 )
 from .model import Area, Taxonomy, load_taxonomy
-from .prefs import build_profiles, region_counts, region_profile
+from .prefs import area_cube, build_profiles, region_counts, region_profile
 from .signatures import (
     DAY_GROUPS,
     class_period_indices,
     correlation_matrix,
-    entropy_summary,
+    hourly_curve,
     spatiotemporal_vector,
-    subcategory_entropy,
-    temporal_series,
+    subcategory_entropies,
+    summarize_entropies,
     write_matrix_csv,
 )
 from .simnet import (
@@ -167,18 +167,6 @@ def _level_areas(args, corpus: Corpus, home: dict[str, str]):
     return cells, countries
 
 
-def _nonempty_signatures(corpus, areas, countries):
-    """Spatio-temporal signatures of the areas that have any check-ins."""
-    sigs, used, empty = [], [], []
-    for area in areas:
-        try:
-            sigs.append(spatiotemporal_vector(corpus, area, countries))
-            used.append(area)
-        except EmptyAreaError:
-            empty.append(area.area_id)
-    return sigs, used, empty
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -276,13 +264,15 @@ def cmd_signatures(args) -> int:
     corpus, home, taxonomy = _read_store(args)
     areas, countries = _level_areas(args, corpus, home)
 
-    spatial, used, empty = [], [], []
+    spatial, used, cubes, empty = [], [], [], []
     for area in areas:
         try:
             spatial.append(region_profile(region_counts(corpus, area, countries), area.area_id))
-            used.append(area)
         except EmptyAreaError:
             empty.append(area.area_id)
+            continue
+        used.append(area)
+        cubes.append(area_cube(corpus, area, countries))
     if len(spatial) < 2:
         raise UndefinedMetric("fewer than two areas have check-ins; nothing to correlate")
 
@@ -297,24 +287,22 @@ def cmd_signatures(args) -> int:
                       encoding="utf-8", newline="") as fh:
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(["area", *(f"h{h:02d}" for h in range(24))])
-                for area in used:
-                    series = temporal_series(corpus, area, class_id, day_group, countries)
-                    writer.writerow([area.area_id, *(repr(float(b)) for b in series.bins)])
+                for area, cube in zip(used, cubes):
+                    bins = hourly_curve(cube, taxonomy, class_id, day_group)
+                    writer.writerow([area.area_id, *(repr(float(b)) for b in bins)])
 
+    entropies = subcategory_entropies(np.stack([sig.raw_counts for sig in spatial]))
     with open(out / "entropy.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["class", "subcategory", "entropy_bits"])
         for class_id in taxonomy.class_ids:
-            for name in taxonomy.class_subcategories(class_id):
-                try:
-                    h = subcategory_entropy(corpus, name, used, countries)
-                    writer.writerow([class_id, name, repr(h)])
-                except UndefinedMetric:
-                    writer.writerow([class_id, name, ""])
+            lo, hi = taxonomy.class_ranges[class_id]
+            for name, h in zip(taxonomy.subcategories[lo:hi], entropies[lo:hi]):
+                writer.writerow([class_id, name, "" if h is None else repr(h)])
     with open(out / "entropy_summary.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["class", "level", "n_subcategories", "mean", "sigma"])
-        for row in entropy_summary(corpus, used, countries):
+        for row in summarize_entropies(taxonomy, used[0].kind, entropies):
             writer.writerow(
                 [
                     row.class_id,
@@ -334,10 +322,16 @@ def cmd_cluster(args) -> int:
     out = _outdir(args)
     corpus, home, _ = _read_store(args)
     areas, countries = _level_areas(args, corpus, home)
-    sigs, used, empty = _nonempty_signatures(corpus, areas, countries)
-    if len(sigs) < 2:
+    rows, used, empty = [], [], []
+    for area in areas:
+        try:
+            rows.append(spatiotemporal_vector(corpus, area, countries).normalized)
+            used.append(area)
+        except EmptyAreaError:
+            empty.append(area.area_id)
+    if len(rows) < 2:
         raise UndefinedMetric("fewer than two areas have check-ins; nothing to cluster")
-    matrix = np.stack([s.normalized for s in sigs])
+    matrix = np.stack(rows)
     model = fit_pca(matrix)
     p = select_components(model, args.coverage)
     scores = model.transform(matrix)[:, :p]
@@ -382,19 +376,12 @@ def _read_survey(path: str | Path) -> dict[str, np.ndarray]:
     return coords
 
 
-def _country_scores(corpus, home, taxonomy, countries_wanted, feature_idx=None):
-    """PCA scores (full coverage) of the countries' spatio-temporal vectors."""
-    country_areas = [Area(area_id=c, kind="country", country_code=c) for c in countries_wanted]
-    checkin_countries = home_codes_array(corpus, home)
-    rows = []
-    for area in country_areas:
-        vec = spatiotemporal_vector(corpus, area, checkin_countries).normalized
-        rows.append(vec if feature_idx is None else vec[feature_idx])
-    matrix = np.stack(rows)
+def _country_scores(matrix: np.ndarray, countries: list[str]) -> dict[str, np.ndarray]:
+    """PCA scores (full coverage) of the countries' vectors, one row each."""
     model = fit_pca(matrix)
     p = select_components(model, 1.0)
     scores = model.transform(matrix)[:, :p]
-    return {c: scores[i] for i, c in enumerate(countries_wanted)}
+    return {c: scores[i] for i, c in enumerate(countries)}
 
 
 def cmd_survey(args) -> int:
@@ -406,16 +393,20 @@ def cmd_survey(args) -> int:
     if missing:
         raise DataError(f"countries missing from the corpus: {missing}")
 
+    areas = [Area(area_id=c, kind="country", country_code=c) for c in countries]
+    codes = home_codes_array(corpus, home)
+    vectors = np.stack([spatiotemporal_vector(corpus, a, codes).normalized for a in areas])
     datasets = []
     if args.dataset in ("full", "both"):
-        datasets.append(("dataset1", None))
+        datasets.append(("dataset1", vectors))
     if args.dataset in ("ffood_weekend", "both"):
-        datasets.append(("dataset2", class_period_indices(taxonomy, "FastFood", "weekend")))
+        ffood_weekend = class_period_indices(taxonomy, "FastFood", "weekend")
+        datasets.append(("dataset2", vectors[:, ffood_weekend]))
 
     results = {}
-    for name, idx in datasets:
-        vectors = _country_scores(corpus, home, taxonomy, countries, idx)
-        results[name] = {r.country: r for r in compare_with_survey(vectors, survey, countries)}
+    for name, matrix in datasets:
+        scores = _country_scores(matrix, countries)
+        results[name] = {r.country: r for r in compare_with_survey(scores, survey, countries)}
 
     names = [name for name, _ in datasets]
     with open(out / "survey_comparison.csv", "w", encoding="utf-8", newline="") as fh:

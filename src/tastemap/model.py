@@ -106,10 +106,6 @@ class Taxonomy:
         lo, hi = self._range(class_id)
         return hi - lo
 
-    def class_subcategories(self, class_id: str) -> tuple[str, ...]:
-        lo, hi = self._range(class_id)
-        return self.subcategories[lo:hi]
-
     def _range(self, class_id: str) -> tuple[int, int]:
         try:
             return self.class_ranges[class_id]

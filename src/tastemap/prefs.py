@@ -67,12 +67,24 @@ def build_profiles(
     ]
 
 
+def area_cube(
+    corpus: Corpus, area: Area, checkin_countries: np.ndarray | None = None
+) -> np.ndarray:
+    """Check-in counts inside one area by subcategory, day group (0 weekday,
+    1 weekend) and local hour, as int64[m, 2, 24].  This is the one place
+    where check-ins become per-area counts; every per-area product is a
+    reduction of it."""
+    m = corpus.taxonomy.m
+    mask = area_mask(corpus, area, checkin_countries)
+    cell = (corpus.subcat_idx[mask] * 2 + corpus.is_weekend[mask]) * 24 + corpus.hour[mask]
+    return np.bincount(cell, minlength=m * 48).astype(np.int64).reshape(m, 2, 24)
+
+
 def region_counts(
     corpus: Corpus, area: Area, checkin_countries: np.ndarray | None = None
 ) -> np.ndarray:
     """Check-in count per subcategory inside one area."""
-    mask = area_mask(corpus, area, checkin_countries)
-    return np.bincount(corpus.subcat_idx[mask], minlength=corpus.taxonomy.m).astype(np.int64)
+    return area_cube(corpus, area, checkin_countries).sum(axis=(1, 2))
 
 
 def area_counts_matrix(

@@ -1,10 +1,14 @@
 """Spatial correlations, temporal curves, spatio-temporal vectors, entropy.
 
-The spatio-temporal signature of an area has 8 entries per subcategory: the
-day is split into the four 6-hour periods [0,6), [6,12), [12,18), [18,24)
-and counted separately for weekdays and weekends.  Layout is subcategory-
-major, weekday block before weekend block, periods in order, i.e. the entry
-for (subcategory s, weekend w, hour h) sits at ``s*8 + w*4 + h//6``.
+Every per-area product is a reduction of one aggregation, the area's count
+cube ``prefs.area_cube`` of shape (m subcategories, 2 day groups, 24 hours),
+weekday before weekend.  Spatial counts sum out day group and hour; an hourly
+curve sums one class's rows of one day group; entropy reduces the stacked
+spatial counts of the areas.  The spatio-temporal signature splits the day
+into the four 6-hour periods [0,6), [6,12), [12,18), [18,24): it is the cube
+reshaped to (m, 2, 4, 6), summed over the last axis and flattened.  That
+reshape is the layout: the entry for (subcategory s, weekend w, hour h) sits
+at ``s*8 + w*4 + h//6``.
 """
 
 from __future__ import annotations
@@ -16,10 +20,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, EmptyAreaError, UndefinedMetric
-from .ingest import Corpus, area_mask
+from .errors import DataError, UndefinedMetric
+from .ingest import Corpus
 from .model import Area, AreaSignature, Taxonomy, class_slice
-from .prefs import area_counts_matrix, region_counts
+from .prefs import area_counts_matrix, area_cube, region_profile
 
 DAY_GROUPS = ("weekday", "weekend")
 PERIODS_PER_DAY = 4
@@ -34,13 +38,13 @@ def pearson(x, y) -> float:
         raise DataError("inputs must be equal-length vectors")
     if x.size < 2:
         raise DataError("correlation needs at least two observations")
+    # Constancy is tested on the data, not on the centred sums: x - x.mean()
+    # is not exactly zero when the mean is not exactly representable.
+    if np.ptp(x) == 0 or np.ptp(y) == 0:
+        raise UndefinedMetric("constant vector has no defined correlation")
     xc = x - x.mean()
     yc = y - y.mean()
-    sx = float(xc @ xc)
-    sy = float(yc @ yc)
-    if sx == 0.0 or sy == 0.0:
-        raise UndefinedMetric("constant vector has no defined correlation")
-    r = float(xc @ yc) / np.sqrt(sx * sy)
+    r = float(xc @ yc) / np.sqrt(float(xc @ xc) * float(yc @ yc))
     return float(min(1.0, max(-1.0, r)))
 
 
@@ -59,25 +63,21 @@ def correlation_matrix(
     """Pearson correlation between every pair of area signatures.
 
     ``scope`` restricts the comparison to one class's feature block; "all"
-    uses the full vector.  Degenerate (constant) pairs are marked NaN rather
-    than dropped, so the matrix shape is stable.
+    uses the full vector.  Rows are centred and scaled to unit length, so one
+    matrix product gives every pair.  A constant row (``np.ptp == 0``, the
+    rule ``pearson`` uses) has no defined correlation: its row and column are
+    NaN rather than dropped, so the matrix shape is stable.
     """
     if len(signatures) < 2:
         raise DataError("need at least two signatures to correlate")
-    if scope == "all":
-        vectors = [sig.normalized for sig in signatures]
-    else:
-        vectors = [class_slice(taxonomy, sig, scope) for sig in signatures]
-    k = len(signatures)
-    values = np.full((k, k), np.nan)
-    for i in range(k):
-        if np.ptp(vectors[i]) > 0:
-            values[i, i] = 1.0
-        for j in range(i + 1, k):
-            try:
-                values[i, j] = values[j, i] = pearson(vectors[i], vectors[j])
-            except UndefinedMetric:
-                pass
+    X = np.array([sig.normalized if scope == "all" else class_slice(taxonomy, sig, scope)
+                  for sig in signatures], np.float64)
+    varies = np.ptp(X, axis=1) > 0
+    X -= X.mean(axis=1, keepdims=True)
+    X[varies] /= np.linalg.norm(X[varies], axis=1, keepdims=True)
+    values = np.clip(X @ X.T, -1.0, 1.0)
+    np.fill_diagonal(values, 1.0)
+    values[~varies] = values[:, ~varies] = np.nan
     return CorrelationMatrix(
         labels=tuple(sig.area_id for sig in signatures), values=values, scope=scope
     )
@@ -91,6 +91,16 @@ def write_matrix_csv(matrix: CorrelationMatrix, path: str | Path) -> None:
             writer.writerow([label, *("" if np.isnan(v) else repr(float(v)) for v in row)])
 
 
+def _block(taxonomy: Taxonomy, class_id: str, day_group: str) -> tuple[int, int, int]:
+    """Subcategory range and day-group index of one class x day-group block."""
+    if day_group not in DAY_GROUPS:
+        raise DataError(f"day_group must be one of {DAY_GROUPS}")
+    lo, hi = taxonomy.class_ranges.get(class_id, (None, None))
+    if lo is None:
+        raise DataError(f"unknown class id: {class_id!r}")
+    return lo, hi, DAY_GROUPS.index(day_group)
+
+
 @dataclass(frozen=True, eq=False)
 class TemporalSeries:
     """Hourly check-in curve for one (area, class, day group), peak-normalized."""
@@ -99,6 +109,17 @@ class TemporalSeries:
     class_id: str
     day_group: str
     bins: np.ndarray
+
+
+def hourly_curve(cube: np.ndarray, taxonomy: Taxonomy, class_id: str, day_group: str) -> np.ndarray:
+    """Check-ins per local hour of one class and day group in an area's cube,
+    divided by the busiest hour.  An empty curve stays all-zero."""
+    lo, hi, w = _block(taxonomy, class_id, day_group)
+    counts = cube[lo:hi, w].sum(axis=0).astype(np.float64)
+    peak = counts.max()
+    if peak > 0:
+        counts /= peak
+    return counts
 
 
 def temporal_series(
@@ -112,22 +133,9 @@ def temporal_series(
 
     Weekend means Saturday or Sunday.  An empty series stays all-zero.
     """
-    if day_group not in DAY_GROUPS:
-        raise DataError(f"day_group must be one of {DAY_GROUPS}")
-    lo, hi = corpus.taxonomy.class_ranges.get(class_id, (None, None))
-    if lo is None:
-        raise DataError(f"unknown class id: {class_id!r}")
-    mask = (
-        area_mask(corpus, area, checkin_countries)
-        & (corpus.subcat_idx >= lo)
-        & (corpus.subcat_idx < hi)
-        & (corpus.is_weekend == (day_group == "weekend"))
-    )
-    counts = np.bincount(corpus.hour[mask], minlength=24).astype(np.float64)
-    peak = counts.max()
-    if peak > 0:
-        counts /= peak
-    return TemporalSeries(area_id=area.area_id, class_id=class_id, day_group=day_group, bins=counts)
+    bins = hourly_curve(area_cube(corpus, area, checkin_countries), corpus.taxonomy,
+                        class_id, day_group)
+    return TemporalSeries(area_id=area.area_id, class_id=class_id, day_group=day_group, bins=bins)
 
 
 def spatiotemporal_index(subcat_index: int, is_weekend: bool, hour: int) -> int:
@@ -143,38 +151,31 @@ def spatiotemporal_vector(
     A single maximum normalizes the whole flattened vector, mirroring the
     spatial rule on the enlarged feature set.
     """
-    m = corpus.taxonomy.m
-    mask = area_mask(corpus, area, checkin_countries)
-    flat = (
-        corpus.subcat_idx[mask] * SLOTS_PER_SUBCATEGORY
-        + np.where(corpus.is_weekend[mask], 4, 0)
-        + corpus.hour[mask] // 6
-    )
-    counts = np.bincount(flat, minlength=m * SLOTS_PER_SUBCATEGORY).astype(np.int64)
-    peak = counts.max() if counts.size else 0
-    if peak == 0:
-        raise EmptyAreaError(f"area {area.area_id!r} has no check-ins")
-    return AreaSignature(
-        area_id=area.area_id,
-        raw_counts=counts,
-        normalized=counts / float(peak),
-        variant=f"spatiotemporal_{m * SLOTS_PER_SUBCATEGORY}",
-    )
+    cube = area_cube(corpus, area, checkin_countries)
+    counts = cube.reshape(len(cube), len(DAY_GROUPS), PERIODS_PER_DAY, -1).sum(axis=3).ravel()
+    return region_profile(counts, area.area_id, f"spatiotemporal_{counts.size}")
 
 
 def class_period_indices(taxonomy: Taxonomy, class_id: str, day_group: str) -> np.ndarray:
     """Positions of one class x day-group block inside the flattened layout
     (all four periods, every subcategory of the class)."""
-    if day_group not in DAY_GROUPS:
-        raise DataError(f"day_group must be one of {DAY_GROUPS}")
-    lo, hi = taxonomy.class_ranges.get(class_id, (None, None))
-    if lo is None:
-        raise DataError(f"unknown class id: {class_id!r}")
-    base = 4 if day_group == "weekend" else 0
-    return np.array(
-        [s * SLOTS_PER_SUBCATEGORY + base + p for s in range(lo, hi) for p in range(4)],
-        np.int64,
-    )
+    lo, hi, w = _block(taxonomy, class_id, day_group)
+    layout = np.arange(taxonomy.m * SLOTS_PER_SUBCATEGORY).reshape(taxonomy.m, -1, PERIODS_PER_DAY)
+    return layout[lo:hi, w].ravel()
+
+
+def subcategory_entropies(counts: np.ndarray) -> list[float | None]:
+    """Shannon entropy (bits) of each subcategory's check-ins over areas, from
+    an area x subcategory count matrix; None where no area has any.
+
+    Low entropy means the subcategory concentrates in few areas; the maximum,
+    log2(number of areas with activity), is reached by a uniform spread.
+    """
+    out: list[float | None] = []
+    for column in np.ascontiguousarray(np.asarray(counts).T, np.float64):
+        p = column[column > 0] / column.sum()
+        out.append(float(-(p * np.log2(p)).sum()) if p.size else None)
+    return out
 
 
 def subcategory_entropy(
@@ -183,24 +184,12 @@ def subcategory_entropy(
     areas: Sequence[Area],
     checkin_countries: np.ndarray | None = None,
 ) -> float:
-    """Shannon entropy (bits) of one subcategory's check-ins over areas.
-
-    Low entropy means the subcategory concentrates in few areas; the maximum,
-    log2(number of areas with activity), is reached by a uniform spread.
-    """
+    """Shannon entropy (bits) of one subcategory's check-ins over areas."""
     i = corpus.taxonomy.index_of(subcategory)
-    column = np.array(
-        [region_counts(corpus, area, checkin_countries)[i] for area in areas], np.float64
-    )
-    return _entropy_bits(column)
-
-
-def _entropy_bits(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total <= 0:
+    (h,) = subcategory_entropies(area_counts_matrix(corpus, areas, checkin_countries)[:, [i]])
+    if h is None:
         raise UndefinedMetric("no check-ins at this subcategory in any area")
-    p = counts[counts > 0] / total
-    return float(-(p * np.log2(p)).sum())
+    return h
 
 
 @dataclass(frozen=True)
@@ -212,6 +201,25 @@ class EntropySummary:
     sigma: float | None
 
 
+def summarize_entropies(
+    taxonomy: Taxonomy, level: str, entropies: Sequence[float | None]
+) -> list[EntropySummary]:
+    """Mean and population standard deviation, per class, of the defined
+    entries of ``subcategory_entropies``."""
+    rows = []
+    for class_id in taxonomy.class_ids:
+        lo, hi = taxonomy.class_ranges[class_id]
+        defined = [h for h in entropies[lo:hi] if h is not None]
+        if defined:
+            arr = np.asarray(defined)
+            rows.append(
+                EntropySummary(class_id, level, len(defined), float(arr.mean()), float(arr.std()))
+            )
+        else:
+            rows.append(EntropySummary(class_id, level, 0, None, None))
+    return rows
+
+
 def entropy_summary(
     corpus: Corpus,
     areas: Sequence[Area],
@@ -221,21 +229,5 @@ def entropy_summary(
     per class, at the granularity the areas define."""
     if not areas:
         raise DataError("need at least one area")
-    level = areas[0].kind
-    matrix = area_counts_matrix(corpus, areas, checkin_countries)
-    rows = []
-    for class_id in corpus.taxonomy.class_ids:
-        lo, hi = corpus.taxonomy.class_ranges[class_id]
-        entropies = []
-        for i in range(lo, hi):
-            column = matrix[:, i].astype(np.float64)
-            if column.sum() > 0:
-                entropies.append(_entropy_bits(column))
-        if entropies:
-            arr = np.asarray(entropies)
-            rows.append(
-                EntropySummary(class_id, level, len(entropies), float(arr.mean()), float(arr.std()))
-            )
-        else:
-            rows.append(EntropySummary(class_id, level, 0, None, None))
-    return rows
+    entropies = subcategory_entropies(area_counts_matrix(corpus, areas, checkin_countries))
+    return summarize_entropies(corpus.taxonomy, areas[0].kind, entropies)

@@ -15,7 +15,7 @@ from tastemap.boundaries import (
     select_components,
     spearman,
 )
-from tastemap.errors import DataError
+from tastemap.errors import DataError, UndefinedMetric
 from tastemap.synth import adjusted_rand_index
 
 
@@ -190,6 +190,18 @@ class TestKmeansCosine:
         for seed in range(5):
             report = kmeans_cosine(data, k=3, seed=seed)
             assert len(set(report.assignments.values())) == 3
+
+    @pytest.mark.parametrize("data, k", [
+        ([[-1.0], [1.0], [2.0]], 3),
+        ([[-1.0], [1.0], [2.0], [3.0], [4.0]], 5),
+        ([[-0.015], [0.985], [0.514], [1.236], [0.733]], 5),
+    ])
+    def test_too_few_directions_for_k_is_undefined(self, data, k):
+        # Two directions cannot hold k nonempty clusters once the repair path
+        # has to empty one cluster to fill another.
+        for seed in range(3):
+            with pytest.raises(UndefinedMetric):
+                kmeans_cosine(np.array(data), k=k, seed=seed)
 
 
 class TestRankByCosine:

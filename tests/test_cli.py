@@ -295,6 +295,29 @@ class TestCluster:
                      "--k", "40", "--out-dir", str(tmp_path / "x")])
         assert code == 2
 
+    def test_too_few_directions_for_k_exits_3(self, pipeline, tmp_path):
+        # BB and CC have identical signatures, so the PCA scores of the three
+        # countries point in only two directions and k=3 leaves a cluster empty.
+        menus = {"AA": "Bakery", "BB": "Pub", "CC": "Pub"}
+        lines = [
+            json.dumps({"user": f"{code}{u}", "venue": f"v{i}", "lat": 1.0, "lon": x + 1.0,
+                        "ts": "2024-04-16T12:00:00", "subcat": subcat})
+            for x, (code, subcat) in zip((0.0, 20.0, 40.0), menus.items())
+            for u in range(2)
+            for i in range(8)
+        ]
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        geo = tmp_path / "geo.txt"
+        geo.write_text("".join(f"{code}\t{x:g},0;{x + 10:g},0;{x + 10:g},10;{x:g},10;{x:g},0\n"
+                               for x, code in zip((0, 20, 40), menus)), encoding="utf-8")
+        store = tmp_path / "store"
+        assert main(["ingest", "--corpus", str(corpus), "--geo", str(geo),
+                     "--taxonomy", pipeline["taxonomy"], "--out-dir", str(store)]) == 0
+        code = main(["cluster", "--store", str(store), "--level", "country", "--k", "3",
+                     "--out-dir", str(tmp_path / "cluster")])
+        assert code == 3
+
     def test_default_k_follows_level(self, pipeline, tmp_path):
         out = tmp_path / "city_default"
         assert main(["cluster", "--store", str(pipeline["store"]), "--level", "city",

@@ -52,6 +52,13 @@ class TestPearson:
         with pytest.raises(UndefinedMetric):
             pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
+    def test_constant_with_inexact_mean_undefined(self):
+        # mean([0.1]*3) is not exactly 0.1, so the centred vector is not zero
+        with pytest.raises(UndefinedMetric):
+            pearson([0.1] * 3, [0.0, 1.0, 2.0])
+        with pytest.raises(UndefinedMetric):
+            pearson([0.0, 1.0, 2.0], [0.1] * 3)
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(DataError):
             pearson([1.0, 2.0], [1.0, 2.0, 3.0])
@@ -124,6 +131,42 @@ class TestCorrelationMatrix:
         assert np.isnan(matrix.values[0, 1])
         assert np.isnan(matrix.values[0, 0])
         assert matrix.values[1, 1] == 1.0
+
+    def test_constant_class_block_is_nan_against_every_area(self, ref_tax):
+        # Every Drink count at 1 and one other count at 10: the Drink block of
+        # the normalized vector is a constant 0.1, whose mean is inexact.
+        lo, hi = ref_tax.class_ranges["Drink"]
+        flat = np.ones(ref_tax.m, int)
+        flat[hi] = 10
+        rng = np.random.default_rng(28)
+        sigs = [region_profile(flat, "flat")] + [
+            region_profile(rng.integers(1, 40, size=ref_tax.m), f"a{i}") for i in range(3)
+        ]
+        values = correlation_matrix(sigs, ref_tax, scope="Drink").values
+        assert np.isnan(values[0]).all() and np.isnan(values[:, 0]).all()
+        assert not np.isnan(values[1:, 1:]).any()
+
+    def test_matches_pairwise_pearson_with_constant_rows(self, ref_tax):
+        rng = np.random.default_rng(29)
+        counts = rng.integers(0, 30, size=(12, ref_tax.m))
+        counts[:, 0] = 40
+        counts[3] = 7  # constant everywhere
+        lo, hi = ref_tax.class_ranges["FastFood"]
+        counts[5, lo:hi] = 3  # constant FastFood block
+        sigs = [region_profile(row, f"a{i}") for i, row in enumerate(counts)]
+        for scope in ("all", "FastFood"):
+            values = correlation_matrix(sigs, ref_tax, scope).values
+            vectors = [s.normalized if scope == "all" else s.normalized[lo:hi] for s in sigs]
+            for i in range(12):
+                for j in range(12):
+                    try:
+                        want = pearson(vectors[i], vectors[j])
+                    except UndefinedMetric:
+                        assert np.isnan(values[i, j])
+                        continue
+                    assert values[i, j] == pytest.approx(want, abs=1e-12)
+            assert np.isnan(values[3]).all()
+            assert np.isnan(values[5]).all() == (scope == "FastFood")
 
 
 class TestTemporalSeries:
@@ -234,6 +277,12 @@ class TestSpatiotemporalVector:
         for flat in idx:
             s, rem = divmod(int(flat), 8)
             assert lo <= s < hi and rem >= 4
+
+    def test_class_period_indices_follow_the_index_formula(self, ref_tax):
+        lo, hi = ref_tax.class_ranges["Drink"]
+        for group, weekend in (("weekday", False), ("weekend", True)):
+            want = [spatiotemporal_index(s, weekend, 6 * p) for s in range(lo, hi) for p in range(4)]
+            assert class_period_indices(ref_tax, "Drink", group).tolist() == want
 
 
 class TestEntropy:
