@@ -1,14 +1,13 @@
-"""Hot numeric kernels with numba fast paths and pure-numpy fallbacks.
+"""Hot numeric kernels: user-pair scoring and point-in-polygon geocoding.
 
-Two inner loops dominate pipeline runtime: scoring candidate user pairs when
-building similarity networks, and ray-casting check-in coordinates against
-country polygons.  Both ship in two functionally identical implementations:
+Jaccard pair scoring is one blocked numpy kernel.  Ray-casting check-in
+coordinates against country polygons ships in two functionally identical
+implementations:
 
 * a numba ``@njit`` version (default when numba imports cleanly), and
 * a vectorized numpy version.
 
 Set ``TASTEMAP_NUMBA=0`` in the environment to force the numpy path.
-``benchmarks/bench_kernels.py`` times the two side by side.
 """
 
 from __future__ import annotations
@@ -49,95 +48,33 @@ NUMBA_ENABLED = HAVE_NUMBA and _env_wants_numba()
 # exact for integer thresholds (no 100*13/20 != 65 surprises).
 # ---------------------------------------------------------------------------
 
-
-def _profile_csr(bits: np.ndarray):
-    """Row-wise CSR of set features plus the feature->users inverted index."""
-    bits = np.ascontiguousarray(bits)
-    n, m = bits.shape
-    pops = bits.astype(bool).sum(axis=1).astype(np.int64)
-    indptr = np.zeros(n + 1, np.int64)
-    np.cumsum(pops, out=indptr[1:])
-    rows, cols = np.nonzero(bits)
-    indices = cols.astype(np.int64)
-    order = np.lexsort((rows, cols))
-    inv_indices = rows[order].astype(np.int64)
-    inv_indptr = np.zeros(m + 1, np.int64)
-    np.cumsum(np.bincount(cols, minlength=m), out=inv_indptr[1:])
-    return indices, indptr, inv_indices, inv_indptr, pops
-
-
-@njit(cache=True)
-def _jaccard_edges_core(indices, indptr, inv_indices, inv_indptr, pops, threshold):
-    n = indptr.shape[0] - 1
-    shared = np.zeros(n, np.int64)
-    touched = np.empty(n, np.int64)
-    cap = 4096
-    us = np.empty(cap, np.int64)
-    vs = np.empty(cap, np.int64)
-    cnt = 0
-    for u in range(n):
-        ntouch = 0
-        for p in range(indptr[u], indptr[u + 1]):
-            f = indices[p]
-            for q in range(inv_indptr[f], inv_indptr[f + 1]):
-                v = inv_indices[q]
-                if v > u:
-                    if shared[v] == 0:
-                        touched[ntouch] = v
-                        ntouch += 1
-                    shared[v] += 1
-        cand = np.sort(touched[:ntouch])
-        for c in range(cand.shape[0]):
-            v = cand[c]
-            inter = shared[v]
-            union = pops[u] + pops[v] - inter
-            if 100.0 * inter >= threshold * union:
-                if cnt == cap:
-                    cap *= 2
-                    nus = np.empty(cap, np.int64)
-                    nus[:cnt] = us
-                    us = nus
-                    nvs = np.empty(cap, np.int64)
-                    nvs[:cnt] = vs
-                    vs = nvs
-                us[cnt] = u
-                vs[cnt] = v
-                cnt += 1
-            shared[v] = 0
-    return us[:cnt], vs[:cnt]
-
-
-def jaccard_edges_numba(bits: np.ndarray, threshold: float):
-    """Inverted-index pair scoring; exact for threshold > 0 (zero-score pairs
-    share no feature and cannot reach a positive threshold)."""
-    if not HAVE_NUMBA:
-        raise RuntimeError("numba is not available")
-    if threshold <= 0:
-        raise ValueError("inverted-index kernel requires a positive threshold")
-    indices, indptr, inv_indices, inv_indptr, pops = _profile_csr(bits)
-    return _jaccard_edges_core(indices, indptr, inv_indices, inv_indptr, pops, float(threshold))
-
-
-def jaccard_edges_numpy(bits: np.ndarray, threshold: float):
-    """Dense all-pairs scoring, valid for any threshold >= 0.  Quadratic
-    memory in the user count; fine up to a few thousand users."""
-    mat = np.asarray(bits, dtype=np.int64)
-    inter = mat @ mat.T
-    pops = mat.astype(bool).sum(axis=1).astype(np.int64)
-    union = pops[:, None] + pops[None, :] - inter
-    iu, ju = np.triu_indices(mat.shape[0], k=1)
-    inter_p = inter[iu, ju]
-    union_p = union[iu, ju]
-    ok = (union_p > 0) & (100.0 * inter_p >= float(threshold) * union_p)
-    return iu[ok].astype(np.int64), ju[ok].astype(np.int64)
+BLOCK_ROWS = 256
 
 
 def jaccard_edges(bits: np.ndarray, threshold: float):
     """All index pairs (i < j), lexicographic, whose Jaccard score (x100)
-    meets the threshold.  Pairs with an empty union never qualify."""
-    if NUMBA_ENABLED and threshold > 0:
-        return jaccard_edges_numba(bits, threshold)
-    return jaccard_edges_numpy(bits, threshold)
+    meets the threshold, with each pair's intersection and union sizes.
+
+    Rows are scored in blocks of ``BLOCK_ROWS`` against every later row, so
+    memory is O(BLOCK_ROWS x n).  Pairs with an empty union never qualify.
+    Returns ``(us, vs, inter, union)``, all int64.
+    """
+    mat = (np.asarray(bits) != 0).astype(np.float64)
+    n = mat.shape[0]
+    pops = mat.sum(axis=1)
+    threshold = float(threshold)
+    parts = []
+    for lo in range(0, n, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, n)
+        inter = mat[lo:hi] @ mat[lo:].T
+        union = pops[lo:hi, None] + pops[None, lo:] - inter
+        # Row r of the block is user lo + r; column c is user lo + c.
+        ok = np.triu((union > 0) & (100.0 * inter >= threshold * union), 1)
+        rows, cols = np.nonzero(ok)
+        parts.append((rows + lo, cols + lo, inter[rows, cols], union[rows, cols]))
+    if not parts:
+        return tuple(np.empty(0, np.int64) for _ in range(4))
+    return tuple(np.concatenate(col).astype(np.int64) for col in zip(*parts))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from itertools import permutations
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtr
 
 from .errors import DataError, UndefinedMetric
 
@@ -292,7 +292,7 @@ def spearman(
     if abs(rho) >= 1.0 - 1e-15:
         return rho, min(1.0, 2.0 / math.factorial(n))
     t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-    p = 2.0 * float(stats.t.sf(abs(t), n - 2))
+    p = 2.0 * float(stdtr(n - 2, -abs(t)))
     return rho, min(1.0, p)
 
 

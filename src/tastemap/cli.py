@@ -45,7 +45,7 @@ from .signatures import (
     write_matrix_csv,
 )
 from .simnet import (
-    build_network,
+    build_networks,
     categorical_assortativity,
     component_sizes,
     degree_assortativity,
@@ -213,17 +213,17 @@ def _parse_attributes(path: str | Path) -> dict[str, dict[str, str]]:
 
 
 def cmd_simnet(args) -> int:
-    out = _outdir(args)
-    corpus, home, _ = _read_store(args)
-    profiles = build_profiles(corpus, home)
-    attributes = _parse_attributes(args.attributes) if args.attributes else None
     try:
         thresholds = [float(t) for t in args.thresholds.split(",") if t.strip()]
     except ValueError as exc:
         raise DataError(f"bad threshold list: {exc}") from exc
+    corpus, home, _ = _read_store(args)
+    profiles = build_profiles(corpus, home)
+    attributes = _parse_attributes(args.attributes) if args.attributes else None
+    networks = build_networks(profiles, thresholds, attributes)
+    out = _outdir(args)
     metrics: dict[str, dict] = {}
-    for threshold in thresholds:
-        net = build_network(profiles, threshold, attributes)
+    for threshold, net in zip(thresholds, networks):
         tag = f"{threshold:g}"
         write_edge_list(net, out / f"edges_s{tag}.tsv")
         write_node_attributes(net, out / f"nodes_s{tag}.csv")

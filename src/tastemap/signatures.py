@@ -87,8 +87,8 @@ def write_matrix_csv(matrix: CorrelationMatrix, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["area", *matrix.labels])
-        for label, row in zip(matrix.labels, matrix.values):
-            writer.writerow([label, *("" if np.isnan(v) else repr(float(v)) for v in row)])
+        for label, row in zip(matrix.labels, matrix.values.tolist()):
+            writer.writerow([label, *("" if v != v else repr(v) for v in row)])
 
 
 def _block(taxonomy: Taxonomy, class_id: str, day_group: str) -> tuple[int, int, int]:

@@ -8,6 +8,8 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from . import _kernels
 from .errors import DataError, UndefinedMetric, UndefinedSimilarity
@@ -39,15 +41,19 @@ def jaccard_score(u, v) -> float:
 class SimilarityNetwork:
     """Undirected, unweighted graph over users at one similarity threshold.
 
-    ``edges`` are (i, j) index pairs into ``nodes`` with i < j, lexicographic.
-    Isolated nodes are removed at construction and counted.
+    ``edges`` is an int64 (E, 2) array of index pairs into ``nodes`` with
+    i < j, lexicographic; any sequence of pairs is coerced to it.  Isolated
+    nodes are removed at construction and counted.
     """
 
     threshold: float
     nodes: tuple[str, ...]
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
     attributes: Mapping[str, Mapping[str, str]] = field(default_factory=dict)
     isolated_removed: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "edges", np.asarray(self.edges, np.int64).reshape(-1, 2))
 
     @property
     def n_nodes(self) -> int:
@@ -58,11 +64,60 @@ class SimilarityNetwork:
         return len(self.edges)
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(len(self.nodes), np.int64)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
+        return np.bincount(self.edges.ravel(), minlength=self.n_nodes)
+
+
+def build_networks(
+    profiles: Sequence[UserProfile],
+    thresholds: Sequence[float],
+    attributes: Mapping[str, Mapping[str, str]] | None = None,
+) -> list[SimilarityNetwork]:
+    """One network per threshold, from a single scoring pass over all pairs.
+
+    Pair scores do not depend on the threshold, so the pairs meeting the
+    lowest threshold are scored once and each network keeps the subset that
+    meets its own; the edge sets are nested.  Every threshold is checked
+    before any pair is scored.
+    """
+    if not all(0.0 <= t <= 100.0 for t in thresholds):
+        raise DataError("threshold must lie in [0, 100]")
+    if not thresholds:
+        return []
+    if not profiles:
+        raise DataError("cannot build a network from zero profiles")
+    ordered = sorted(profiles, key=lambda p: p.user_id)
+    ids = [p.user_id for p in ordered]
+    if len(set(ids)) != len(ids):
+        raise DataError("duplicate user ids in profiles")
+    bits = np.stack([p.bits != 0 for p in ordered]).astype(np.uint8)
+
+    us, vs, inter, union = _kernels.jaccard_edges(bits, min(thresholds))
+
+    networks = []
+    for threshold in thresholds:
+        ok = 100.0 * inter >= float(threshold) * union
+        t_us, t_vs = us[ok], vs[ok]
+        keep = np.bincount(np.concatenate([t_us, t_vs]), minlength=len(ids)) > 0
+        remap = np.cumsum(keep) - 1
+        kept = [ordered[idx] for idx in np.flatnonzero(keep).tolist()]
+        attrs: dict[str, dict[str, str]] = {}
+        for p in kept:
+            node_attrs: dict[str, str] = {}
+            if p.home_country is not None:
+                node_attrs["country"] = p.home_country
+            if attributes and p.user_id in attributes:
+                node_attrs.update(attributes[p.user_id])
+            attrs[p.user_id] = node_attrs
+        networks.append(
+            SimilarityNetwork(
+                threshold=float(threshold),
+                nodes=tuple(p.user_id for p in kept),
+                edges=np.column_stack([remap[t_us], remap[t_vs]]),
+                attributes=attrs,
+                isolated_removed=int((~keep).sum()),
+            )
+        )
+    return networks
 
 
 def build_network(
@@ -72,71 +127,21 @@ def build_network(
 ) -> SimilarityNetwork:
     """Connect every pair of users whose Jaccard score meets the threshold.
 
-    Produces exactly the network that brute-force all-pairs comparison would:
-    the inverted-index kernel only skips pairs that share no feature, which
-    cannot reach a positive threshold, and a zero threshold falls back to the
-    dense path where zero-score pairs are kept.
+    Produces exactly the network that brute-force all-pairs comparison would,
+    zero-score pairs included at a zero threshold.
     """
-    if not profiles:
-        raise DataError("cannot build a network from zero profiles")
-    if not 0.0 <= threshold <= 100.0:
-        raise DataError("threshold must lie in [0, 100]")
-    ordered = sorted(profiles, key=lambda p: p.user_id)
-    ids = [p.user_id for p in ordered]
-    if len(set(ids)) != len(ids):
-        raise DataError("duplicate user ids in profiles")
-    bits = np.stack([p.bits != 0 for p in ordered]).astype(np.uint8)
-
-    us, vs = _kernels.jaccard_edges(bits, threshold)
-
-    degree = np.zeros(len(ids), np.int64)
-    np.add.at(degree, us, 1)
-    np.add.at(degree, vs, 1)
-    keep = degree > 0
-    remap = np.cumsum(keep) - 1
-    nodes = tuple(u for u, k in zip(ids, keep) if k)
-    edges = tuple(zip(remap[us].tolist(), remap[vs].tolist()))
-
-    attrs: dict[str, dict[str, str]] = {}
-    for idx, p in enumerate(ordered):
-        if not keep[idx]:
-            continue
-        node_attrs: dict[str, str] = {}
-        if p.home_country is not None:
-            node_attrs["country"] = p.home_country
-        if attributes and p.user_id in attributes:
-            node_attrs.update(attributes[p.user_id])
-        attrs[p.user_id] = node_attrs
-
-    return SimilarityNetwork(
-        threshold=float(threshold),
-        nodes=nodes,
-        edges=edges,
-        attributes=attrs,
-        isolated_removed=int((~keep).sum()),
-    )
+    return build_networks(profiles, [threshold], attributes)[0]
 
 
 def component_sizes(net: SimilarityNetwork) -> list[int]:
     """Connected-component sizes, largest first."""
     n = net.n_nodes
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in net.edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-    sizes: dict[int, int] = {}
-    for i in range(n):
-        root = find(i)
-        sizes[root] = sizes.get(root, 0) + 1
-    return sorted(sizes.values(), reverse=True)
+    if n == 0:
+        return []
+    us, vs = net.edges.T
+    graph = coo_matrix((np.ones(net.n_edges), (us, vs)), shape=(n, n))
+    _, labels = connected_components(graph, directed=False)
+    return sorted(np.bincount(labels).tolist(), reverse=True)
 
 
 def largest_component_fractions(net: SimilarityNetwork) -> tuple[float, float]:
@@ -165,11 +170,10 @@ def categorical_assortativity(net: SimilarityNetwork, attribute_key: str) -> flo
         raise DataError(f"attribute {attribute_key!r} missing on some node") from None
     levels = sorted(set(values))
     level_of = {v: i for i, v in enumerate(levels)}
-    coded = [level_of[v] for v in values]
+    coded = np.array([level_of[v] for v in values], np.int64)
+    cu, cv = coded[net.edges].T
     e = np.zeros((len(levels), len(levels)), np.float64)
-    for i, j in net.edges:
-        e[coded[i], coded[j]] += 1.0
-        e[coded[j], coded[i]] += 1.0
+    np.add.at(e, (np.concatenate([cu, cv]), np.concatenate([cv, cu])), 1.0)
     e /= 2.0 * net.n_edges
     a = e.sum(axis=1)
     b = e.sum(axis=0)
@@ -188,8 +192,7 @@ def degree_assortativity(net: SimilarityNetwork) -> float:
     if net.n_edges == 0:
         raise UndefinedMetric("degree assortativity needs at least one edge")
     deg = net.degrees()
-    us = np.fromiter((i for i, _ in net.edges), np.int64, net.n_edges)
-    vs = np.fromiter((j for _, j in net.edges), np.int64, net.n_edges)
+    us, vs = net.edges.T
     x = np.concatenate([deg[us], deg[vs]]).astype(np.float64)
     y = np.concatenate([deg[vs], deg[us]]).astype(np.float64)
     return pearson(x, y)
@@ -197,9 +200,9 @@ def degree_assortativity(net: SimilarityNetwork) -> float:
 
 def write_edge_list(net: SimilarityNetwork, path: str | Path) -> None:
     """Tab-separated ``u<TAB>v`` lines in deterministic order."""
+    nodes = net.nodes
     with open(path, "w", encoding="utf-8") as fh:
-        for i, j in net.edges:
-            fh.write(f"{net.nodes[i]}\t{net.nodes[j]}\n")
+        fh.writelines(f"{nodes[i]}\t{nodes[j]}\n" for i, j in net.edges.tolist())
 
 
 def write_node_attributes(net: SimilarityNetwork, path: str | Path) -> None:

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -210,6 +212,27 @@ class TestSimnet:
                      "--attributes", str(attrs), "--out-dir", str(out)]) == 0
         metrics = json.loads((out / "metrics.json").read_text())
         assert "hemisphere" in metrics["65"]["assortativity"]
+
+    def test_bad_threshold_writes_nothing(self, pipeline, tmp_path):
+        out = tmp_path / "simnet"
+        assert main(["simnet", "--store", str(pipeline["store"]), "--thresholds", "65,150",
+                     "--out-dir", str(out)]) == 2
+        assert not (out / "edges_s65.tsv").exists()
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_empty_threshold_list_writes_empty_metrics(self, pipeline, tmp_path):
+        out = tmp_path / "simnet"
+        assert main(["simnet", "--store", str(pipeline["store"]), "--thresholds", "",
+                     "--out-dir", str(out)]) == 0
+        assert json.loads((out / "metrics.json").read_text()) == {}
+        assert sorted(p.name for p in out.iterdir()) == ["metrics.json"]
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    code = "import sys, tastemap.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestSignatures:

@@ -1,13 +1,20 @@
-"""The numba fast paths and numpy fallbacks must be interchangeable."""
+"""The pair-scoring kernel against a brute-force oracle, and the geocoding
+kernel's numba and numpy paths against each other."""
 
 import os
 import subprocess
 import sys
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tastemap import _kernels
+from tastemap.errors import UndefinedSimilarity
+from tastemap.simnet import jaccard_score
 
 
 def random_rings(rng, n_countries=6):
@@ -36,15 +43,6 @@ def random_rings(rng, n_countries=6):
 
 @pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
 class TestPathEquivalence:
-    def test_jaccard_paths_agree(self):
-        rng = np.random.default_rng(31)
-        for density in (0.05, 0.2, 0.5):
-            bits = (rng.random((80, 40)) < density).astype(np.uint8)
-            for threshold in (5.0, 33.0, 65.0, 80.0, 100.0):
-                a = _kernels.jaccard_edges_numpy(bits, threshold)
-                b = _kernels.jaccard_edges_numba(bits, threshold)
-                assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-
     def test_point_in_polygon_paths_agree(self):
         rng = np.random.default_rng(32)
         rings = random_rings(rng)
@@ -54,17 +52,12 @@ class TestPathEquivalence:
         b = _kernels.assign_countries_numba(px, py, *rings)
         assert np.array_equal(a, b)
 
-    def test_numba_kernel_requires_positive_threshold(self):
-        bits = np.eye(3, dtype=np.uint8)
-        with pytest.raises(ValueError):
-            _kernels.jaccard_edges_numba(bits, 0.0)
-
 
 class TestDispatcher:
     def test_zero_threshold_keeps_featureless_pairs(self):
         bits = np.zeros((3, 5), np.uint8)
         bits[0, 0] = 1  # users 1 and 2 share nothing with anyone
-        us, vs = _kernels.jaccard_edges(bits, 0.0)
+        us, vs, _, _ = _kernels.jaccard_edges(bits, 0.0)
         pairs = set(zip(us.tolist(), vs.tolist()))
         # pairs with user 0 are defined (union nonzero); the (1,2) pair is 0/0
         assert pairs == {(0, 1), (0, 2)}
@@ -72,7 +65,7 @@ class TestDispatcher:
     def test_edges_sorted_lexicographically(self):
         rng = np.random.default_rng(33)
         bits = (rng.random((50, 20)) < 0.3).astype(np.uint8)
-        us, vs = _kernels.jaccard_edges(bits, 10.0)
+        us, vs, _, _ = _kernels.jaccard_edges(bits, 10.0)
         pairs = list(zip(us.tolist(), vs.tolist()))
         assert pairs == sorted(pairs)
         assert all(u < v for u, v in pairs)
@@ -89,3 +82,51 @@ def test_env_flag_disables_numba():
         env={**os.environ, "TASTEMAP_NUMBA": "0"},
     )
     assert out.stdout.strip() == "False"
+
+
+def brute_force_jaccard(bits, threshold):
+    """Pairs (i < j) whose defined ``jaccard_score`` meets the threshold, with
+    their intersection and union sizes counted from Python sets."""
+    sets = [frozenset(np.flatnonzero(row).tolist()) for row in bits]
+    out = []
+    for i, j in combinations(range(len(bits)), 2):
+        try:
+            score = jaccard_score(bits[i], bits[j])
+        except UndefinedSimilarity:
+            continue
+        if score >= threshold:
+            out.append((i, j, len(sets[i] & sets[j]), len(sets[i] | sets[j])))
+    return out
+
+
+bit_matrices = st.tuples(st.integers(0, 13), st.integers(1, 6)).flatmap(
+    lambda shape: arrays(np.uint8, shape, elements=st.integers(0, 1))
+)
+thresholds = st.one_of(st.sampled_from([0, 100]), st.integers(0, 100))
+
+
+class TestJaccardOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(bits=bit_matrices, threshold=thresholds, block=st.integers(1, 4))
+    def test_matches_brute_force(self, bits, threshold, block):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "BLOCK_ROWS", block)
+            got = _kernels.jaccard_edges(bits, float(threshold))
+        assert all(col.dtype == np.int64 for col in got)
+        assert list(zip(*(col.tolist() for col in got))) == brute_force_jaccard(bits, threshold)
+
+    def test_empty_rows_pair_only_at_zero_with_a_nonempty_row(self):
+        bits = np.array([[0, 0, 0], [1, 0, 1], [0, 0, 0], [1, 0, 1]], np.uint8)
+        for block in (1, 2, 3, 256):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(_kernels, "BLOCK_ROWS", block)
+                us, vs, inter, union = _kernels.jaccard_edges(bits, 0.0)
+                assert list(zip(us.tolist(), vs.tolist())) == [(0, 1), (0, 3), (1, 2), (1, 3),
+                                                               (2, 3)]
+                us, vs, inter, union = _kernels.jaccard_edges(bits, 100.0)
+                assert (us.tolist(), vs.tolist(), inter.tolist(), union.tolist()) == (
+                    [1], [3], [2], [2])
+
+    def test_no_rows(self):
+        got = _kernels.jaccard_edges(np.zeros((0, 4), np.uint8), 65.0)
+        assert [col.shape for col in got] == [(0,)] * 4

@@ -1,15 +1,19 @@
 """Jaccard scores, network construction, components and assortativity."""
 
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tastemap.errors import DataError, UndefinedMetric, UndefinedSimilarity
 from tastemap.model import UserProfile
 from tastemap.simnet import (
     SimilarityNetwork,
     build_network,
+    build_networks,
     categorical_assortativity,
     component_sizes,
     degree_assortativity,
@@ -277,3 +281,138 @@ class TestDegreeAssortativity:
         net = fixture_network(clique(["a", "b", "c", "d"]), {u: "X" for u in "abcd"})
         with pytest.raises(UndefinedMetric):
             degree_assortativity(net)
+
+
+# ---------------------------------------------------------------------------
+# Properties against loop oracles
+# ---------------------------------------------------------------------------
+
+profile_rows = st.lists(st.frozensets(st.integers(0, 7), max_size=6), min_size=1, max_size=14)
+threshold_lists = st.lists(st.integers(0, 100), max_size=5)
+
+
+def profiles_of(rows):
+    # ids in reverse order of the rows, so sorting by id reorders them
+    return [profile(f"u{len(rows) - i:02d}", ones, m=8, country="AB"[i % 2])
+            for i, ones in enumerate(rows)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=profile_rows, thresholds=threshold_lists)
+def test_build_networks_equals_per_threshold_build_network(rows, thresholds):
+    profiles = profiles_of(rows)
+    networks = build_networks(profiles, [float(t) for t in thresholds])
+    assert len(networks) == len(thresholds)
+    for t, net in zip(thresholds, networks):
+        single = build_network(profiles, float(t))
+        assert net.threshold == single.threshold == float(t)
+        assert net.nodes == single.nodes
+        assert net.edges.dtype == np.int64 and net.edges.shape == (net.n_edges, 2)
+        assert np.array_equal(net.edges, single.edges)
+        assert net.attributes == single.attributes
+        assert net.isolated_removed == single.isolated_removed == len(rows) - net.n_nodes
+        assert network_edge_ids(net) == brute_force_edges(profiles, t)
+    ladder = sorted(zip(thresholds, networks), key=lambda pair: pair[0])
+    for (_, low), (_, high) in zip(ladder, ladder[1:]):
+        assert network_edge_ids(high) <= network_edge_ids(low)
+
+
+def test_build_networks_checks_every_threshold_first():
+    with pytest.raises(DataError):
+        build_networks([profile("a", [1]), profile("b", [1])], [65.0, 150.0])
+    assert build_networks([], []) == []
+
+
+def test_tuple_edges_coerced_to_int_array():
+    net = SimilarityNetwork(0.0, ("a", "b", "c"), ((0, 1), (1, 2)))
+    assert net.edges.dtype == np.int64 and net.edges.tolist() == [[0, 1], [1, 2]]
+    assert SimilarityNetwork(0.0, ("a",), ()).edges.shape == (0, 2)
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(1, 12))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] < p[1])
+    edges = sorted(draw(st.sets(pairs, max_size=20)))
+    values = draw(st.lists(st.sampled_from("xyz"), min_size=n, max_size=n))
+    nodes = tuple(f"u{i:02d}" for i in range(n))
+    attrs = {u: {"country": v} for u, v in zip(nodes, values)}
+    return SimilarityNetwork(0.0, nodes, tuple(edges), attrs)
+
+
+def loop_components(net):
+    adjacent = {i: set() for i in range(net.n_nodes)}
+    for i, j in net.edges.tolist():
+        adjacent[i].add(j)
+        adjacent[j].add(i)
+    seen, sizes = set(), []
+    for start in range(net.n_nodes):
+        if start in seen:
+            continue
+        stack, size = [start], 0
+        seen.add(start)
+        while stack:
+            size += 1
+            for k in adjacent[stack.pop()] - seen:
+                seen.add(k)
+                stack.append(k)
+        sizes.append(size)
+    return sorted(sizes, reverse=True)
+
+
+def loop_categorical(net):
+    """Newman's r in exact fractions; None where it is undefined."""
+    if net.n_edges == 0:
+        return None
+    value = [net.attributes[u]["country"] for u in net.nodes]
+    e = {}
+    for i, j in net.edges.tolist():
+        for a, b in ((value[i], value[j]), (value[j], value[i])):
+            e[a, b] = e.get((a, b), 0) + Fraction(1, 2 * net.n_edges)
+    levels = sorted(set(value))
+    a = {x: sum(e.get((x, y), 0) for y in levels) for x in levels}
+    b = {y: sum(e.get((x, y), 0) for x in levels) for y in levels}
+    sab = sum(a[x] * b[x] for x in levels)
+    if sab == 1:
+        return None
+    return (sum(e.get((x, x), 0) for x in levels) - sab) / (1 - sab)
+
+
+def loop_degree(net):
+    """Degree correlation over both edge orientations, in exact fractions.
+    Both ends' degree lists hold the same values, so r = cov / var."""
+    if net.n_edges == 0:
+        return None
+    deg = [0] * net.n_nodes
+    for i, j in net.edges.tolist():
+        deg[i] += 1
+        deg[j] += 1
+    pairs = [(deg[i], deg[j]) for i, j in net.edges.tolist()]
+    pairs += [(y, x) for x, y in pairs]
+    mean = Fraction(sum(x for x, _ in pairs), len(pairs))
+    var = sum((x - mean) ** 2 for x, _ in pairs)
+    if var == 0:
+        return None
+    return sum((x - mean) * (y - mean) for x, y in pairs) / var
+
+
+def metric_or_none(fn, net):
+    try:
+        return fn(net)
+    except UndefinedMetric:
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(net=graphs())
+def test_graph_metrics_match_loop_oracles(net):
+    assert component_sizes(net) == loop_components(net)
+    assert net.degrees().tolist() == [
+        sum(k in pair for pair in net.edges.tolist()) for k in range(net.n_nodes)
+    ]
+    for fn, oracle in ((lambda g: categorical_assortativity(g, "country"), loop_categorical),
+                       (degree_assortativity, loop_degree)):
+        got, want = metric_or_none(fn, net), oracle(net)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got == pytest.approx(float(want), abs=1e-12)
