@@ -8,7 +8,6 @@ from itertools import permutations
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import stdtr
 
 from .errors import DataError, UndefinedMetric
 
@@ -291,6 +290,9 @@ def spearman(
 
     if abs(rho) >= 1.0 - 1e-15:
         return rho, min(1.0, 2.0 / math.factorial(n))
+    # Imported here: scipy.special costs every other command a quarter second.
+    from scipy.special import stdtr
+
     t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
     p = 2.0 * float(stdtr(n - 2, -abs(t)))
     return rho, min(1.0, p)

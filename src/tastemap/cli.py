@@ -2,9 +2,8 @@
 
 Subcommands: ``synth``, ``ingest``, ``simnet``, ``signatures``, ``cluster``,
 ``survey``.  ``ingest`` parses a raw corpus once and writes a normalized
-store directory (corpus.csv, home_countries.csv, taxonomy.txt, report);
-every analysis command reads that store, so slow parsing and geocoding run
-once per dataset.
+store directory (see ``tastemap.store``); every analysis command loads the
+store's arrays, so slow parsing and geocoding run once per dataset.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 degenerate-math error.
 """
@@ -32,7 +31,7 @@ from .ingest import (
     parse_corpus,
     top_cells,
 )
-from .model import Area, Taxonomy, load_taxonomy
+from .model import Area, load_taxonomy
 from .prefs import area_cube, build_profiles, region_counts, region_profile
 from .signatures import (
     DAY_GROUPS,
@@ -53,6 +52,7 @@ from .simnet import (
     write_edge_list,
     write_node_attributes,
 )
+from .store import read_store, write_store
 from .synth import SynthSpec, generate_corpus
 
 PAPER_THRESHOLDS = "65,70,75,80,85,90,95,100"
@@ -78,41 +78,8 @@ def _outdir(args) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# Store layout
+# Inputs
 # ---------------------------------------------------------------------------
-
-
-def _write_store(store: Path, corpus: Corpus, home: dict[str, str], taxonomy_path: Path) -> None:
-    with open(store / "corpus.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["user", "venue", "lat", "lon", "ts", "subcat"])
-        for c in corpus.checkins:
-            writer.writerow(
-                [c.user_id, c.venue_id, repr(c.lat), repr(c.lon), c.ts.isoformat(), c.subcategory]
-            )
-    with open(store / "home_countries.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["user", "country"])
-        for user in sorted(home):
-            writer.writerow([user, home[user]])
-    (store / "taxonomy.txt").write_bytes(Path(taxonomy_path).read_bytes())
-
-
-def _read_store(args) -> tuple[Corpus, dict[str, str], Taxonomy]:
-    store = Path(args.store)
-    taxonomy_path = Path(args.taxonomy) if getattr(args, "taxonomy", None) else store / "taxonomy.txt"
-    if not taxonomy_path.exists():
-        raise DataError(f"taxonomy file not found: {taxonomy_path}")
-    taxonomy = load_taxonomy(taxonomy_path)
-    corpus_path = store / "corpus.csv"
-    if not corpus_path.exists():
-        raise DataError(f"store has no corpus.csv: {store}")
-    corpus = parse_corpus(corpus_path, taxonomy)
-    home: dict[str, str] = {}
-    with open(store / "home_countries.csv", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            home[row["user"]] = row["country"]
-    return corpus, home, taxonomy
 
 
 def _read_cities(path: str | Path) -> list[Area]:
@@ -190,7 +157,7 @@ def cmd_ingest(args) -> int:
     located = corpus.filter_users(home)
     active = filter_active_users(located, args.min_checkins)
     home = {u: home[u] for u in active.user_ids}
-    _write_store(out, active, home, Path(args.taxonomy))
+    write_store(out, active, home, Path(args.taxonomy))
     doc = report.to_dict()
     doc["min_checkins"] = args.min_checkins
     doc["store_users"] = active.n_users
@@ -217,7 +184,7 @@ def cmd_simnet(args) -> int:
         thresholds = [float(t) for t in args.thresholds.split(",") if t.strip()]
     except ValueError as exc:
         raise DataError(f"bad threshold list: {exc}") from exc
-    corpus, home, _ = _read_store(args)
+    corpus, home, _ = read_store(args.store, args.taxonomy)
     profiles = build_profiles(corpus, home)
     attributes = _parse_attributes(args.attributes) if args.attributes else None
     networks = build_networks(profiles, thresholds, attributes)
@@ -228,7 +195,7 @@ def cmd_simnet(args) -> int:
         write_edge_list(net, out / f"edges_s{tag}.tsv")
         write_node_attributes(net, out / f"nodes_s{tag}.csv")
         sizes = component_sizes(net)
-        frac1, frac2 = largest_component_fractions(net)
+        frac1, frac2 = largest_component_fractions(sizes)
         attr_keys = sorted({k for a in net.attributes.values() for k in a})
         assort: dict[str, float | None] = {}
         for key in attr_keys:
@@ -260,8 +227,7 @@ def cmd_simnet(args) -> int:
 
 
 def cmd_signatures(args) -> int:
-    out = _outdir(args)
-    corpus, home, taxonomy = _read_store(args)
+    corpus, home, taxonomy = read_store(args.store, args.taxonomy)
     areas, countries = _level_areas(args, corpus, home)
 
     spatial, used, cubes, empty = [], [], [], []
@@ -275,6 +241,7 @@ def cmd_signatures(args) -> int:
         cubes.append(area_cube(corpus, area, countries))
     if len(spatial) < 2:
         raise UndefinedMetric("fewer than two areas have check-ins; nothing to correlate")
+    out = _outdir(args)
 
     scopes = [s.strip() for s in args.scope.split(",") if s.strip()]
     for scope in scopes:
@@ -319,8 +286,7 @@ def cmd_signatures(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    out = _outdir(args)
-    corpus, home, _ = _read_store(args)
+    corpus, home, _ = read_store(args.store, args.taxonomy)
     areas, countries = _level_areas(args, corpus, home)
     rows, used, empty = [], [], []
     for area in areas:
@@ -338,6 +304,7 @@ def cmd_cluster(args) -> int:
     k = args.k if args.k is not None else DEFAULT_K[args.level]
     report = kmeans_cosine(scores, k, args.seed, [a.area_id for a in used],
                            n_restarts=args.restarts)
+    out = _outdir(args)
     doc = report.to_dict()
     doc["level"] = args.level
     doc["components"] = p
@@ -385,8 +352,7 @@ def _country_scores(matrix: np.ndarray, countries: list[str]) -> dict[str, np.nd
 
 
 def cmd_survey(args) -> int:
-    out = _outdir(args)
-    corpus, home, taxonomy = _read_store(args)
+    corpus, home, taxonomy = read_store(args.store, args.taxonomy)
     survey = _read_survey(args.survey)
     countries = sorted(survey)
     missing = [c for c in countries if c not in set(home.values())]
@@ -409,6 +375,7 @@ def cmd_survey(args) -> int:
         results[name] = {r.country: r for r in compare_with_survey(scores, survey, countries)}
 
     names = [name for name, _ in datasets]
+    out = _outdir(args)
     with open(out / "survey_comparison.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         header = ["country"]

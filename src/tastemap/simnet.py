@@ -8,8 +8,6 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from . import _kernels
 from .errors import DataError, UndefinedMetric, UndefinedSimilarity
@@ -134,24 +132,39 @@ def build_network(
 
 
 def component_sizes(net: SimilarityNetwork) -> list[int]:
-    """Connected-component sizes, largest first."""
-    n = net.n_nodes
-    if n == 0:
-        return []
+    """Connected-component sizes, largest first.
+
+    Min-label propagation: every node points at a node of its component, and
+    each round hooks the larger label at the two ends of every edge that
+    still disagrees onto the smaller one, then jumps pointers until every
+    label is its own root.  Labels only decrease, so the loop ends, with one
+    label per component: its smallest node.
+    """
+    labels = np.arange(net.n_nodes)
     us, vs = net.edges.T
-    graph = coo_matrix((np.ones(net.n_edges), (us, vs)), shape=(n, n))
-    _, labels = connected_components(graph, directed=False)
-    return sorted(np.bincount(labels).tolist(), reverse=True)
+    while True:
+        lu, lv = labels[us], labels[vs]
+        split = lu != lv
+        if not split.any():
+            break
+        np.minimum.at(labels, np.maximum(lu[split], lv[split]),
+                      np.minimum(lu[split], lv[split]))
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+    sizes = np.bincount(labels, minlength=net.n_nodes)
+    return sorted(sizes[sizes > 0].tolist(), reverse=True)
 
 
-def largest_component_fractions(net: SimilarityNetwork) -> tuple[float, float]:
-    """Fractions of nodes in the largest and second-largest components."""
-    sizes = component_sizes(net)
+def largest_component_fractions(sizes: Sequence[int]) -> tuple[float, float]:
+    """Fractions of nodes in the largest and second-largest components,
+    from a network's ``component_sizes``."""
     if not sizes:
         return 0.0, 0.0
-    first = sizes[0] / net.n_nodes
-    second = sizes[1] / net.n_nodes if len(sizes) > 1 else 0.0
-    return first, second
+    n = sum(sizes)
+    return sizes[0] / n, (sizes[1] / n if len(sizes) > 1 else 0.0)
 
 
 def categorical_assortativity(net: SimilarityNetwork, attribute_key: str) -> float:

@@ -1,0 +1,170 @@
+"""The store directory that ``tastemap ingest`` writes and every analysis
+command reads.
+
+Layout::
+
+    corpus.npz          the columnar corpus: numpy arrays only, no pickles
+    manifest.json       {"corpus_sha256": <hex>, "format": FORMAT_VERSION}
+    corpus.csv          the same check-ins as text, one row each (export)
+    home_countries.csv  user,country (export)
+    taxonomy.txt        the taxonomy the store was ingested with
+
+``corpus.npz`` holds the corpus columns (``lat``, ``lon``, ``ts``,
+``subcat_idx``, ``user_idx``, ``venue_idx``) and fixed-width unicode
+tables: ``subcategories`` (what ``subcat_idx`` points into), ``user_ids``,
+``venue_ids`` and ``home`` (each user's home country).  Subcategories are
+matched by name on load, so a store read with another taxonomy drops the
+rows whose subcategory it does not know, as parsing would.
+
+The analysis commands read ``corpus.npz`` only; the CSV files are exports.
+A store whose manifest is missing, names another format or does not hash
+``corpus.npz`` to the same digest is rejected with a DataError, so a store
+from an older ingest, a half-written store or an edited array file is
+never analysed.
+"""
+
+from __future__ import annotations
+
+import csv
+import hashlib
+import io
+import json
+import zipfile
+from pathlib import Path
+from typing import Mapping
+
+import numpy as np
+
+from .errors import DataError
+from .ingest import CORPUS_FIELDS, Corpus
+from .model import Taxonomy, load_taxonomy
+
+FORMAT_VERSION = 1
+CORPUS_FILE = "corpus.npz"
+MANIFEST_FILE = "manifest.json"
+COLUMNS = ("lat", "lon", "ts", "subcat_idx", "user_idx", "venue_idx")
+TABLES = ("subcategories", "user_ids", "venue_ids", "home")
+
+
+def _npz_bytes(arrays: Mapping[str, np.ndarray]) -> bytes:
+    """``np.savez`` layout with a fixed timestamp on every member, so equal
+    arrays always give equal bytes."""
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as zf:
+        for name, arr in arrays.items():
+            info = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
+            with zf.open(info, "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, arr, allow_pickle=False)
+    return buf.getvalue()
+
+
+def write_store(
+    store: Path, corpus: Corpus, home: Mapping[str, str], taxonomy_path: Path
+) -> None:
+    """Write every store file; the manifest goes last, so a store left
+    half-written by a failed ingest is rejected on read."""
+    arrays = {name: getattr(corpus, name) for name in COLUMNS}
+    tables = {
+        "subcategories": corpus.taxonomy.subcategories,
+        "user_ids": corpus.user_ids,
+        "venue_ids": corpus.venue_ids,
+        "home": [home[u] for u in corpus.user_ids],
+    }
+    for name, table in tables.items():
+        arrays[name] = np.array(table, dtype=str)
+        # numpy unicode arrays drop trailing NULs; refuse rather than alter an id.
+        if arrays[name].tolist() != list(table):
+            raise DataError(f"{name}: an id ending in a NUL character cannot be stored")
+    data = _npz_bytes(arrays)
+    (store / CORPUS_FILE).write_bytes(data)
+
+    users = [corpus.user_ids[i] for i in corpus.user_idx.tolist()]
+    venues = [corpus.venue_ids[i] for i in corpus.venue_idx.tolist()]
+    subcats = [corpus.taxonomy.subcategories[i] for i in corpus.subcat_idx.tolist()]
+    with open(store / "corpus.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CORPUS_FIELDS)
+        writer.writerows(
+            [user, venue, repr(lat), repr(lon), ts.isoformat(), subcat]
+            for user, venue, lat, lon, ts, subcat in zip(
+                users, venues, corpus.lat.tolist(), corpus.lon.tolist(),
+                corpus.ts.astype(object), subcats,
+            )
+        )
+    with open(store / "home_countries.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["user", "country"])
+        for user in sorted(home):
+            writer.writerow([user, home[user]])
+    (store / "taxonomy.txt").write_bytes(Path(taxonomy_path).read_bytes())
+
+    manifest = {"corpus_sha256": hashlib.sha256(data).hexdigest(), "format": FORMAT_VERSION}
+    (store / MANIFEST_FILE).write_text(
+        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+    )
+
+
+def _load_arrays(store: Path) -> dict[str, np.ndarray]:
+    """The arrays of ``corpus.npz``, after the manifest has vouched for them."""
+    try:
+        manifest = json.loads((store / MANIFEST_FILE).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise DataError(f"store has no {MANIFEST_FILE}: {store} (run ingest again)") from None
+    except ValueError as exc:
+        raise DataError(f"unreadable {MANIFEST_FILE} in {store}: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise DataError(f"{MANIFEST_FILE} in {store} is not a JSON object")
+    if manifest.get("format") != FORMAT_VERSION:
+        raise DataError(
+            f"store {store} has format {manifest.get('format')!r}, this version reads "
+            f"format {FORMAT_VERSION} (run ingest again)"
+        )
+    try:
+        data = (store / CORPUS_FILE).read_bytes()
+    except FileNotFoundError:
+        raise DataError(f"store has no {CORPUS_FILE}: {store} (run ingest again)") from None
+    if hashlib.sha256(data).hexdigest() != manifest.get("corpus_sha256"):
+        raise DataError(f"{CORPUS_FILE} in {store} does not match its manifest (run ingest again)")
+    try:
+        with np.load(io.BytesIO(data), allow_pickle=False) as npz:
+            return {name: npz[name] for name in COLUMNS + TABLES}
+    except (KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise DataError(f"unreadable {CORPUS_FILE} in {store}: {exc}") from None
+
+
+def read_store(
+    store: str | Path, taxonomy_path: str | Path | None = None
+) -> tuple[Corpus, dict[str, str], Taxonomy]:
+    """Corpus, home countries and taxonomy of a store.
+
+    ``taxonomy_path`` overrides the store's own ``taxonomy.txt``.  The home
+    map covers every user in the store, including users whose every row the
+    override taxonomy drops.
+    """
+    store = Path(store)
+    taxonomy_path = Path(taxonomy_path) if taxonomy_path else store / "taxonomy.txt"
+    if not taxonomy_path.exists():
+        raise DataError(f"taxonomy file not found: {taxonomy_path}")
+    taxonomy = load_taxonomy(taxonomy_path)
+    arrays = _load_arrays(store)
+
+    names = arrays["subcategories"].tolist()
+    remap = np.array([taxonomy.index_of(n) if n in taxonomy else -1 for n in names], np.int64)
+    subcat_idx = remap[arrays["subcat_idx"]]
+    known = subcat_idx >= 0
+    user_ids = arrays["user_ids"].tolist()
+    corpus = Corpus.from_columns(
+        taxonomy,
+        lat=arrays["lat"],
+        lon=arrays["lon"],
+        ts=arrays["ts"],
+        subcat_idx=subcat_idx,
+        user_idx=arrays["user_idx"],
+        user_ids=user_ids,
+        venue_idx=arrays["venue_idx"],
+        venue_ids=arrays["venue_ids"].tolist(),
+        skipped_unknown=int(np.count_nonzero(~known)),
+    )
+    if not known.all():
+        corpus = corpus.subset(known)
+    return corpus, dict(zip(user_ids, arrays["home"].tolist())), taxonomy

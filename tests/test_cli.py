@@ -2,6 +2,7 @@
 
 import csv
 import json
+import shutil
 import subprocess
 import sys
 
@@ -74,8 +75,20 @@ def read_csv(path):
 class TestIngest:
     def test_store_files_exist(self, pipeline):
         store = pipeline["store"]
-        for name in ("corpus.csv", "home_countries.csv", "taxonomy.txt", "ingest_report.json"):
+        for name in ("corpus.npz", "manifest.json", "corpus.csv", "home_countries.csv",
+                     "taxonomy.txt", "ingest_report.json"):
             assert (store / name).exists()
+
+    def test_ingest_twice_is_byte_identical(self, pipeline, tmp_path):
+        trees = []
+        for tag in ("one", "two"):
+            store = tmp_path / tag
+            assert main(["ingest", "--corpus", str(pipeline["generated"].corpus_path),
+                         "--geo", str(pipeline["generated"].geo_path),
+                         "--taxonomy", pipeline["taxonomy"], "--out-dir", str(store)]) == 0
+            trees.append({p.name: p.read_bytes() for p in sorted(store.iterdir())})
+        assert "corpus.npz" in trees[0]
+        assert trees[0] == trees[1]
 
     def test_report_totals_match_generator(self, pipeline):
         report = json.loads((pipeline["store"] / "ingest_report.json").read_text())
@@ -229,10 +242,72 @@ class TestSimnet:
 
 
 def test_cli_import_leaves_scipy_stats_out():
-    code = "import sys, tastemap.cli; print('scipy.stats' in sys.modules)"
+    code = ("import sys, tastemap.cli; "
+            "print([m for m in ('scipy.stats', 'scipy.special', 'scipy.sparse') "
+            "if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
+
+
+def _edit_npz(store):
+    path = store / "corpus.npz"
+    with np.load(path, allow_pickle=False) as npz:
+        arrays = dict(npz)
+    arrays["lat"] = arrays["lat"] + 1e-9
+    np.savez(path, **arrays)
+
+
+def _set_format(store, version):
+    manifest = json.loads((store / "manifest.json").read_text(encoding="utf-8"))
+    manifest["format"] = version
+    (store / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+
+class TestStoreManifest:
+    """An analysis command reads a store only through a manifest that names
+    this format and the sha256 of corpus.npz; anything else exits 2 before
+    the output directory is created."""
+
+    DAMAGE = {
+        "missing_npz": lambda store: (store / "corpus.npz").unlink(),
+        "missing_manifest": lambda store: (store / "manifest.json").unlink(),
+        "edited_npz": _edit_npz,
+        "unknown_format": lambda store: _set_format(store, 2),
+        "format_as_string": lambda store: _set_format(store, "1"),
+        "manifest_not_json": lambda store: (store / "manifest.json").write_text("{", "utf-8"),
+    }
+
+    @staticmethod
+    def argv(command, store, survey, out):
+        extra = {"simnet": ["--thresholds", "65"], "signatures": [],
+                 "cluster": ["--k", "2"], "survey": ["--survey", str(survey)]}[command]
+        return [command, "--store", str(store), *extra, "--out-dir", str(out)]
+
+    @pytest.fixture
+    def store_copy(self, pipeline, tmp_path):
+        store = tmp_path / "store"
+        shutil.copytree(pipeline["store"], store)
+        survey = tmp_path / "survey.csv"
+        TestSurvey().write_survey(survey, [f"C{i}" for i in range(6)],
+                                  np.random.default_rng(43))
+        return store, survey
+
+    @pytest.mark.parametrize("command", ["simnet", "signatures", "cluster", "survey"])
+    def test_intact_store_runs(self, store_copy, tmp_path, command):
+        store, survey = store_copy
+        assert main(self.argv(command, store, survey, tmp_path / "out")) == 0
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    @pytest.mark.parametrize("command", ["simnet", "signatures", "cluster", "survey"])
+    def test_damaged_store_exits_2_and_writes_nothing(self, store_copy, tmp_path, capsys,
+                                                      command, damage):
+        store, survey = store_copy
+        self.DAMAGE[damage](store)
+        out = tmp_path / "out"
+        assert main(self.argv(command, store, survey, out)) == 2
+        assert "data error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSignatures:

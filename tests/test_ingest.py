@@ -1,7 +1,11 @@
 """Corpus parsing, reverse geocoding, home assignment, grids."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import corpus_of, jsonl_record, make_checkin, write_jsonl
 from tastemap.errors import DataError, ParseError
@@ -9,6 +13,7 @@ from tastemap.ingest import (
     area_mask,
     assign_home_country,
     filter_active_users,
+    geocode,
     grid_partition,
     load_geo_index,
     parse_corpus,
@@ -27,7 +32,7 @@ class TestParseCorpus:
         path = write_jsonl(tmp_path / "c.jsonl", [jsonl_record()])
         corpus = parse_corpus(path, toy_tax)
         assert len(corpus) == 1
-        assert corpus.checkins[0].subcategory == "Pub"
+        assert toy_tax.subcategories[corpus.subcat_idx[0]] == "Pub"
 
     def test_unknown_subcategory_skipped_not_fatal(self, toy_tax, tmp_path):
         records = [jsonl_record(user=f"u{i}") for i in range(9)]
@@ -113,6 +118,62 @@ class TestPointToCountry:
         assert point_to_country(0.5, 0.5, geo) == "AA"
         assert point_to_country(5.5, 5.5, geo) == "AA"
         assert point_to_country(3.0, 3.0, geo) is None
+
+
+def ray_cast(x, y, ring):
+    """Even-odd ray casting in exact arithmetic; a point on an edge is inside."""
+    x, y = Fraction(x), Fraction(y)
+    inside = False
+    for (x1, y1), (x2, y2) in zip(ring, ring[1:]):
+        x1, y1, x2, y2 = map(Fraction, (x1, y1, x2, y2))
+        if ((x2 - x1) * (y - y1) == (x - x1) * (y2 - y1)
+                and min(x1, x2) <= x <= max(x1, x2) and min(y1, y2) <= y <= max(y1, y2)):
+            return True
+        if (y1 > y) != (y2 > y) and x < x1 + (y - y1) * (x2 - x1) / (y2 - y1):
+            inside = not inside
+    return inside
+
+
+quarters = st.integers(-4, 84).map(lambda q: q / 4)
+
+
+@st.composite
+def densified_ring(draw):
+    """A rectangle whose sides are split into 1-4 collinear segments each."""
+    x0, x1 = sorted(draw(st.lists(quarters, min_size=2, max_size=2, unique=True)))
+    y0, y1 = sorted(draw(st.lists(quarters, min_size=2, max_size=2, unique=True)))
+    ring = []
+    for (ax, ay), (bx, by) in (((x0, y0), (x1, y0)), ((x1, y0), (x1, y1)),
+                               ((x1, y1), (x0, y1)), ((x0, y1), (x0, y0))):
+        k = draw(st.integers(1, 4))
+        ring += [(ax + (bx - ax) * i / k, ay + (by - ay) * i / k) for i in range(k)]
+    if draw(st.booleans()):
+        ring.reverse()
+    return ring + [ring[0]]
+
+
+class TestGeocodeOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(rings=st.lists(st.tuples(st.sampled_from(["AA", "BB", "CC"]), densified_ring()),
+                          min_size=1, max_size=4),
+           free=st.lists(st.tuples(st.one_of(quarters, st.floats(-1.0, 21.0)),
+                                   st.one_of(quarters, st.floats(-1.0, 21.0))), max_size=30),
+           data=st.data())
+    def test_geocode_equals_ray_cast(self, tmp_path_factory, rings, free, data):
+        # Vertices and edge midpoints of the rings lie exactly on an edge.
+        on_edges = [((ax + bx) / 2, (ay + by) / 2) if data.draw(st.booleans()) else (ax, ay)
+                    for _, ring in rings for (ax, ay), (bx, by) in zip(ring, ring[1:])]
+        points = free + data.draw(st.lists(st.sampled_from(on_edges), max_size=20))
+        path = tmp_path_factory.mktemp("geo") / "geo.txt"
+        path.write_text("".join(f"{code}\t" + ";".join(f"{x!r},{y!r}" for x, y in ring) + "\n"
+                                for code, ring in rings), encoding="utf-8")
+        geo = load_geo_index(path)
+        lons = np.array([x for x, _ in points], np.float64)
+        lats = np.array([y for _, y in points], np.float64)
+        got = [geo.countries[i] if i >= 0 else None for i in geocode(geo, lats, lons).tolist()]
+        want = [next((code for code, ring in rings if ray_cast(x, y, ring)), None)
+                for x, y in points]
+        assert got == want
 
 
 class TestAssignHomeCountry:

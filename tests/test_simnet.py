@@ -148,13 +148,13 @@ class TestComponents:
         profiles += [profile("p1", [5, 6]), profile("p2", [5, 6])]
         net = build_network(profiles, 100.0)
         assert component_sizes(net) == [3, 2]
-        f1, f2 = largest_component_fractions(net)
+        f1, f2 = largest_component_fractions(component_sizes(net))
         assert (f1, f2) == (0.6, 0.4)
 
     def test_empty_network(self):
         net = build_network([profile("a", [0]), profile("b", [1])], 65.0)
         assert component_sizes(net) == []
-        assert largest_component_fractions(net) == (0.0, 0.0)
+        assert largest_component_fractions(component_sizes(net)) == (0.0, 0.0)
 
     def test_largest_component_monotone_in_threshold(self):
         rng = np.random.default_rng(6)
