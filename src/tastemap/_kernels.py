@@ -1,43 +1,15 @@
 """Hot numeric kernels: user-pair scoring and point-in-polygon geocoding.
 
-Jaccard pair scoring is one blocked numpy kernel.  Ray-casting check-in
-coordinates against country polygons ships in two functionally identical
-implementations:
-
-* a numba ``@njit`` version (default when numba imports cleanly), and
-* a vectorized numpy version.
-
-Set ``TASTEMAP_NUMBA=0`` in the environment to force the numpy path.
+Both are blocked numpy kernels, so memory stays bounded as inputs grow.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-
-def _env_wants_numba() -> bool:
-    return os.environ.get("TASTEMAP_NUMBA", "1").strip().lower() not in {"0", "false", "no", "off"}
-
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-NUMBA_ENABLED = HAVE_NUMBA and _env_wants_numba()
+# No JIT path remains; perfbench's run record still reads these two flags.
+HAVE_NUMBA = False
+NUMBA_ENABLED = False
 
 
 # ---------------------------------------------------------------------------
@@ -86,53 +58,11 @@ def jaccard_edges(bits: np.ndarray, threshold: float):
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def _ring_contains(x, y, ring_x, ring_y, lo, hi):
-    inside = False
-    for k in range(lo, hi - 1):
-        x1 = ring_x[k]
-        y1 = ring_y[k]
-        x2 = ring_x[k + 1]
-        y2 = ring_y[k + 1]
-        cross = (x2 - x1) * (y - y1) - (x - x1) * (y2 - y1)
-        if cross == 0.0:
-            if min(x1, x2) <= x <= max(x1, x2) and min(y1, y2) <= y <= max(y1, y2):
-                return True
-        if (y1 > y) != (y2 > y):
-            x_hit = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-            if x < x_hit:
-                inside = not inside
-    return inside
+# Point x edge elements in one ray-cast temporary (8 MB as float64).
+RAY_BLOCK_ELEMENTS = 1 << 20
 
 
-@njit(cache=True)
-def _assign_countries_core(px, py, ring_x, ring_y, ring_indptr, ring_country, ring_bbox):
-    out = np.full(px.shape[0], -1, np.int64)
-    n_rings = ring_country.shape[0]
-    for i in range(px.shape[0]):
-        x = px[i]
-        y = py[i]
-        for r in range(n_rings):
-            if (
-                x < ring_bbox[r, 0]
-                or y < ring_bbox[r, 1]
-                or x > ring_bbox[r, 2]
-                or y > ring_bbox[r, 3]
-            ):
-                continue
-            if _ring_contains(x, y, ring_x, ring_y, ring_indptr[r], ring_indptr[r + 1]):
-                out[i] = ring_country[r]
-                break
-    return out
-
-
-def assign_countries_numba(px, py, ring_x, ring_y, ring_indptr, ring_country, ring_bbox):
-    if not HAVE_NUMBA:
-        raise RuntimeError("numba is not available")
-    return _assign_countries_core(px, py, ring_x, ring_y, ring_indptr, ring_country, ring_bbox)
-
-
-def _ring_contains_numpy(px, py, rx, ry):
+def _ring_contains(px, py, rx, ry):
     x1, y1 = rx[:-1][None, :], ry[:-1][None, :]
     x2, y2 = rx[1:][None, :], ry[1:][None, :]
     x, y = px[:, None], py[:, None]
@@ -151,7 +81,13 @@ def _ring_contains_numpy(px, py, rx, ry):
     return on_edge.any(axis=1) | ((crossings % 2) == 1)
 
 
-def assign_countries_numpy(px, py, ring_x, ring_y, ring_indptr, ring_country, ring_bbox):
+def assign_countries(px, py, ring_x, ring_y, ring_indptr, ring_country, ring_bbox):
+    """Country index per point (-1 where no ring contains the point).
+
+    Each ring tests the still-unassigned points inside its bbox, in chunks
+    of about ``RAY_BLOCK_ELEMENTS`` point x edge pairs, so memory does not
+    grow with the point count.
+    """
     out = np.full(px.shape[0], -1, np.int64)
     for r in range(ring_country.shape[0]):
         pending = out == -1
@@ -168,13 +104,10 @@ def assign_countries_numpy(px, py, ring_x, ring_y, ring_indptr, ring_country, ri
             continue
         idx = np.nonzero(in_box)[0]
         lo, hi = ring_indptr[r], ring_indptr[r + 1]
-        hit = _ring_contains_numpy(px[idx], py[idx], ring_x[lo:hi], ring_y[lo:hi])
-        out[idx[hit]] = ring_country[r]
+        rx, ry = ring_x[lo:hi], ring_y[lo:hi]
+        step = max(1, RAY_BLOCK_ELEMENTS // (hi - lo - 1))
+        for start in range(0, idx.size, step):
+            chunk = idx[start:start + step]
+            hit = _ring_contains(px[chunk], py[chunk], rx, ry)
+            out[chunk[hit]] = ring_country[r]
     return out
-
-
-def assign_countries(px, py, ring_x, ring_y, ring_indptr, ring_country, ring_bbox):
-    """Country index per point (-1 where no ring contains the point)."""
-    if NUMBA_ENABLED:
-        return assign_countries_numba(px, py, ring_x, ring_y, ring_indptr, ring_country, ring_bbox)
-    return assign_countries_numpy(px, py, ring_x, ring_y, ring_indptr, ring_country, ring_bbox)

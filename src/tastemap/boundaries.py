@@ -194,6 +194,8 @@ def kmeans_cosine(
         raise DataError(f"k={k} must lie in [1, {n}]")
     if seed < 0:
         raise DataError("seed must be nonnegative")
+    if n_restarts < 1:
+        raise DataError(f"n_restarts={n_restarts} must be at least 1")
     norms = np.linalg.norm(X, axis=1)
     if (norms == 0).any():
         raise DataError("zero-length rows have no direction; drop them first")

@@ -82,6 +82,17 @@ def _outdir(args) -> Path:
 # ---------------------------------------------------------------------------
 
 
+def _row_floats(path: str | Path, reader: csv.DictReader, row: dict, keys) -> tuple:
+    """The named fields of a CSV row as floats; a short row or a
+    non-numeric field is a DataError naming the file and line."""
+    try:
+        if None in row.values():
+            raise ValueError("too few fields")
+        return tuple(float(row[k]) for k in keys)
+    except ValueError as exc:
+        raise DataError(f"{path} line {reader.line_num}: {exc}") from exc
+
+
 def _read_cities(path: str | Path) -> list[Area]:
     areas = []
     with open(path, encoding="utf-8", newline="") as fh:
@@ -90,17 +101,13 @@ def _read_cities(path: str | Path) -> list[Area]:
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise DataError(f"cities file must have columns {sorted(required)}")
         for row in reader:
+            bbox = _row_floats(path, reader, row, ("min_lon", "min_lat", "max_lon", "max_lat"))
             areas.append(
                 Area(
                     area_id=row["city"],
                     kind="city",
                     country_code=row["country"],
-                    bbox=(
-                        float(row["min_lon"]),
-                        float(row["min_lat"]),
-                        float(row["max_lon"]),
-                        float(row["max_lat"]),
-                    ),
+                    bbox=bbox,
                     attributes={"country": row["country"]},
                 )
             )
@@ -149,7 +156,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    out = _outdir(args)
     taxonomy = load_taxonomy(args.taxonomy)
     geo = load_geo_index(args.geo)
     corpus = parse_corpus(args.corpus, taxonomy, args.error_budget)
@@ -157,6 +163,7 @@ def cmd_ingest(args) -> int:
     located = corpus.filter_users(home)
     active = filter_active_users(located, args.min_checkins)
     home = {u: home[u] for u in active.user_ids}
+    out = _outdir(args)
     write_store(out, active, home, Path(args.taxonomy))
     doc = report.to_dict()
     doc["min_checkins"] = args.min_checkins
@@ -336,7 +343,7 @@ def _read_survey(path: str | Path) -> dict[str, np.ndarray]:
             if country in coords:
                 raise DataError(f"survey file lists {country!r} twice")
             coords[country] = np.array(
-                [float(row["trad_secular"]), float(row["surv_selfexpr"])], np.float64
+                _row_floats(path, reader, row, ("trad_secular", "surv_selfexpr")), np.float64
             )
     if not coords:
         raise DataError("survey file lists no countries")

@@ -126,10 +126,6 @@ class Corpus:
     def n_users(self) -> int:
         return len(self.user_ids)
 
-    def checkin_counts(self) -> dict[str, int]:
-        counts = np.bincount(self.user_idx, minlength=self.n_users)
-        return {u: int(counts[i]) for i, u in enumerate(self.user_ids)}
-
     def subset(self, mask: np.ndarray) -> "Corpus":
         """The rows where ``mask`` is true, in order, with the user and
         venue tables cut down to the ids those rows use."""
@@ -189,6 +185,8 @@ def parse_corpus(source, taxonomy: Taxonomy, error_budget: float = 0.001) -> Cor
     carrying timestamps) are tolerated up to ``error_budget`` as a fraction
     of data lines; beyond that the parse aborts, citing the first bad line.
     """
+    if not 0.0 <= error_budget <= 1.0:
+        raise DataError(f"error budget must lie in [0, 1], got {error_budget:g}")
     if isinstance(source, (str, Path)):
         force_csv = Path(source).suffix.lower() == ".csv"
         with open(source, encoding="utf-8") as fh:

@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tastemap.boundaries import (
     PcaModel,
@@ -72,6 +75,18 @@ class TestFitPca:
         full_spectrum = np.linalg.eigvalsh(centered.T @ centered / (wide.shape[0] - 1))[::-1]
         np.testing.assert_allclose(model.eigenvalues, full_spectrum[: len(model.eigenvalues)],
                                    atol=1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(wide=st.booleans(), data=st.data())
+    def test_largest_entry_of_each_component_is_positive(self, wide, data):
+        # wide: fewer rows than columns, so fit_pca takes the Gram route.
+        n = data.draw(st.integers(2, 7))
+        d = data.draw(st.integers(n + 1, 9) if wide else st.integers(1, n))
+        X = data.draw(arrays(np.float64, (n, d), elements=st.integers(-5, 5).map(float)))
+        assume((X != X[0]).any())
+        components = fit_pca(X).components
+        for row in components:
+            assert row[np.abs(row).argmax()] > 0
 
     def test_single_row_rejected(self):
         with pytest.raises(DataError):

@@ -120,6 +120,18 @@ class TestIngest:
         assert code == 2
         assert "line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("budget", ["-1", "1.5", "nan"])
+    def test_error_budget_outside_unit_interval_exits_2(self, pipeline, tmp_path, capsys,
+                                                        budget):
+        store = tmp_path / "store"
+        code = main(["ingest", "--corpus", str(pipeline["generated"].corpus_path),
+                     "--geo", str(pipeline["generated"].geo_path),
+                     "--taxonomy", pipeline["taxonomy"], "--error-budget", budget,
+                     "--out-dir", str(store)])
+        assert code == 2
+        assert "error budget must lie in [0, 1]" in capsys.readouterr().err
+        assert not store.exists()
+
     def test_missing_file_exits_2(self, pipeline, tmp_path):
         code = main(
             [
@@ -416,6 +428,13 @@ class TestCluster:
                      "--out-dir", str(tmp_path / "cluster")])
         assert code == 3
 
+    def test_zero_restarts_exits_2_and_writes_nothing(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "cluster"
+        assert main(["cluster", "--store", str(pipeline["store"]), "--k", "3",
+                     "--restarts", "0", "--out-dir", str(out)]) == 2
+        assert "n_restarts=0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_default_k_follows_level(self, pipeline, tmp_path):
         out = tmp_path / "city_default"
         assert main(["cluster", "--store", str(pipeline["store"]), "--level", "city",
@@ -466,6 +485,35 @@ class TestSurvey:
         assert rows[0] == ["country", "rho_dataset2", "p_dataset2", "significant_dataset2"]
 
 
+class TestMalformedSideFiles:
+    """A bad row in --cities or --survey is a data error that names the file
+    and line, and the command writes nothing."""
+
+    CITIES = "city,country,min_lon,min_lat,max_lon,max_lat\nC0-east,C0,-60,0,-55,10\n"
+
+    @pytest.mark.parametrize("row", ["C0-west,C0,-55,0,x,10", "C0-west,C0,-55,0"])
+    @pytest.mark.parametrize("command", ["signatures", "cluster"])
+    def test_bad_city_row(self, pipeline, tmp_path, capsys, command, row):
+        cities = tmp_path / "cities.csv"
+        cities.write_text(self.CITIES + row + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([command, "--store", str(pipeline["store"]), "--level", "city",
+                     "--cities", str(cities), "--out-dir", str(out)]) == 2
+        assert f"{cities} line 3:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("row", ["C2,0.5", "C2,0.5,high"])
+    def test_bad_survey_row(self, pipeline, tmp_path, capsys, row):
+        survey = tmp_path / "survey.csv"
+        survey.write_text(SURVEY_HEADER + "C0,0.1,0.2\nC1,0.3,0.4\n" + row + "\n",
+                          encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["survey", "--store", str(pipeline["store"]), "--survey", str(survey),
+                     "--out-dir", str(out)]) == 2
+        assert f"{survey} line 4:" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestDeterminism:
     def test_rerun_is_byte_identical(self, pipeline, tmp_path):
         store = pipeline["store"]
@@ -480,3 +528,32 @@ class TestDeterminism:
                 p.relative_to(base): p.read_bytes() for p in sorted(base.rglob("*")) if p.is_file()
             }
         assert outputs["one"] == outputs["two"]
+
+    def test_reports_ignore_checkin_row_order(self, pipeline, tmp_path):
+        raw = pipeline["generated"].corpus_path.read_text(encoding="utf-8").splitlines(True)
+        shuffled = tmp_path / "shuffled.jsonl"
+        shuffled.write_text("".join(np.random.default_rng(44).permutation(raw)),
+                            encoding="utf-8")
+        survey = tmp_path / "survey.csv"
+        TestSurvey().write_survey(survey, [f"C{i}" for i in range(6)],
+                                  np.random.default_rng(45))
+        cities = str(pipeline["generated"].cities_path)
+        outputs = {}
+        for tag, corpus in (("given", pipeline["generated"].corpus_path), ("shuffled", shuffled)):
+            base = tmp_path / tag
+            assert main(["ingest", "--corpus", str(corpus),
+                         "--geo", str(pipeline["generated"].geo_path),
+                         "--taxonomy", pipeline["taxonomy"], "--out-dir", str(base / "store")]) == 0
+            store = str(base / "store")
+            for argv in (["signatures", "--out-dir", str(base / "out" / "sig_country")],
+                         ["signatures", "--level", "grid", "--cities", cities, "--rows", "2",
+                          "--cols", "2", "--out-dir", str(base / "out" / "sig_grid")],
+                         ["cluster", "--level", "city", "--cities", cities, "--k", "6",
+                          "--out-dir", str(base / "out" / "cluster")],
+                         ["survey", "--survey", str(survey),
+                          "--out-dir", str(base / "out" / "survey")]):
+                assert main([argv[0], "--store", store, *argv[1:]]) == 0
+            outputs[tag] = {p.relative_to(base / "out"): p.read_bytes()
+                            for p in sorted((base / "out").rglob("*")) if p.is_file()}
+        assert len(outputs["given"]) > 20
+        assert outputs["given"] == outputs["shuffled"]

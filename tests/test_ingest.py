@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import corpus_of, jsonl_record, make_checkin, write_jsonl
+from tastemap import _kernels
 from tastemap.errors import DataError, ParseError
 from tastemap.ingest import (
     area_mask,
@@ -158,8 +159,8 @@ class TestGeocodeOracle:
                           min_size=1, max_size=4),
            free=st.lists(st.tuples(st.one_of(quarters, st.floats(-1.0, 21.0)),
                                    st.one_of(quarters, st.floats(-1.0, 21.0))), max_size=30),
-           data=st.data())
-    def test_geocode_equals_ray_cast(self, tmp_path_factory, rings, free, data):
+           block=st.integers(1, 16), data=st.data())
+    def test_geocode_equals_ray_cast(self, tmp_path_factory, rings, free, block, data):
         # Vertices and edge midpoints of the rings lie exactly on an edge.
         on_edges = [((ax + bx) / 2, (ay + by) / 2) if data.draw(st.booleans()) else (ax, ay)
                     for _, ring in rings for (ax, ay), (bx, by) in zip(ring, ring[1:])]
@@ -170,7 +171,11 @@ class TestGeocodeOracle:
         geo = load_geo_index(path)
         lons = np.array([x for x, _ in points], np.float64)
         lats = np.array([y for _, y in points], np.float64)
-        got = [geo.countries[i] if i >= 0 else None for i in geocode(geo, lats, lons).tolist()]
+        # Rings have 4-16 edges, so chunks of 1-4 points cross many boundaries.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "RAY_BLOCK_ELEMENTS", block)
+            codes = geocode(geo, lats, lons)
+        got = [geo.countries[i] if i >= 0 else None for i in codes.tolist()]
         want = [next((code for code, ring in rings if ray_cast(x, y, ring)), None)
                 for x, y in points]
         assert got == want

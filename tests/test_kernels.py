@@ -1,9 +1,7 @@
 """The pair-scoring kernel against a brute-force oracle, and the geocoding
-kernel's numba and numpy paths against each other."""
+kernel's memory bound (its ray-cast oracle is in tests/test_ingest.py)."""
 
-import os
-import subprocess
-import sys
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -15,42 +13,6 @@ from hypothesis.extra.numpy import arrays
 from tastemap import _kernels
 from tastemap.errors import UndefinedSimilarity
 from tastemap.simnet import jaccard_score
-
-
-def random_rings(rng, n_countries=6):
-    xs, ys, codes, boxes = [], [], [], []
-    for c in range(n_countries):
-        cx, cy = rng.uniform(-50, 50), rng.uniform(-30, 30)
-        ang = np.linspace(0, 2 * np.pi, 9, endpoint=False)
-        radius = rng.uniform(3.0, 9.0)
-        rx = cx + radius * np.cos(ang)
-        ry = cy + radius * np.sin(ang)
-        rx, ry = np.append(rx, rx[0]), np.append(ry, ry[0])
-        xs.append(rx)
-        ys.append(ry)
-        codes.append(c)
-        boxes.append((rx.min(), ry.min(), rx.max(), ry.max()))
-    indptr = np.zeros(n_countries + 1, np.int64)
-    np.cumsum([len(r) for r in xs], out=indptr[1:])
-    return (
-        np.concatenate(xs),
-        np.concatenate(ys),
-        indptr,
-        np.asarray(codes, np.int64),
-        np.asarray(boxes, np.float64),
-    )
-
-
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
-class TestPathEquivalence:
-    def test_point_in_polygon_paths_agree(self):
-        rng = np.random.default_rng(32)
-        rings = random_rings(rng)
-        px = rng.uniform(-60, 60, 5000)
-        py = rng.uniform(-40, 40, 5000)
-        a = _kernels.assign_countries_numpy(px, py, *rings)
-        b = _kernels.assign_countries_numba(px, py, *rings)
-        assert np.array_equal(a, b)
 
 
 class TestDispatcher:
@@ -69,19 +31,6 @@ class TestDispatcher:
         pairs = list(zip(us.tolist(), vs.tolist()))
         assert pairs == sorted(pairs)
         assert all(u < v for u, v in pairs)
-
-
-def test_env_flag_disables_numba():
-    code = (
-        "import os; os.environ['TASTEMAP_NUMBA'] = '0'; "
-        "from tastemap import _kernels; "
-        "print(_kernels.NUMBA_ENABLED)"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={**os.environ, "TASTEMAP_NUMBA": "0"},
-    )
-    assert out.stdout.strip() == "False"
 
 
 def brute_force_jaccard(bits, threshold):
@@ -130,3 +79,22 @@ class TestJaccardOracle:
     def test_no_rows(self):
         got = _kernels.jaccard_edges(np.zeros((0, 4), np.uint8), 65.0)
         assert [col.shape for col in got] == [(0,)] * 4
+
+
+def test_geocoding_memory_is_bounded_by_the_ray_cast_block():
+    # 4,000 points against one 2,049-vertex ring: one unchunked point x edge
+    # float64 temporary alone would be 64 MB.
+    ang = np.linspace(0.0, 2 * np.pi, 2048, endpoint=False)
+    rx, ry = np.append(np.cos(ang), 1.0), np.append(np.sin(ang), 0.0)
+    rng = np.random.default_rng(34)
+    px, py = rng.uniform(-1.0, 1.0, 4000), rng.uniform(-1.0, 1.0, 4000)
+    ring = (rx, ry, np.array([0, rx.size]), np.array([0]), np.array([[-1.0, -1.0, 1.0, 1.0]]))
+    tracemalloc.start()
+    try:
+        got = _kernels.assign_countries(px, py, *ring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    r2 = px * px + py * py
+    assert (got[r2 < 0.999] == 0).all() and (got[r2 > 1.0] == -1).all()
+    assert peak < 64 * 2**20
