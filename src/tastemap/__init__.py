@@ -11,7 +11,6 @@ from .errors import (
 from .model import (
     Area,
     AreaSignature,
-    CheckIn,
     Taxonomy,
     UserProfile,
     class_slice,
@@ -24,7 +23,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Area",
     "AreaSignature",
-    "CheckIn",
     "DataError",
     "EmptyAreaError",
     "ParseError",

@@ -81,7 +81,9 @@ def fit_pca(data) -> PcaModel:
 def select_components(model: PcaModel, coverage: float = 1.0) -> int:
     """Smallest component count whose cumulative variance ratio reaches
     ``coverage`` (within 1e-9); eigenvalues below 1e-12 of the largest are
-    treated as exactly zero first."""
+    treated as exactly zero first.  ``coverage`` must lie in (0, 1]."""
+    if not 0.0 < coverage <= 1.0:
+        raise DataError(f"coverage must lie in (0, 1], got {coverage:g}")
     ev = model.eigenvalues.copy()
     ev[ev < ev[0] * _EIG_ZERO_REL] = 0.0
     ratios = ev / ev.sum()

@@ -128,6 +128,8 @@ def _level_areas(args, corpus: Corpus, home: dict[str, str]):
     cities = _read_cities(args.cities)
     if args.level == "city":
         return cities, countries
+    if args.top < 0:
+        raise DataError(f"--top must be >= 0, got {args.top}")
     cells: list[Area] = []
     for city in cities:
         grid = grid_partition(city, args.rows, args.cols)
@@ -235,6 +237,10 @@ def cmd_simnet(args) -> int:
 
 def cmd_signatures(args) -> int:
     corpus, home, taxonomy = read_store(args.store, args.taxonomy)
+    scopes = [s.strip() for s in args.scope.split(",") if s.strip()]
+    unknown = [s for s in scopes if s != "all" and s not in taxonomy.class_ranges]
+    if unknown:
+        raise DataError(f"unknown scope(s) {unknown}: use 'all' or one of {taxonomy.class_ids}")
     areas, countries = _level_areas(args, corpus, home)
 
     spatial, used, cubes, empty = [], [], [], []
@@ -250,7 +256,6 @@ def cmd_signatures(args) -> int:
         raise UndefinedMetric("fewer than two areas have check-ins; nothing to correlate")
     out = _outdir(args)
 
-    scopes = [s.strip() for s in args.scope.split(",") if s.strip()]
     for scope in scopes:
         matrix = correlation_matrix(spatial, taxonomy, scope)
         write_matrix_csv(matrix, out / f"corr_{scope}.csv")

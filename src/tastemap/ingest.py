@@ -2,7 +2,10 @@
 
 Corpus files are JSON Lines (``{"user":..,"venue":..,"lat":..,"lon":..,
 "ts":..,"subcat":..}``) or CSV with the same header names.  Timestamps are
-ISO-8601 with no UTC offset and are kept as venue-local wall-clock times.
+ISO-8601 with no UTC offset (``datetime.fromisoformat``) and are kept as
+venue-local wall-clock times.  Parsing validates each record and writes it
+straight into the numpy columns of a :class:`Corpus`, the one in-memory form
+of a check-in table.
 
 The polygon file has one closed ring per line::
 
@@ -16,17 +19,18 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import _kernels
 from .errors import DataError, ParseError
-from .model import Area, CheckIn, Taxonomy
+from .model import Area, Taxonomy
 
 CORPUS_FIELDS = ("user", "venue", "lat", "lon", "ts", "subcat")
 _EPOCH = datetime(1970, 1, 1)
@@ -41,54 +45,12 @@ class Corpus:
     ``ts``), ``subcat_idx`` (into ``taxonomy.subcategories``), ``user_idx``
     (into ``user_ids``) and ``venue_idx`` (into ``venue_ids``).  The string
     tables are sorted and dense: they hold exactly the ids some row uses.
-    Every aggregation in the pipeline runs on these columns.
-
-    ``Corpus(checkins, taxonomy)`` builds the columns from validated
-    records; :meth:`from_columns` wraps columns that already exist.
+    This is the one form a corpus takes: :func:`parse_corpus`,
+    :meth:`subset` and ``store.read_store`` all build it from columns, and
+    every aggregation in the pipeline runs on them.
     """
 
     def __init__(
-        self,
-        checkins: Iterable[CheckIn],
-        taxonomy: Taxonomy,
-        skipped_unknown: int = 0,
-        malformed_lines: int = 0,
-    ):
-        checkins = list(checkins)
-        n = len(checkins)
-        user_ids = sorted({c.user_id for c in checkins})
-        venue_ids = sorted({c.venue_id for c in checkins})
-        user_of = {u: i for i, u in enumerate(user_ids)}
-        venue_of = {v: i for i, v in enumerate(venue_ids)}
-        # Whole microseconds since 1970; np.array(datetimes) is about 5x slower.
-        micros = np.fromiter(((c.ts - _EPOCH) // _MICROSECOND for c in checkins), np.int64, n)
-        self._assign(
-            taxonomy,
-            lat=np.fromiter((c.lat for c in checkins), np.float64, n),
-            lon=np.fromiter((c.lon for c in checkins), np.float64, n),
-            ts=micros.view("datetime64[us]"),
-            subcat_idx=np.fromiter(
-                (taxonomy.index_of(c.subcategory) for c in checkins), np.int64, n
-            ),
-            user_idx=np.fromiter((user_of[c.user_id] for c in checkins), np.int64, n),
-            user_ids=tuple(user_ids),
-            venue_idx=np.fromiter((venue_of[c.venue_id] for c in checkins), np.int64, n),
-            venue_ids=tuple(venue_ids),
-            skipped_unknown=skipped_unknown,
-            malformed_lines=malformed_lines,
-        )
-
-    @classmethod
-    def from_columns(cls, taxonomy: Taxonomy, **columns) -> "Corpus":
-        """A corpus over existing columns: ``lat``, ``lon``, ``ts``,
-        ``subcat_idx``, ``user_idx``, ``user_ids``, ``venue_idx`` and
-        ``venue_ids`` (tables sorted and dense), and optionally
-        ``skipped_unknown`` and ``malformed_lines``."""
-        corpus = cls.__new__(cls)
-        corpus._assign(taxonomy, **columns)
-        return corpus
-
-    def _assign(
         self,
         taxonomy: Taxonomy,
         *,
@@ -102,7 +64,7 @@ class Corpus:
         venue_ids: Sequence[str],
         skipped_unknown: int = 0,
         malformed_lines: int = 0,
-    ) -> None:
+    ):
         self.taxonomy = taxonomy
         self.skipped_unknown = skipped_unknown
         self.malformed_lines = malformed_lines
@@ -132,7 +94,7 @@ class Corpus:
         mask = np.asarray(mask, np.bool_)
         user_idx, user_ids = _densify(self.user_idx[mask], self.user_ids)
         venue_idx, venue_ids = _densify(self.venue_idx[mask], self.venue_ids)
-        return Corpus.from_columns(
+        return Corpus(
             self.taxonomy,
             lat=self.lat[mask],
             lon=self.lon[mask],
@@ -158,11 +120,26 @@ def _densify(idx: np.ndarray, table: Sequence[str]) -> tuple[np.ndarray, tuple[s
     return dense.astype(np.int64), tuple(table[i] for i in used.tolist())
 
 
+def _encode(ids: Sequence[str]) -> tuple[np.ndarray, list[str]]:
+    """Each id's position in the sorted table of the distinct ids."""
+    table = sorted(set(ids))
+    position = {s: i for i, s in enumerate(table)}
+    return np.fromiter(map(position.__getitem__, ids), np.int64, len(ids)), table
+
+
 class _UnknownSubcategory(Exception):
     pass
 
 
-def _build_checkin(rec: Mapping[str, object], taxonomy: Taxonomy) -> CheckIn:
+def _row(rec: Mapping[str, object], taxonomy: Taxonomy) -> tuple:
+    """``(user, venue, lat, lon, micros, subcat_idx)`` of one record, where
+    ``micros`` counts whole microseconds since 1970.
+
+    A field that does not coerce makes the record malformed; a record that
+    coerces but names an unknown subcategory is skipped; only then is an
+    out-of-range coordinate (NaN and inf included) or a timestamp with a
+    UTC offset malformed.
+    """
     try:
         user = str(rec["user"])
         venue = str(rec["venue"])
@@ -170,11 +147,17 @@ def _build_checkin(rec: Mapping[str, object], taxonomy: Taxonomy) -> CheckIn:
         lon = float(rec["lon"])  # type: ignore[arg-type]
         ts = datetime.fromisoformat(str(rec["ts"]))
         subcat = str(rec["subcat"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"bad record: {exc}") from exc
     if subcat not in taxonomy:
         raise _UnknownSubcategory(subcat)
-    return CheckIn(user, venue, lat, lon, ts, subcat)
+    if not -90.0 <= lat <= 90.0:
+        raise DataError(f"latitude out of range: {lat!r}")
+    if not -180.0 <= lon <= 180.0:
+        raise DataError(f"longitude out of range: {lon!r}")
+    if ts.tzinfo is not None:
+        raise DataError("timestamps must be naive venue-local times (no UTC offset)")
+    return user, venue, lat, lon, (ts - _EPOCH) // _MICROSECOND, taxonomy.index_of(subcat)
 
 
 def parse_corpus(source, taxonomy: Taxonomy, error_budget: float = 0.001) -> Corpus:
@@ -194,68 +177,62 @@ def parse_corpus(source, taxonomy: Taxonomy, error_budget: float = 0.001) -> Cor
     return _parse_stream(source, taxonomy, error_budget, force_csv=False)
 
 
-def _parse_stream(source, taxonomy: Taxonomy, error_budget: float, force_csv: bool) -> Corpus:
-    first = ""
-    lines = iter(source)
-    for line in lines:
-        if line.strip():
-            first = line
-            break
+def _records(source, force_csv: bool) -> Iterator[tuple[int, object]]:
+    """``(line number, record)`` for each data line of a corpus stream, with
+    a DataError in place of a line that holds no one record.
 
-    checkins: list[CheckIn] = []
+    The first non-blank line decides the format: the CSV header, or else the
+    first JSON line, which counts as line 1.  CSV rows are numbered from 2
+    and skip wholly empty rows, as ``csv.DictReader`` does.
+    """
+    lines = iter(source)
+    first = next((line for line in lines if line.strip()), "")
+    if not first:
+        return
+    header = next(csv.reader(io.StringIO(first)), [])
+    if not force_csv and set(header) != set(CORPUS_FIELDS):
+        for lineno, raw in enumerate(itertools.chain([first], lines), 1):
+            if not raw.strip():
+                continue
+            try:
+                rec = json.loads(raw)
+            except (ValueError, RecursionError) as exc:
+                yield lineno, DataError(f"bad JSON: {exc}")
+                continue
+            yield lineno, rec if isinstance(rec, dict) else DataError("expected a JSON object")
+        return
+    if set(header) != set(CORPUS_FIELDS):
+        raise ParseError(f"line 1: CSV header must name exactly {CORPUS_FIELDS}", line_number=1)
+    width = len(header)
+    # A repeated column name keeps its last position, as in a dict.
+    position = {name: i for i, name in enumerate(header)}
+    for lineno, row in enumerate(filter(None, csv.reader(lines)), 2):
+        if len(row) != width:
+            if len(row) < width and not any(row[i] for i in position.values() if i < len(row)):
+                continue
+            yield lineno, DataError("wrong number of fields")
+        elif any(row[i] for i in position.values()):
+            yield lineno, {name: row[i] for name, i in position.items()}
+
+
+def _parse_stream(source, taxonomy: Taxonomy, error_budget: float, force_csv: bool) -> Corpus:
+    rows: list[tuple] = []
     skipped_unknown = 0
     malformed = 0
     first_bad: int | None = None
     total = 0
-
-    if not first:
-        return Corpus([], taxonomy)
-
-    first_row = next(csv.reader(io.StringIO(first)), [])
-    csv_mode = force_csv or set(first_row) == set(CORPUS_FIELDS)
-
-    if not csv_mode:
-        def records():
-            yield 1, first
-            for i, line in enumerate(lines, 2):
-                yield i, line
-
-        for lineno, raw in records():
-            if not raw.strip():
-                continue
-            total += 1
-            try:
-                rec = json.loads(raw)
-                if not isinstance(rec, dict):
-                    raise DataError("expected a JSON object")
-                checkins.append(_build_checkin(rec, taxonomy))
-            except _UnknownSubcategory:
-                skipped_unknown += 1
-            except (json.JSONDecodeError, DataError):
-                malformed += 1
-                if first_bad is None:
-                    first_bad = lineno
-    else:
-        header = first_row
-        if set(header) != set(CORPUS_FIELDS):
-            raise ParseError(
-                f"line 1: CSV header must name exactly {CORPUS_FIELDS}", line_number=1
-            )
-        reader = csv.DictReader(lines, fieldnames=header)
-        for lineno, row in enumerate(reader, 2):
-            if row is None or all(v in (None, "") for v in row.values()):
-                continue
-            total += 1
-            try:
-                if None in row or None in row.values():
-                    raise DataError("wrong number of fields")
-                checkins.append(_build_checkin(row, taxonomy))
-            except _UnknownSubcategory:
-                skipped_unknown += 1
-            except DataError:
-                malformed += 1
-                if first_bad is None:
-                    first_bad = lineno
+    for lineno, rec in _records(source, force_csv):
+        total += 1
+        try:
+            if isinstance(rec, DataError):
+                raise rec
+            rows.append(_row(rec, taxonomy))
+        except _UnknownSubcategory:
+            skipped_unknown += 1
+        except DataError:
+            malformed += 1
+            if first_bad is None:
+                first_bad = lineno
 
     if malformed > error_budget * total:
         raise ParseError(
@@ -263,7 +240,22 @@ def _parse_stream(source, taxonomy: Taxonomy, error_budget: float, force_csv: bo
             f"budget ({error_budget:g}); first bad line: {first_bad}",
             line_number=first_bad,
         )
-    return Corpus(checkins, taxonomy, skipped_unknown, malformed)
+    users, venues, lat, lon, micros, subcat_idx = zip(*rows) if rows else ((),) * 6
+    user_idx, user_ids = _encode(users)
+    venue_idx, venue_ids = _encode(venues)
+    return Corpus(
+        taxonomy,
+        lat=np.array(lat, np.float64),
+        lon=np.array(lon, np.float64),
+        ts=np.array(micros, np.int64).view("datetime64[us]"),
+        subcat_idx=np.array(subcat_idx, np.int64),
+        user_idx=user_idx,
+        user_ids=user_ids,
+        venue_idx=venue_idx,
+        venue_ids=venue_ids,
+        skipped_unknown=skipped_unknown,
+        malformed_lines=malformed,
+    )
 
 
 # ---------------------------------------------------------------------------

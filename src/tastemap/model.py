@@ -17,7 +17,6 @@ Every vector in the pipeline uses this order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import datetime
 from pathlib import Path
 from typing import Mapping
 
@@ -28,30 +27,6 @@ from .errors import DataError, TaxonomyError
 VALID_CLASS_IDS = ("Drink", "FastFood", "SlowFood", "Other")
 
 AREA_KINDS = ("country", "city", "grid_cell")
-
-
-@dataclass(frozen=True, slots=True)
-class CheckIn:
-    """One timestamped, geolocated visit to a categorized venue.
-
-    ``ts`` is the venue-local wall-clock time; the pipeline never converts
-    timezones, so hourly statistics stay meaningful in local time.
-    """
-
-    user_id: str
-    venue_id: str
-    lat: float
-    lon: float
-    ts: datetime
-    subcategory: str
-
-    def __post_init__(self):
-        if not -90.0 <= self.lat <= 90.0:
-            raise DataError(f"latitude out of range: {self.lat!r}")
-        if not -180.0 <= self.lon <= 180.0:
-            raise DataError(f"longitude out of range: {self.lon!r}")
-        if self.ts.tzinfo is not None:
-            raise DataError("timestamps must be naive venue-local times (no UTC offset)")
 
 
 @dataclass(frozen=True)
@@ -180,11 +155,8 @@ def reference_taxonomy_path() -> Path:
 
 @dataclass(frozen=True, eq=False)
 class UserProfile:
-    """Per-user preference vector over the taxonomy's subcategories.
-
-    ``bits`` holds 0/1 presence flags by default; in intensity mode it holds
-    raw check-in counts instead.
-    """
+    """Per-user preference vector over the taxonomy's subcategories:
+    ``bits`` holds 0/1 presence flags."""
 
     user_id: str
     bits: np.ndarray

@@ -4,57 +4,21 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import DataError, EmptyAreaError
 from .ingest import Corpus, area_mask
-from .model import Area, AreaSignature, CheckIn, Taxonomy, UserProfile
+from .model import Area, AreaSignature, Taxonomy, UserProfile
 
 
-def binary_profile(
-    checkins: Iterable[CheckIn],
-    taxonomy: Taxonomy,
-    home_country: str | None = None,
-    binary: bool = True,
-) -> UserProfile:
-    """Build one user's preference vector from their check-ins.
-
-    Binary mode sets bit i to 1 when the user checked in at subcategory i at
-    least once; intensity mode keeps raw counts instead.
-    """
-    checkins = list(checkins)
-    if not checkins:
-        raise DataError("cannot build a profile from zero check-ins")
-    users = {c.user_id for c in checkins}
-    if len(users) != 1:
-        raise DataError(f"check-ins span {len(users)} users, expected exactly one")
-    counts = np.zeros(taxonomy.m, np.int64)
-    for c in checkins:
-        counts[taxonomy.index_of(c.subcategory)] += 1
-    bits = (counts > 0).astype(np.uint8) if binary else counts
-    return UserProfile(
-        user_id=checkins[0].user_id,
-        bits=bits,
-        checkin_count=len(checkins),
-        home_country=home_country,
-    )
-
-
-def build_profiles(
-    corpus: Corpus,
-    home: Mapping[str, str] | None = None,
-    binary: bool = True,
-) -> list[UserProfile]:
-    """Profiles for every user in the corpus, ordered by user id."""
+def build_profiles(corpus: Corpus, home: Mapping[str, str] | None = None) -> list[UserProfile]:
+    """Binary profiles for every user in the corpus, ordered by user id: bit
+    i is 1 when the user checked in at subcategory i at least once."""
     n, m = corpus.n_users, corpus.taxonomy.m
-    if binary:
-        mat = np.zeros((n, m), np.uint8)
-        mat[corpus.user_idx, corpus.subcat_idx] = 1
-    else:
-        mat = np.zeros((n, m), np.int64)
-        np.add.at(mat, (corpus.user_idx, corpus.subcat_idx), 1)
+    mat = np.zeros((n, m), np.uint8)
+    mat[corpus.user_idx, corpus.subcat_idx] = 1
     counts = np.bincount(corpus.user_idx, minlength=n)
     return [
         UserProfile(

@@ -22,7 +22,7 @@ def _bits(profile) -> np.ndarray:
 def jaccard_score(u, v) -> float:
     """Jaccard index of two preference vectors' positive sets, times 100.
 
-    Set membership is any nonzero entry, so binary and intensity vectors
+    Set membership is any nonzero entry, so 0/1 vectors and count vectors
     behave identically.  Two all-zero vectors have no defined score (0/0).
     """
     a, b = _bits(u) != 0, _bits(v) != 0

@@ -153,7 +153,7 @@ def read_store(
     subcat_idx = remap[arrays["subcat_idx"]]
     known = subcat_idx >= 0
     user_ids = arrays["user_ids"].tolist()
-    corpus = Corpus.from_columns(
+    corpus = Corpus(
         taxonomy,
         lat=arrays["lat"],
         lon=arrays["lon"],

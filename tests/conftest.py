@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
+import io
 import json
-from datetime import datetime
 from pathlib import Path
 
 import pytest
 
-from tastemap.ingest import Corpus, load_geo_index
-from tastemap.model import CheckIn, Taxonomy, load_taxonomy, reference_taxonomy_path
+from tastemap.ingest import Corpus, load_geo_index, parse_corpus
+from tastemap.model import Taxonomy, load_taxonomy, reference_taxonomy_path
 
 TOY_TAXONOMY = """\
 Drink\tPub
@@ -47,23 +47,26 @@ def make_checkin(
     lon=1.0,
     ts="2024-04-16T12:00:00",
     subcat="Pub",
-) -> CheckIn:
-    return CheckIn(user, venue, lat, lon, datetime.fromisoformat(ts), subcat)
+) -> dict:
+    """One check-in as the JSON record a corpus file holds."""
+    return {"user": user, "venue": venue, "lat": lat, "lon": lon, "ts": ts, "subcat": subcat}
 
 
-def corpus_of(taxonomy: Taxonomy, checkins) -> Corpus:
-    return Corpus(checkins, taxonomy)
+def jsonl_text(records) -> str:
+    return "".join(json.dumps(rec, separators=(",", ":")) + "\n" for rec in records)
 
 
 def write_jsonl(path: Path, records) -> Path:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
+    path.write_text(jsonl_text(records), encoding="utf-8")
     return path
 
 
-def jsonl_record(user="u1", venue="v1", lat=1.0, lon=1.0, ts="2024-04-16T12:00:00", subcat="Pub"):
-    return {"user": user, "venue": venue, "lat": lat, "lon": lon, "ts": ts, "subcat": subcat}
+def corpus_of(taxonomy: Taxonomy, records) -> Corpus:
+    """The corpus that parsing these records gives; every record must be
+    valid and name a known subcategory."""
+    corpus = parse_corpus(io.StringIO(jsonl_text(records)), taxonomy, error_budget=0)
+    assert corpus.skipped_unknown == 0, "a fixture record names an unknown subcategory"
+    return corpus
 
 
 @pytest.fixture(scope="session")

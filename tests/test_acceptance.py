@@ -14,9 +14,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from conftest import corpus_of, make_checkin
 from tastemap.boundaries import compare_with_survey, fit_pca, select_components, spearman
 from tastemap.cli import main
-from tastemap.ingest import Corpus
 from tastemap.model import Area, UserProfile, load_taxonomy, reference_taxonomy_path
 from tastemap.prefs import region_profile
 from tastemap.signatures import pearson, spatiotemporal_vector, subcategory_entropy
@@ -169,16 +169,12 @@ def test_criterion_04_signature_math(ref_tax):
         syy = sum((b - my) ** 2 for b in y)
         assert abs(pearson(x, y) - sxy / math.sqrt(sxx * syy)) <= 1e-12
 
-    from datetime import datetime
-    from tastemap.model import CheckIn
-
     for n in (2, 4, 8, 16):
         checkins, countries = [], []
         for i in range(n):
-            checkins.append(CheckIn(f"u{i}", "v", 1.0, 1.0,
-                                    datetime(2024, 4, 16, 12, 0), "Pub"))
+            checkins.append(make_checkin(f"u{i}", "v", 1.0, 1.0, "2024-04-16T12:00:00", "Pub"))
             countries.append(f"c{i}")
-        corpus = Corpus(checkins, ref_tax)
+        corpus = corpus_of(ref_tax, checkins)
         areas = [Area(f"c{i}", "country", country_code=f"c{i}") for i in range(n)]
         h = subcategory_entropy(corpus, "Pub", areas, np.asarray(countries, object))
         assert h == float(np.log2(n))
@@ -187,7 +183,6 @@ def test_criterion_04_signature_math(ref_tax):
 @criterion(5, "spatio-temporal layout: 808 features, single check-in lights the right slot")
 def test_criterion_05_spatiotemporal_layout(ref_tax):
     from datetime import datetime
-    from tastemap.model import CheckIn
 
     rng = np.random.default_rng(105)
     weekday_dates = [datetime(2024, 4, d) for d in (15, 16, 17, 18, 19)]
@@ -201,8 +196,8 @@ def test_criterion_05_spatiotemporal_layout(ref_tax):
             int(rng.integers(2 if weekend else 5))
         ]
         ts = day.replace(hour=hour, minute=int(rng.integers(60)))
-        corpus = Corpus(
-            [CheckIn("u0", "v0", 1.0, 1.0, ts, ref_tax.subcategories[s])], ref_tax
+        corpus = corpus_of(
+            ref_tax, [make_checkin("u0", "v0", 1.0, 1.0, ts.isoformat(), ref_tax.subcategories[s])]
         )
         sig = spatiotemporal_vector(corpus, BOX)
         assert sig.normalized.shape == (808,)

@@ -132,6 +132,13 @@ class TestSelectComponents:
         assert select_components(model, 0.85) == 2
         assert select_components(model, 0.95) == 3
 
+    @pytest.mark.parametrize("coverage", [0.0, -0.1, 1.0 + 1e-12, 2.0, math.nan])
+    def test_coverage_outside_unit_interval_rejected(self, coverage):
+        model = fit_pca(planted_rank(3))
+        with pytest.raises(DataError):
+            select_components(model, coverage)
+        assert select_components(model, 1e-9) == 1
+
     @pytest.mark.parametrize("rank", [1, 3, 5])
     def test_planted_rank_selected(self, rank):
         model = fit_pca(planted_rank(rank, seed=rank))

@@ -358,6 +358,22 @@ class TestSignatures:
                      "--out-dir", str(tmp_path / "x")])
         assert code == 2
 
+    def test_unknown_scope_exits_2_and_writes_nothing(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "sig"
+        assert main(["signatures", "--store", str(pipeline["store"]),
+                     "--scope", "all,Nope", "--out-dir", str(out)]) == 2
+        assert "Nope" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["signatures", "cluster"])
+    def test_negative_top_exits_2_and_writes_nothing(self, pipeline, tmp_path, capsys, command):
+        out = tmp_path / command
+        assert main([command, "--store", str(pipeline["store"]), "--level", "grid",
+                     "--cities", str(pipeline["generated"].cities_path), "--rows", "2",
+                     "--cols", "2", "--top", "-3", "--out-dir", str(out)]) == 2
+        assert "--top" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_single_country_store_degenerate_exit_3(self, pipeline, tmp_path):
         taxonomy = pipeline["taxonomy"]
         corpus = tmp_path / "c.jsonl"
@@ -433,6 +449,14 @@ class TestCluster:
         assert main(["cluster", "--store", str(pipeline["store"]), "--k", "3",
                      "--restarts", "0", "--out-dir", str(out)]) == 2
         assert "n_restarts=0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("coverage", ["0", "-0.5", "2", "nan"])
+    def test_coverage_outside_unit_interval_exits_2(self, pipeline, tmp_path, capsys, coverage):
+        out = tmp_path / "cluster"
+        assert main(["cluster", "--store", str(pipeline["store"]), "--k", "3",
+                     "--coverage", coverage, "--out-dir", str(out)]) == 2
+        assert "coverage" in capsys.readouterr().err
         assert not out.exists()
 
     def test_default_k_follows_level(self, pipeline, tmp_path):

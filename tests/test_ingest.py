@@ -1,5 +1,10 @@
 """Corpus parsing, reverse geocoding, home assignment, grids."""
 
+import csv
+import io
+import json
+import math
+from datetime import datetime, timedelta
 from fractions import Fraction
 
 import numpy as np
@@ -7,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corpus_of, jsonl_record, make_checkin, write_jsonl
+from conftest import corpus_of, jsonl_text, make_checkin, write_jsonl
 from tastemap import _kernels
 from tastemap.errors import DataError, ParseError
 from tastemap.ingest import (
+    CORPUS_FIELDS,
     area_mask,
     assign_home_country,
     filter_active_users,
@@ -30,14 +36,14 @@ class TestParseCorpus:
         assert len(parse_corpus(path, toy_tax)) == 0
 
     def test_single_line(self, toy_tax, tmp_path):
-        path = write_jsonl(tmp_path / "c.jsonl", [jsonl_record()])
+        path = write_jsonl(tmp_path / "c.jsonl", [make_checkin()])
         corpus = parse_corpus(path, toy_tax)
         assert len(corpus) == 1
         assert toy_tax.subcategories[corpus.subcat_idx[0]] == "Pub"
 
     def test_unknown_subcategory_skipped_not_fatal(self, toy_tax, tmp_path):
-        records = [jsonl_record(user=f"u{i}") for i in range(9)]
-        records.append(jsonl_record(user="u9", subcat="Moon Base"))
+        records = [make_checkin(user=f"u{i}") for i in range(9)]
+        records.append(make_checkin(user="u9", subcat="Moon Base"))
         corpus = parse_corpus(write_jsonl(tmp_path / "c.jsonl", records), toy_tax)
         assert len(corpus) == 9
         assert corpus.skipped_unknown == 1
@@ -45,7 +51,7 @@ class TestParseCorpus:
     def test_malformed_beyond_budget_aborts_with_line(self, toy_tax, tmp_path):
         path = tmp_path / "c.jsonl"
         lines = ['{"user": "u1"'] + [
-            __import__("json").dumps(jsonl_record(user=f"u{i}")) for i in range(9)
+            json.dumps(make_checkin(user=f"u{i}")) for i in range(9)
         ]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ParseError) as err:
@@ -56,7 +62,7 @@ class TestParseCorpus:
     def test_malformed_within_budget_counted(self, toy_tax, tmp_path):
         path = tmp_path / "c.jsonl"
         lines = ["not json"] + [
-            __import__("json").dumps(jsonl_record(user=f"u{i}")) for i in range(9)
+            json.dumps(make_checkin(user=f"u{i}")) for i in range(9)
         ]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         corpus = parse_corpus(path, toy_tax, error_budget=0.2)
@@ -64,14 +70,28 @@ class TestParseCorpus:
         assert corpus.malformed_lines == 1
 
     def test_out_of_range_coordinates_are_malformed(self, toy_tax, tmp_path):
-        path = write_jsonl(tmp_path / "c.jsonl", [jsonl_record(lat=95.0)])
-        with pytest.raises(ParseError):
-            parse_corpus(path, toy_tax)
+        for lat, lon in [(95.0, 1.0), (91.0, 0.0), (-91.0, 0.0), (0.0, 181.0), (0.0, -181.0),
+                         (math.nan, 0.0), (0.0, math.inf)]:
+            path = write_jsonl(tmp_path / "c.jsonl", [make_checkin(lat=lat, lon=lon)])
+            with pytest.raises(ParseError):
+                parse_corpus(path, toy_tax)
 
     def test_offset_timestamp_is_malformed(self, toy_tax, tmp_path):
-        path = write_jsonl(tmp_path / "c.jsonl", [jsonl_record(ts="2024-04-16T12:00:00+01:00")])
-        with pytest.raises(ParseError):
-            parse_corpus(path, toy_tax)
+        for ts in ["2024-04-16T12:00:00+01:00", "2024-04-16T12:00:00+02:00",
+                   "2024-04-16T12:00:00Z"]:
+            path = write_jsonl(tmp_path / "c.jsonl", [make_checkin(ts=ts)])
+            with pytest.raises(ParseError):
+                parse_corpus(path, toy_tax)
+
+    @pytest.mark.parametrize("line", [
+        json.dumps(make_checkin()).replace('"lat": 1.0', f'"lat": 1{"0" * 400}'),  # no float
+        json.dumps(make_checkin()).replace('"lat": 1.0', f'"lat": 1{"0" * 5000}'),  # no int
+        "[" * 100_000,  # nested too deep for the JSON decoder
+    ], ids=["float_overflow", "int_digit_limit", "deep_nesting"])
+    def test_line_python_cannot_convert_is_malformed(self, toy_tax, line):
+        corpus = parse_corpus(io.StringIO(line + "\n" + jsonl_text([make_checkin()])), toy_tax,
+                              error_budget=0.5)
+        assert (len(corpus), corpus.malformed_lines) == (1, 1)
 
     def test_csv_round_trip(self, toy_tax, tmp_path):
         path = tmp_path / "c.csv"
@@ -90,6 +110,180 @@ class TestParseCorpus:
         path.write_text("user,venue,lat\nu1,v1,1.0\n", encoding="utf-8")
         with pytest.raises(ParseError):
             parse_corpus(path, toy_tax)
+
+
+# -- Reference oracle: the record validation of the CheckIn-record parser,
+# kept verbatim (``_build_checkin``, then ``CheckIn.__post_init__``) with the
+# accounting loop that drove it.
+
+
+class _OracleUnknown(Exception):
+    pass
+
+
+def oracle_checkin(rec, taxonomy):
+    try:
+        user = str(rec["user"])
+        venue = str(rec["venue"])
+        lat = float(rec["lat"])
+        lon = float(rec["lon"])
+        ts = datetime.fromisoformat(str(rec["ts"]))
+        subcat = str(rec["subcat"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"bad record: {exc}") from exc
+    if subcat not in taxonomy:
+        raise _OracleUnknown(subcat)
+    if not -90.0 <= lat <= 90.0:
+        raise DataError(f"latitude out of range: {lat!r}")
+    if not -180.0 <= lon <= 180.0:
+        raise DataError(f"longitude out of range: {lon!r}")
+    if ts.tzinfo is not None:
+        raise DataError("timestamps must be naive venue-local times (no UTC offset)")
+    return user, venue, lat, lon, ts, subcat
+
+
+def oracle_parse(text, taxonomy, error_budget):
+    """``(checkins, skipped_unknown, malformed)``, or ParseError over budget."""
+    lines = iter(io.StringIO(text))
+    first = ""
+    for line in lines:
+        if line.strip():
+            first = line
+            break
+    checkins, skipped, malformed, first_bad, total = [], 0, 0, None, 0
+    if not first:
+        return checkins, 0, 0
+    first_row = next(csv.reader(io.StringIO(first)), [])
+    if set(first_row) != set(CORPUS_FIELDS):
+        numbered = [(1, first), *enumerate(lines, 2)]
+        for lineno, raw in numbered:
+            if not raw.strip():
+                continue
+            total += 1
+            try:
+                rec = json.loads(raw)
+                if not isinstance(rec, dict):
+                    raise DataError("expected a JSON object")
+                checkins.append(oracle_checkin(rec, taxonomy))
+            except _OracleUnknown:
+                skipped += 1
+            except (json.JSONDecodeError, DataError):
+                malformed += 1
+                first_bad = first_bad or lineno
+    else:
+        for lineno, row in enumerate(csv.DictReader(lines, fieldnames=first_row), 2):
+            if row is None or all(v in (None, "") for v in row.values()):
+                continue
+            total += 1
+            try:
+                if None in row or None in row.values():
+                    raise DataError("wrong number of fields")
+                checkins.append(oracle_checkin(row, taxonomy))
+            except _OracleUnknown:
+                skipped += 1
+            except DataError:
+                malformed += 1
+                first_bad = first_bad or lineno
+    if malformed > error_budget * total:
+        raise ParseError("over budget", line_number=first_bad)
+    return checkins, skipped, malformed
+
+
+def oracle_columns(checkins, taxonomy):
+    users = sorted({c[0] for c in checkins})
+    venues = sorted({c[1] for c in checkins})
+    epoch = datetime(1970, 1, 1)
+    return {
+        "lat": np.array([c[2] for c in checkins], np.float64),
+        "lon": np.array([c[3] for c in checkins], np.float64),
+        "ts": np.array([(c[4] - epoch) // timedelta(microseconds=1) for c in checkins],
+                       np.int64).view("datetime64[us]"),
+        "subcat_idx": np.array([taxonomy.index_of(c[5]) for c in checkins], np.int64),
+        "user_idx": np.array([users.index(c[0]) for c in checkins], np.int64),
+        "venue_idx": np.array([venues.index(c[1]) for c in checkins], np.int64),
+        "user_ids": tuple(users),
+        "venue_ids": tuple(venues),
+    }
+
+
+BAD_NUMBERS = [95.0, -91.0, 181.0, -180.5, math.nan, math.inf, -math.inf, "abc", "", "1.5"]
+field_values = {
+    "user": st.sampled_from(["u1", "u2", "\u00fc", "u 3", 7]),
+    "venue": st.sampled_from(["v1", "v2", "v,3"]),
+    "lat": st.one_of(st.floats(-90.0, 90.0), st.sampled_from(BAD_NUMBERS)),
+    "lon": st.one_of(st.floats(-180.0, 180.0), st.sampled_from(BAD_NUMBERS)),
+    "ts": st.one_of(
+        st.datetimes(min_value=datetime(1, 1, 1)).map(datetime.isoformat),
+        st.sampled_from(["2024-04-16T12:00:00+01:00", "2024-04-20T23:59:59Z", "yesterday",
+                         "2024-13-01T00:00:00", "2024-04-16 08:30", "20240416T083000"]),
+    ),
+    "subcat": st.sampled_from(["Pub", "Bakery", "Sushi Restaurant", "Moon Base", "pub"]),
+}
+records = st.fixed_dictionaries(field_values).flatmap(
+    lambda rec: st.sets(st.sampled_from(CORPUS_FIELDS), max_size=1).map(
+        lambda drop: {k: v for k, v in rec.items() if k not in drop}))
+
+
+@st.composite
+def jsonl_stream(draw):
+    lines = draw(st.lists(st.one_of(
+        records.map(json.dumps), records.map(json.dumps), records.map(json.dumps),
+        st.sampled_from(["", "   ", '{"user": "u1"', "[1, 2]", "3", '"text"', "null", "{}"]),
+    ), max_size=12))
+    return "".join(line + "\n" for line in lines)
+
+
+def csv_cell(value):
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@st.composite
+def csv_stream(draw):
+    header = draw(st.permutations(CORPUS_FIELDS))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["row", "row", "row", "short", "long", "blank", "empty"]))
+        if kind == "blank":
+            out.write("\n")
+            continue
+        rec = draw(records)
+        row = [csv_cell(rec.get(name, "")) for name in header]
+        if kind == "short":
+            row = row[:draw(st.integers(1, len(row) - 1))]
+        elif kind == "long":
+            row.append("extra")
+        elif kind == "empty":
+            row = [""] * draw(st.integers(1, len(header)))
+        writer.writerow(row)
+    return out.getvalue()
+
+
+class TestParseEquivalence:
+    """parse_corpus equals the CheckIn-record parser on mixed good and bad streams."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.one_of(jsonl_stream(), csv_stream()),
+           leading=st.sampled_from(["", "\n", "  \n\n"]),
+           budget=st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+    def test_columns_and_counts_equal_the_record_parser(self, toy_tax, text, leading, budget):
+        text = leading + text
+        try:
+            checkins, skipped, malformed = oracle_parse(text, toy_tax, budget)
+        except ParseError as want:
+            with pytest.raises(ParseError) as got:
+                parse_corpus(io.StringIO(text), toy_tax, budget)
+            assert got.value.line_number == want.line_number
+            return
+        corpus = parse_corpus(io.StringIO(text), toy_tax, budget)
+        assert (corpus.skipped_unknown, corpus.malformed_lines) == (skipped, malformed)
+        for name, want in oracle_columns(checkins, toy_tax).items():
+            got = getattr(corpus, name)
+            if isinstance(want, tuple):
+                assert got == want, name
+            else:
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
 
 class TestPointToCountry:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_checkin, write_taxonomy
+from conftest import write_taxonomy
 from tastemap.errors import DataError, TaxonomyError
 from tastemap.model import Area, class_slice, load_taxonomy
 
@@ -96,21 +96,6 @@ class TestClassSlice:
 
     def test_m_consistent_with_class_counts(self, ref_tax):
         assert ref_tax.m == sum(ref_tax.class_count(c) for c in ref_tax.class_ids)
-
-
-class TestCheckIn:
-    def test_valid_checkin(self):
-        c = make_checkin(lat=45.0, lon=-120.0)
-        assert c.ts.hour == 12
-
-    @pytest.mark.parametrize("lat,lon", [(91.0, 0.0), (-91.0, 0.0), (0.0, 181.0), (0.0, -181.0)])
-    def test_out_of_range_coordinates(self, lat, lon):
-        with pytest.raises(DataError):
-            make_checkin(lat=lat, lon=lon)
-
-    def test_offset_timestamp_rejected(self):
-        with pytest.raises(DataError):
-            make_checkin(ts="2024-04-16T12:00:00+02:00")
 
 
 class TestArea:

@@ -9,7 +9,6 @@ from tastemap.ingest import grid_partition
 from tastemap.model import Area
 from tastemap.prefs import (
     area_counts_matrix,
-    binary_profile,
     build_profiles,
     profiles_to_csv,
     region_counts,
@@ -18,16 +17,22 @@ from tastemap.prefs import (
 )
 
 
+def one_profile(toy_tax, records):
+    """The profile build_profiles gives a one-user corpus."""
+    (profile,) = build_profiles(corpus_of(toy_tax, records))
+    return profile
+
+
 class TestBinaryProfile:
     def test_single_checkin_sets_one_bit(self, toy_tax):
-        profile = binary_profile([make_checkin(subcat="Pub")], toy_tax)
+        profile = one_profile(toy_tax, [make_checkin(subcat="Pub")])
         assert profile.bits.sum() == 1
         assert profile.bits[toy_tax.index_of("Pub")] == 1
         assert profile.checkin_count == 1
 
     def test_repeat_checkins_do_not_change_bits(self, toy_tax):
-        five = binary_profile([make_checkin(subcat="Pub", venue=f"v{i}") for i in range(5)], toy_tax)
-        one = binary_profile([make_checkin(subcat="Pub")], toy_tax)
+        five = one_profile(toy_tax, [make_checkin(subcat="Pub", venue=f"v{i}") for i in range(5)])
+        one = one_profile(toy_tax, [make_checkin(subcat="Pub")])
         assert np.array_equal(five.bits, one.bits)
         assert five.checkin_count == 5
 
@@ -37,22 +42,8 @@ class TestBinaryProfile:
             make_checkin(subcat="Bakery"),
             make_checkin(subcat="Pub"),
         ]
-        profile = binary_profile(checkins, toy_tax)
+        profile = one_profile(toy_tax, checkins)
         assert profile.bits.sum() == 2
-
-    def test_intensity_mode_keeps_counts(self, toy_tax):
-        checkins = [make_checkin(subcat="Pub")] * 3 + [make_checkin(subcat="Bakery")]
-        profile = binary_profile(checkins, toy_tax, binary=False)
-        assert profile.bits[toy_tax.index_of("Pub")] == 3
-        assert profile.bits[toy_tax.index_of("Bakery")] == 1
-
-    def test_mixed_users_rejected(self, toy_tax):
-        with pytest.raises(DataError):
-            binary_profile([make_checkin(user="u1"), make_checkin(user="u2")], toy_tax)
-
-    def test_empty_rejected(self, toy_tax):
-        with pytest.raises(DataError):
-            binary_profile([], toy_tax)
 
     def test_invariant_under_reorder_and_duplication(self, toy_tax):
         rng = np.random.default_rng(5)
@@ -60,10 +51,10 @@ class TestBinaryProfile:
         for _ in range(20):
             picks = rng.choice(len(names), size=rng.integers(1, 10))
             checkins = [make_checkin(subcat=names[i], venue=f"v{k}") for k, i in enumerate(picks)]
-            base = binary_profile(checkins, toy_tax).bits
+            base = one_profile(toy_tax, checkins).bits
             shuffled = list(checkins) + [checkins[0]]
             rng.shuffle(shuffled)
-            assert np.array_equal(binary_profile(shuffled, toy_tax).bits, base)
+            assert np.array_equal(one_profile(toy_tax, shuffled).bits, base)
 
     def test_build_profiles_matches_per_user(self, toy_tax):
         checkins = [
@@ -74,8 +65,11 @@ class TestBinaryProfile:
         profiles = build_profiles(corpus_of(toy_tax, checkins), {"a": "AA", "b": "BB"})
         assert [p.user_id for p in profiles] == ["a", "b"]
         assert profiles[0].home_country == "AA"
-        expect = binary_profile([c for c in checkins if c.user_id == "a"], toy_tax)
+        expect = one_profile(toy_tax, [c for c in checkins if c["user"] == "a"])
         assert np.array_equal(profiles[0].bits, expect.bits)
+        assert profiles[0].bits.dtype == np.uint8
+        assert np.flatnonzero(profiles[0].bits).tolist() == sorted(
+            toy_tax.index_of(name) for name in ("Bakery", "Steakhouse"))
 
 
 class TestRegionCounts:

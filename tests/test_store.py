@@ -1,6 +1,6 @@
 """Columnar corpus and the binary store: the arrays the analysis commands
 load equal what parsing the exported CSV gives, and the column operations
-equal filters over CheckIn records."""
+equal parsing the correspondingly filtered check-in records."""
 
 import tempfile
 from datetime import datetime
@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TOY_TAXONOMY, make_checkin, write_taxonomy
+from conftest import TOY_TAXONOMY, corpus_of, make_checkin, write_taxonomy
 from tastemap.errors import DataError
 from tastemap.ingest import Corpus, assign_home_country, parse_corpus
-from tastemap.model import CheckIn, load_taxonomy
+from tastemap.model import load_taxonomy
 from tastemap.store import read_store, write_store
 
 COLUMNS = ("lat", "lon", "ts", "hour", "is_weekend", "subcat_idx", "user_idx", "venue_idx")
@@ -25,14 +25,14 @@ SUBCATS = ("Pub", "Wine Bar", "Tea Room", "Bakery", "Burger Joint", "Steakhouse"
 # read back as a newline) and lone surrogates (not UTF-8).
 ids = st.text(st.characters(blacklist_categories=("Cc", "Cs")), max_size=5)
 checkins = st.builds(
-    CheckIn,
-    user_id=st.one_of(ids, st.sampled_from(["u1", "u2", "ü"])),
-    venue_id=st.one_of(ids, st.sampled_from(["v1", "v2"])),
+    make_checkin,
+    user=st.one_of(ids, st.sampled_from(["u1", "u2", "ü"])),
+    venue=st.one_of(ids, st.sampled_from(["v1", "v2"])),
     lat=st.floats(-90.0, 90.0),
     lon=st.floats(-180.0, 180.0),
-    ts=st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59,
-                                                                     999999)),
-    subcategory=st.sampled_from(SUBCATS),
+    ts=st.datetimes(min_value=datetime(1, 1, 1),
+                    max_value=datetime(9999, 12, 31, 23, 59, 59, 999999)).map(datetime.isoformat),
+    subcat=st.sampled_from(SUBCATS),
 )
 
 
@@ -54,7 +54,7 @@ class TestColumns:
     def test_hour_and_weekend_follow_the_timestamp(self, toy_tax):
         stamps = ["2024-04-20T23:59:59.999999", "2024-04-22T00:00:00", "1969-12-31T13:05:00",
                   "0001-01-01T07:00:00", "9999-12-31T23:00:00"]
-        corpus = Corpus([make_checkin(ts=ts) for ts in stamps], toy_tax)
+        corpus = corpus_of(toy_tax, [make_checkin(ts=ts) for ts in stamps])
         parsed = [datetime.fromisoformat(ts) for ts in stamps]
         assert corpus.hour.tolist() == [d.hour for d in parsed]
         assert corpus.is_weekend.tolist() == [d.weekday() >= 5 for d in parsed]
@@ -64,25 +64,25 @@ class TestColumns:
     @given(records=st.lists(checkins, max_size=25), data=st.data())
     def test_subset_equals_record_filter(self, toy_tax, records, data):
         mask = data.draw(st.lists(st.booleans(), min_size=len(records), max_size=len(records)))
-        corpus = Corpus(records, toy_tax)
+        corpus = corpus_of(toy_tax, records)
         kept = corpus.subset(np.array(mask, bool))
-        assert_same_corpus(kept, Corpus([c for c, k in zip(records, mask) if k], toy_tax))
+        assert_same_corpus(kept, corpus_of(toy_tax, [c for c, k in zip(records, mask) if k]))
 
-        users = sorted({c.user_id for c in records})
+        users = sorted({c["user"] for c in records})
         keep = data.draw(st.sets(st.sampled_from(users))) if users else set()
         assert_same_corpus(corpus.filter_users(keep),
-                           Corpus([c for c in records if c.user_id in keep], toy_tax))
+                           corpus_of(toy_tax, [c for c in records if c["user"] in keep]))
 
     @settings(max_examples=40, deadline=None)
     @given(records=st.lists(checkins, max_size=25))
     def test_per_class_counts_equal_record_sets(self, toy_tax, two_country_geo, records):
-        _, report = assign_home_country(Corpus(records, toy_tax), two_country_geo)
+        _, report = assign_home_country(corpus_of(toy_tax, records), two_country_geo)
         for class_id in toy_tax.class_ids:
-            hits = [c for c in records if toy_tax.class_of(c.subcategory) == class_id]
+            hits = [c for c in records if toy_tax.class_of(c["subcat"]) == class_id]
             stats = report.per_class[class_id]
             assert stats.checkins == len(hits)
-            assert stats.venues == len({c.venue_id for c in hits})
-            assert stats.users == len({c.user_id for c in hits})
+            assert stats.venues == len({c["venue"] for c in hits})
+            assert stats.users == len({c["user"] for c in hits})
 
 
 class TestStoreRoundTrip:
@@ -100,14 +100,14 @@ class TestStoreRoundTrip:
     @given(records=st.lists(checkins, max_size=25), data=st.data())
     def test_loaded_store_equals_parsed_export(self, toy_tax, tax_path, records, data):
         mask = data.draw(st.lists(st.booleans(), min_size=len(records), max_size=len(records)))
-        corpus = Corpus(records, toy_tax).subset(np.array(mask, bool))
+        corpus = corpus_of(toy_tax, records).subset(np.array(mask, bool))
         loaded, home, parsed, written_home = self.round_trip(corpus, tax_path)
         assert_same_corpus(loaded, parsed)
         assert_same_corpus(loaded, corpus)
         assert home == written_home
 
     def test_empty_store(self, toy_tax, tax_path):
-        loaded, home, parsed, _ = self.round_trip(Corpus([], toy_tax), tax_path)
+        loaded, home, parsed, _ = self.round_trip(corpus_of(toy_tax, []), tax_path)
         assert len(loaded) == 0 and home == {}
         assert_same_corpus(loaded, parsed)
 
@@ -118,14 +118,14 @@ class TestStoreRoundTrip:
         narrow = write_taxonomy(tmp_path / "narrow.txt",
                                 TOY_TAXONOMY.replace("FastFood\tBakery\n", ""))
         loaded, home, parsed, written_home = self.round_trip(
-            Corpus(records, toy_tax), tax_path, narrow)
+            corpus_of(toy_tax, records), tax_path, narrow)
         assert_same_corpus(loaded, parsed)
         assert loaded.user_ids == ("a", "b") and len(loaded) == 2
         assert loaded.skipped_unknown == parsed.skipped_unknown == 1
         assert home == written_home
 
     def test_id_ending_in_nul_is_refused(self, toy_tax, tax_path, tmp_path):
-        corpus = Corpus([make_checkin(user="u\x00")], toy_tax)
+        corpus = corpus_of(toy_tax, [make_checkin(user="u\x00")])
         with pytest.raises(DataError):
             write_store(tmp_path, corpus, {"u\x00": "AA"}, tax_path)
         assert not (tmp_path / "manifest.json").exists()
