@@ -1,10 +1,13 @@
-"""Taxonomy loading, domain-type validation and class slicing."""
+"""Taxonomy loading, check-in validation, domain-type validation and class slicing."""
+
+import io
 
 import numpy as np
 import pytest
 
-from conftest import write_taxonomy
-from tastemap.errors import DataError, TaxonomyError
+from conftest import corpus_of, jsonl_text, make_checkin, write_taxonomy
+from tastemap.errors import DataError, ParseError, TaxonomyError
+from tastemap.ingest import parse_corpus
 from tastemap.model import Area, class_slice, load_taxonomy
 
 
@@ -96,6 +99,22 @@ class TestClassSlice:
 
     def test_m_consistent_with_class_counts(self, ref_tax):
         assert ref_tax.m == sum(ref_tax.class_count(c) for c in ref_tax.class_ids)
+
+
+class TestCheckIn:
+    def test_valid_checkin(self, toy_tax):
+        corpus = corpus_of(toy_tax, [make_checkin(lat=45.0, lon=-120.0)])
+        assert corpus.hour.tolist() == [12]
+
+    @pytest.mark.parametrize("lat,lon", [(91.0, 0.0), (-91.0, 0.0), (0.0, 181.0), (0.0, -181.0)])
+    def test_out_of_range_coordinates(self, toy_tax, lat, lon):
+        with pytest.raises(ParseError):
+            parse_corpus(io.StringIO(jsonl_text([make_checkin(lat=lat, lon=lon)])), toy_tax)
+
+    def test_offset_timestamp_rejected(self, toy_tax):
+        with pytest.raises(ParseError):
+            parse_corpus(io.StringIO(jsonl_text([make_checkin(ts="2024-04-16T12:00:00+02:00")])),
+                         toy_tax)
 
 
 class TestArea:
