@@ -26,7 +26,6 @@ from .ingest import (
     assign_home_country,
     filter_active_users,
     grid_partition,
-    home_codes_array,
     load_geo_index,
     parse_corpus,
     top_cells,
@@ -116,18 +115,15 @@ def _read_cities(path: str | Path) -> list[Area]:
     return sorted(areas, key=lambda a: a.area_id)
 
 
-def _level_areas(args, corpus: Corpus, home: dict[str, str]):
-    """Areas for the requested level plus the per-check-in country array."""
-    countries = home_codes_array(corpus, home)
+def _level_areas(args, corpus: Corpus) -> list[Area]:
+    """Areas for the requested level."""
     if args.level == "country":
-        codes = sorted(set(home.values()))
-        areas = [Area(area_id=c, kind="country", country_code=c) for c in codes]
-        return areas, countries
+        return [Area(area_id=c, kind="country", country_code=c) for c in corpus.countries]
     if not getattr(args, "cities", None):
         raise DataError(f"level {args.level!r} needs --cities")
     cities = _read_cities(args.cities)
     if args.level == "city":
-        return cities, countries
+        return cities
     if args.top < 0:
         raise DataError(f"--top must be >= 0, got {args.top}")
     cells: list[Area] = []
@@ -140,7 +136,7 @@ def _level_areas(args, corpus: Corpus, home: dict[str, str]):
         cells.extend(grid)
     if not cells:
         raise DataError("no grid cell contains any check-in")
-    return cells, countries
+    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +157,10 @@ def cmd_ingest(args) -> int:
     taxonomy = load_taxonomy(args.taxonomy)
     geo = load_geo_index(args.geo)
     corpus = parse_corpus(args.corpus, taxonomy, args.error_budget)
-    home, report = assign_home_country(corpus, geo)
-    located = corpus.filter_users(home)
+    located, report = assign_home_country(corpus, geo)
     active = filter_active_users(located, args.min_checkins)
-    home = {u: home[u] for u in active.user_ids}
     out = _outdir(args)
-    write_store(out, active, home, Path(args.taxonomy))
+    write_store(out, active, Path(args.taxonomy))
     doc = report.to_dict()
     doc["min_checkins"] = args.min_checkins
     doc["store_users"] = active.n_users
@@ -193,8 +187,8 @@ def cmd_simnet(args) -> int:
         thresholds = [float(t) for t in args.thresholds.split(",") if t.strip()]
     except ValueError as exc:
         raise DataError(f"bad threshold list: {exc}") from exc
-    corpus, home, _ = read_store(args.store, args.taxonomy)
-    profiles = build_profiles(corpus, home)
+    corpus, _ = read_store(args.store, args.taxonomy)
+    profiles = build_profiles(corpus)
     attributes = _parse_attributes(args.attributes) if args.attributes else None
     networks = build_networks(profiles, thresholds, attributes)
     out = _outdir(args)
@@ -230,28 +224,33 @@ def cmd_simnet(args) -> int:
             "assortativity": assort,
             "degree_assortativity": deg_assort,
         }
-    _write_json(metrics, out / "metrics.json")
+    # Thresholds in ascending numeric order (sort_keys would put "100" first),
+    # the keys of each entry sorted.
+    ordered = {tag: dict(sorted(metrics[tag].items())) for tag in sorted(metrics, key=float)}
+    (out / "metrics.json").write_text(json.dumps(ordered, indent=2) + "\n", encoding="utf-8")
     print(f"similarity networks written to {out}")
     return 0
 
 
 def cmd_signatures(args) -> int:
-    corpus, home, taxonomy = read_store(args.store, args.taxonomy)
+    corpus, taxonomy = read_store(args.store, args.taxonomy)
     scopes = [s.strip() for s in args.scope.split(",") if s.strip()]
     unknown = [s for s in scopes if s != "all" and s not in taxonomy.class_ranges]
+    if not scopes:
+        raise DataError(f"--scope names no scope: use 'all' or one of {taxonomy.class_ids}")
     if unknown:
         raise DataError(f"unknown scope(s) {unknown}: use 'all' or one of {taxonomy.class_ids}")
-    areas, countries = _level_areas(args, corpus, home)
+    areas = _level_areas(args, corpus)
 
     spatial, used, cubes, empty = [], [], [], []
     for area in areas:
         try:
-            spatial.append(region_profile(region_counts(corpus, area, countries), area.area_id))
+            spatial.append(region_profile(region_counts(corpus, area), area.area_id))
         except EmptyAreaError:
             empty.append(area.area_id)
             continue
         used.append(area)
-        cubes.append(area_cube(corpus, area, countries))
+        cubes.append(area_cube(corpus, area))
     if len(spatial) < 2:
         raise UndefinedMetric("fewer than two areas have check-ins; nothing to correlate")
     out = _outdir(args)
@@ -298,12 +297,12 @@ def cmd_signatures(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    corpus, home, _ = read_store(args.store, args.taxonomy)
-    areas, countries = _level_areas(args, corpus, home)
+    corpus, _ = read_store(args.store, args.taxonomy)
+    areas = _level_areas(args, corpus)
     rows, used, empty = [], [], []
     for area in areas:
         try:
-            rows.append(spatiotemporal_vector(corpus, area, countries).normalized)
+            rows.append(spatiotemporal_vector(corpus, area).normalized)
             used.append(area)
         except EmptyAreaError:
             empty.append(area.area_id)
@@ -364,16 +363,15 @@ def _country_scores(matrix: np.ndarray, countries: list[str]) -> dict[str, np.nd
 
 
 def cmd_survey(args) -> int:
-    corpus, home, taxonomy = read_store(args.store, args.taxonomy)
+    corpus, taxonomy = read_store(args.store, args.taxonomy)
     survey = _read_survey(args.survey)
     countries = sorted(survey)
-    missing = [c for c in countries if c not in set(home.values())]
+    missing = [c for c in countries if c not in corpus.countries]
     if missing:
         raise DataError(f"countries missing from the corpus: {missing}")
 
     areas = [Area(area_id=c, kind="country", country_code=c) for c in countries]
-    codes = home_codes_array(corpus, home)
-    vectors = np.stack([spatiotemporal_vector(corpus, a, codes).normalized for a in areas])
+    vectors = np.stack([spatiotemporal_vector(corpus, a).normalized for a in areas])
     datasets = []
     if args.dataset in ("full", "both"):
         datasets.append(("dataset1", vectors))

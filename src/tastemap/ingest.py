@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -33,6 +33,8 @@ from .errors import DataError, ParseError
 from .model import Area, Taxonomy
 
 CORPUS_FIELDS = ("user", "venue", "lat", "lon", "ts", "subcat")
+# The row columns of a Corpus, as its constructor names them.
+COLUMNS = ("lat", "lon", "ts", "subcat_idx", "user_idx", "venue_idx")
 _EPOCH = datetime(1970, 1, 1)
 _MICROSECOND = timedelta(microseconds=1)
 
@@ -43,9 +45,12 @@ class Corpus:
     Row columns: ``lat``, ``lon`` (float64), ``ts`` (datetime64[us],
     venue-local wall-clock time), ``hour`` and ``is_weekend`` (derived from
     ``ts``), ``subcat_idx`` (into ``taxonomy.subcategories``), ``user_idx``
-    (into ``user_ids``) and ``venue_idx`` (into ``venue_ids``).  The string
-    tables are sorted and dense: they hold exactly the ids some row uses.
-    This is the one form a corpus takes: :func:`parse_corpus`,
+    (into ``user_ids``) and ``venue_idx`` (into ``venue_ids``).  The user and
+    venue tables are sorted and dense: they hold exactly the ids some row
+    uses.  One per-user column, ``user_country``, indexes each user's home
+    country in the sorted table ``countries``, or is -1 where the user has
+    none (as after :func:`parse_corpus`; :func:`assign_home_country` sets
+    it).  This is the one form a corpus takes: :func:`parse_corpus`,
     :meth:`subset` and ``store.read_store`` all build it from columns, and
     every aggregation in the pipeline runs on them.
     """
@@ -62,6 +67,8 @@ class Corpus:
         user_ids: Sequence[str],
         venue_idx: np.ndarray,
         venue_ids: Sequence[str],
+        countries: Sequence[str] = (),
+        user_country: np.ndarray | None = None,
         skipped_unknown: int = 0,
         malformed_lines: int = 0,
     ):
@@ -80,6 +87,10 @@ class Corpus:
         self.user_ids: tuple[str, ...] = tuple(user_ids)
         self.venue_idx = np.asarray(venue_idx, np.int64)
         self.venue_ids: tuple[str, ...] = tuple(venue_ids)
+        self.countries: tuple[str, ...] = tuple(countries)
+        if user_country is None:
+            user_country = np.full(len(self.user_ids), -1)
+        self.user_country = np.asarray(user_country, np.int64)
 
     def __len__(self) -> int:
         return len(self.lat)
@@ -90,10 +101,11 @@ class Corpus:
 
     def subset(self, mask: np.ndarray) -> "Corpus":
         """The rows where ``mask`` is true, in order, with the user and
-        venue tables cut down to the ids those rows use."""
+        venue tables cut down to the ids those rows use.  ``countries``
+        stays whole, so a country can outlive its last user."""
         mask = np.asarray(mask, np.bool_)
-        user_idx, user_ids = _densify(self.user_idx[mask], self.user_ids)
-        venue_idx, venue_ids = _densify(self.venue_idx[mask], self.venue_ids)
+        users, user_idx = np.unique(self.user_idx[mask], return_inverse=True)
+        venues, venue_idx = np.unique(self.venue_idx[mask], return_inverse=True)
         return Corpus(
             self.taxonomy,
             lat=self.lat[mask],
@@ -101,23 +113,14 @@ class Corpus:
             ts=self.ts[mask],
             subcat_idx=self.subcat_idx[mask],
             user_idx=user_idx,
-            user_ids=user_ids,
+            user_ids=[self.user_ids[i] for i in users.tolist()],
             venue_idx=venue_idx,
-            venue_ids=venue_ids,
+            venue_ids=[self.venue_ids[i] for i in venues.tolist()],
+            countries=self.countries,
+            user_country=self.user_country[users],
             skipped_unknown=self.skipped_unknown,
             malformed_lines=self.malformed_lines,
         )
-
-    def filter_users(self, keep: Iterable[str]) -> "Corpus":
-        keep_set = set(keep)
-        kept = np.fromiter((u in keep_set for u in self.user_ids), np.bool_, self.n_users)
-        return self.subset(kept[self.user_idx])
-
-
-def _densify(idx: np.ndarray, table: Sequence[str]) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Renumber ``idx`` onto the entries of ``table`` it uses, keeping their order."""
-    used, dense = np.unique(idx, return_inverse=True)
-    return dense.astype(np.int64), tuple(table[i] for i in used.tolist())
 
 
 def _encode(ids: Sequence[str]) -> tuple[np.ndarray, list[str]]:
@@ -182,16 +185,17 @@ def _records(source, force_csv: bool) -> Iterator[tuple[int, object]]:
     a DataError in place of a line that holds no one record.
 
     The first non-blank line decides the format: the CSV header, or else the
-    first JSON line, which counts as line 1.  CSV rows are numbered from 2
-    and skip wholly empty rows, as ``csv.DictReader`` does.
+    first JSON line.  Line numbers are physical lines of the stream, blank
+    lines and the header included; a CSV row is numbered by its last line.
+    Blank lines and wholly empty CSV rows are no records.
     """
-    lines = iter(source)
-    first = next((line for line in lines if line.strip()), "")
+    lines = enumerate(source, 1)
+    first_no, first = next(((n, line) for n, line in lines if line.strip()), (0, ""))
     if not first:
         return
     header = next(csv.reader(io.StringIO(first)), [])
     if not force_csv and set(header) != set(CORPUS_FIELDS):
-        for lineno, raw in enumerate(itertools.chain([first], lines), 1):
+        for lineno, raw in itertools.chain([(first_no, first)], lines):
             if not raw.strip():
                 continue
             try:
@@ -202,11 +206,16 @@ def _records(source, force_csv: bool) -> Iterator[tuple[int, object]]:
             yield lineno, rec if isinstance(rec, dict) else DataError("expected a JSON object")
         return
     if set(header) != set(CORPUS_FIELDS):
-        raise ParseError(f"line 1: CSV header must name exactly {CORPUS_FIELDS}", line_number=1)
+        raise ParseError(f"line {first_no}: CSV header must name exactly {CORPUS_FIELDS}",
+                         line_number=first_no)
     width = len(header)
     # A repeated column name keeps its last position, as in a dict.
     position = {name: i for i, name in enumerate(header)}
-    for lineno, row in enumerate(filter(None, csv.reader(lines)), 2):
+    reader = csv.reader(raw for _, raw in lines)
+    for row in reader:
+        lineno = first_no + reader.line_num
+        if not row:
+            continue
         if len(row) != width:
             if len(row) < width and not any(row[i] for i in position.values() if i < len(row)):
                 continue
@@ -379,26 +388,30 @@ class IngestReport:
         }
 
 
-def assign_home_country(corpus: Corpus, geo: GeoIndex) -> tuple[dict[str, str], IngestReport]:
-    """Map each user to a home country iff all their check-ins geocode there.
+def assign_home_country(corpus: Corpus, geo: GeoIndex) -> tuple[Corpus, IngestReport]:
+    """The users whose check-ins all geocode to one country, with that
+    country as their home, and the ingest report of the whole corpus.
 
     Users with check-ins in more than one country, or with any check-in that
     no polygon contains, are excluded and counted.  The result is a pure
     function of the check-in set, so row order never matters.
     """
     n_users = corpus.n_users
-    home: dict[str, str] = {}
+    home = np.full(n_users, -1, np.int64)
     if len(corpus):
         codes = geocode(geo, corpus.lat, corpus.lon)
         cmin = np.full(n_users, np.iinfo(np.int64).max, np.int64)
         cmax = np.full(n_users, np.iinfo(np.int64).min, np.int64)
         np.minimum.at(cmin, corpus.user_idx, codes)
         np.maximum.at(cmax, corpus.user_idx, codes)
-        for i, user in enumerate(corpus.user_ids):
-            if cmin[i] == cmax[i] and cmin[i] >= 0:
-                home[user] = geo.countries[cmin[i]]
+        one_country = cmin == cmax
+        home[one_country] = cmin[one_country]
+    homed = np.flatnonzero(home >= 0)
+    homes, countries = _encode([geo.countries[c] for c in home[homed].tolist()])
+    user_country = np.full(n_users, -1, np.int64)
+    user_country[homed] = homes
 
-    discarded = n_users - len(home)
+    discarded = n_users - len(homed)
     per_class: dict[str, ClassStats] = {}
     for class_id in corpus.taxonomy.class_ids:
         lo, hi = corpus.taxonomy.class_ranges[class_id]
@@ -416,20 +429,17 @@ def assign_home_country(corpus: Corpus, geo: GeoIndex) -> tuple[dict[str, str], 
         skipped_unknown_subcategory=corpus.skipped_unknown,
         malformed_lines=corpus.malformed_lines,
     )
-    return home, report
-
-
-def home_codes_array(corpus: Corpus, home: Mapping[str, str]) -> np.ndarray:
-    """Per-check-in country code taken from the owning user's home country.
-
-    Valid for corpora already filtered to users with a resolved home, where
-    by construction every check-in lies in that country.
-    """
-    try:
-        per_user = [home[u] for u in corpus.user_ids]
-    except KeyError as exc:
-        raise DataError(f"user {exc.args[0]!r} has no home country") from None
-    return np.asarray(per_user, dtype=object)[corpus.user_idx]
+    located = Corpus(
+        corpus.taxonomy,
+        **{name: getattr(corpus, name) for name in COLUMNS},
+        user_ids=corpus.user_ids,
+        venue_ids=corpus.venue_ids,
+        countries=countries,
+        user_country=user_country,
+        skipped_unknown=corpus.skipped_unknown,
+        malformed_lines=corpus.malformed_lines,
+    )
+    return located.subset(user_country[corpus.user_idx] >= 0), report
 
 
 def filter_active_users(corpus: Corpus, min_checkins: int = 7) -> Corpus:
@@ -485,14 +495,15 @@ def grid_partition(city: Area, rows: int, cols: int) -> list[Area]:
     return cells
 
 
-def area_mask(corpus: Corpus, area: Area, checkin_countries: np.ndarray | None = None) -> np.ndarray:
-    """Boolean row mask of the check-ins lying inside an area."""
+def area_mask(corpus: Corpus, area: Area) -> np.ndarray:
+    """Boolean row mask of the check-ins lying inside an area; at country
+    level, the check-ins of the users whose home it is."""
     if area.kind == "country":
         if area.country_code is None:
             raise DataError(f"country area {area.area_id!r} has no country code")
-        if checkin_countries is None:
-            raise DataError("country-level masking needs per-check-in countries")
-        return checkin_countries == area.country_code
+        if area.country_code not in corpus.countries:
+            raise DataError(f"country {area.country_code!r} is no home country of this corpus")
+        return (corpus.user_country == corpus.countries.index(area.country_code))[corpus.user_idx]
     if area.bbox is None:
         raise DataError(f"area {area.area_id!r} has no bounding box")
     min_lon, min_lat, max_lon, max_lat = area.bbox

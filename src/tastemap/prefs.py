@@ -2,62 +2,51 @@
 
 from __future__ import annotations
 
-import csv
-from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DataError, EmptyAreaError
 from .ingest import Corpus, area_mask
-from .model import Area, AreaSignature, Taxonomy, UserProfile
+from .model import Area, AreaSignature, UserProfile
 
 
-def build_profiles(corpus: Corpus, home: Mapping[str, str] | None = None) -> list[UserProfile]:
+def build_profiles(corpus: Corpus) -> list[UserProfile]:
     """Binary profiles for every user in the corpus, ordered by user id: bit
-    i is 1 when the user checked in at subcategory i at least once."""
+    i is 1 when the user checked in at subcategory i at least once.  A
+    profile carries the user's home country, None where there is none."""
     n, m = corpus.n_users, corpus.taxonomy.m
     mat = np.zeros((n, m), np.uint8)
     mat[corpus.user_idx, corpus.subcat_idx] = 1
     counts = np.bincount(corpus.user_idx, minlength=n)
+    homes = [corpus.countries[c] if c >= 0 else None for c in corpus.user_country.tolist()]
     return [
-        UserProfile(
-            user_id=u,
-            bits=mat[i],
-            checkin_count=int(counts[i]),
-            home_country=home.get(u) if home else None,
-        )
-        for i, u in enumerate(corpus.user_ids)
+        UserProfile(user_id=u, bits=mat[i], checkin_count=int(counts[i]), home_country=home)
+        for i, (u, home) in enumerate(zip(corpus.user_ids, homes))
     ]
 
 
-def area_cube(
-    corpus: Corpus, area: Area, checkin_countries: np.ndarray | None = None
-) -> np.ndarray:
+def area_cube(corpus: Corpus, area: Area) -> np.ndarray:
     """Check-in counts inside one area by subcategory, day group (0 weekday,
     1 weekend) and local hour, as int64[m, 2, 24].  This is the one place
     where check-ins become per-area counts; every per-area product is a
     reduction of it."""
     m = corpus.taxonomy.m
-    mask = area_mask(corpus, area, checkin_countries)
+    mask = area_mask(corpus, area)
     cell = (corpus.subcat_idx[mask] * 2 + corpus.is_weekend[mask]) * 24 + corpus.hour[mask]
     return np.bincount(cell, minlength=m * 48).astype(np.int64).reshape(m, 2, 24)
 
 
-def region_counts(
-    corpus: Corpus, area: Area, checkin_countries: np.ndarray | None = None
-) -> np.ndarray:
+def region_counts(corpus: Corpus, area: Area) -> np.ndarray:
     """Check-in count per subcategory inside one area."""
-    return area_cube(corpus, area, checkin_countries).sum(axis=(1, 2))
+    return area_cube(corpus, area).sum(axis=(1, 2))
 
 
-def area_counts_matrix(
-    corpus: Corpus, areas: Sequence[Area], checkin_countries: np.ndarray | None = None
-) -> np.ndarray:
+def area_counts_matrix(corpus: Corpus, areas: Sequence[Area]) -> np.ndarray:
     """Stacked region_counts rows, one per area."""
     out = np.zeros((len(areas), corpus.taxonomy.m), np.int64)
     for i, area in enumerate(areas):
-        out[i] = region_counts(corpus, area, checkin_countries)
+        out[i] = region_counts(corpus, area)
     return out
 
 
@@ -81,23 +70,3 @@ def region_profile(counts: np.ndarray, area_id: str = "", variant: str | None = 
         normalized=counts / float(peak),
         variant=variant or f"spatial_{counts.size}",
     )
-
-
-def profiles_to_csv(profiles: Sequence[UserProfile], taxonomy: Taxonomy, path: str | Path) -> None:
-    """One row per user; header is the subcategory names."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["user", *taxonomy.subcategories])
-        for p in profiles:
-            writer.writerow([p.user_id, *map(int, p.bits)])
-
-
-def signatures_to_csv(
-    signatures: Sequence[AreaSignature], header: Sequence[str], path: str | Path
-) -> None:
-    """One row per area; header names the feature columns."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["area", *header])
-        for sig in signatures:
-            writer.writerow([sig.area_id, *(repr(float(v)) for v in sig.normalized)])

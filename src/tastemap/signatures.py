@@ -122,19 +122,12 @@ def hourly_curve(cube: np.ndarray, taxonomy: Taxonomy, class_id: str, day_group:
     return counts
 
 
-def temporal_series(
-    corpus: Corpus,
-    area: Area,
-    class_id: str,
-    day_group: str,
-    checkin_countries: np.ndarray | None = None,
-) -> TemporalSeries:
+def temporal_series(corpus: Corpus, area: Area, class_id: str, day_group: str) -> TemporalSeries:
     """Check-ins per local hour, divided by the busiest hour of this series.
 
     Weekend means Saturday or Sunday.  An empty series stays all-zero.
     """
-    bins = hourly_curve(area_cube(corpus, area, checkin_countries), corpus.taxonomy,
-                        class_id, day_group)
+    bins = hourly_curve(area_cube(corpus, area), corpus.taxonomy, class_id, day_group)
     return TemporalSeries(area_id=area.area_id, class_id=class_id, day_group=day_group, bins=bins)
 
 
@@ -143,15 +136,13 @@ def spatiotemporal_index(subcat_index: int, is_weekend: bool, hour: int) -> int:
     return subcat_index * SLOTS_PER_SUBCATEGORY + (4 if is_weekend else 0) + hour // 6
 
 
-def spatiotemporal_vector(
-    corpus: Corpus, area: Area, checkin_countries: np.ndarray | None = None
-) -> AreaSignature:
+def spatiotemporal_vector(corpus: Corpus, area: Area) -> AreaSignature:
     """The 8*m-dimensional signature of an area (808 for the m=101 taxonomy).
 
     A single maximum normalizes the whole flattened vector, mirroring the
     spatial rule on the enlarged feature set.
     """
-    cube = area_cube(corpus, area, checkin_countries)
+    cube = area_cube(corpus, area)
     counts = cube.reshape(len(cube), len(DAY_GROUPS), PERIODS_PER_DAY, -1).sum(axis=3).ravel()
     return region_profile(counts, area.area_id, f"spatiotemporal_{counts.size}")
 
@@ -178,15 +169,10 @@ def subcategory_entropies(counts: np.ndarray) -> list[float | None]:
     return out
 
 
-def subcategory_entropy(
-    corpus: Corpus,
-    subcategory: str,
-    areas: Sequence[Area],
-    checkin_countries: np.ndarray | None = None,
-) -> float:
+def subcategory_entropy(corpus: Corpus, subcategory: str, areas: Sequence[Area]) -> float:
     """Shannon entropy (bits) of one subcategory's check-ins over areas."""
     i = corpus.taxonomy.index_of(subcategory)
-    (h,) = subcategory_entropies(area_counts_matrix(corpus, areas, checkin_countries)[:, [i]])
+    (h,) = subcategory_entropies(area_counts_matrix(corpus, areas)[:, [i]])
     if h is None:
         raise UndefinedMetric("no check-ins at this subcategory in any area")
     return h
@@ -220,14 +206,10 @@ def summarize_entropies(
     return rows
 
 
-def entropy_summary(
-    corpus: Corpus,
-    areas: Sequence[Area],
-    checkin_countries: np.ndarray | None = None,
-) -> list[EntropySummary]:
+def entropy_summary(corpus: Corpus, areas: Sequence[Area]) -> list[EntropySummary]:
     """Mean and population standard deviation of subcategory entropies,
     per class, at the granularity the areas define."""
     if not areas:
         raise DataError("need at least one area")
-    entropies = subcategory_entropies(area_counts_matrix(corpus, areas, checkin_countries))
+    entropies = subcategory_entropies(area_counts_matrix(corpus, areas))
     return summarize_entropies(corpus.taxonomy, areas[0].kind, entropies)

@@ -12,9 +12,11 @@ Layout::
 ``corpus.npz`` holds the corpus columns (``lat``, ``lon``, ``ts``,
 ``subcat_idx``, ``user_idx``, ``venue_idx``) and fixed-width unicode
 tables: ``subcategories`` (what ``subcat_idx`` points into), ``user_ids``,
-``venue_ids`` and ``home`` (each user's home country).  Subcategories are
-matched by name on load, so a store read with another taxonomy drops the
-rows whose subcategory it does not know, as parsing would.
+``venue_ids`` and ``home`` (each user's home country, in user order; on
+load it becomes the corpus's ``countries`` table and ``user_country``
+column).  Subcategories are matched by name on load, so a store read with
+another taxonomy drops the rows whose subcategory it does not know, as
+parsing would.
 
 The analysis commands read ``corpus.npz`` only; the CSV files are exports.
 A store whose manifest is missing, names another format or does not hash
@@ -36,13 +38,12 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DataError
-from .ingest import CORPUS_FIELDS, Corpus
+from .ingest import COLUMNS, CORPUS_FIELDS, Corpus
 from .model import Taxonomy, load_taxonomy
 
 FORMAT_VERSION = 1
 CORPUS_FILE = "corpus.npz"
 MANIFEST_FILE = "manifest.json"
-COLUMNS = ("lat", "lon", "ts", "subcat_idx", "user_idx", "venue_idx")
 TABLES = ("subcategories", "user_ids", "venue_ids", "home")
 
 
@@ -58,17 +59,20 @@ def _npz_bytes(arrays: Mapping[str, np.ndarray]) -> bytes:
     return buf.getvalue()
 
 
-def write_store(
-    store: Path, corpus: Corpus, home: Mapping[str, str], taxonomy_path: Path
-) -> None:
+def write_store(store: Path, corpus: Corpus, taxonomy_path: Path) -> None:
     """Write every store file; the manifest goes last, so a store left
-    half-written by a failed ingest is rejected on read."""
+    half-written by a failed ingest is rejected on read.  Every user must
+    have a home country."""
+    homeless = np.flatnonzero(corpus.user_country < 0)
+    if homeless.size:
+        raise DataError(f"user {corpus.user_ids[homeless[0]]!r} has no home country")
+    home = [corpus.countries[i] for i in corpus.user_country.tolist()]
     arrays = {name: getattr(corpus, name) for name in COLUMNS}
     tables = {
         "subcategories": corpus.taxonomy.subcategories,
         "user_ids": corpus.user_ids,
         "venue_ids": corpus.venue_ids,
-        "home": [home[u] for u in corpus.user_ids],
+        "home": home,
     }
     for name, table in tables.items():
         arrays[name] = np.array(table, dtype=str)
@@ -94,8 +98,7 @@ def write_store(
     with open(store / "home_countries.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["user", "country"])
-        for user in sorted(home):
-            writer.writerow([user, home[user]])
+        writer.writerows(zip(corpus.user_ids, home))
     (store / "taxonomy.txt").write_bytes(Path(taxonomy_path).read_bytes())
 
     manifest = {"corpus_sha256": hashlib.sha256(data).hexdigest(), "format": FORMAT_VERSION}
@@ -134,12 +137,12 @@ def _load_arrays(store: Path) -> dict[str, np.ndarray]:
 
 def read_store(
     store: str | Path, taxonomy_path: str | Path | None = None
-) -> tuple[Corpus, dict[str, str], Taxonomy]:
-    """Corpus, home countries and taxonomy of a store.
+) -> tuple[Corpus, Taxonomy]:
+    """Corpus and taxonomy of a store.
 
-    ``taxonomy_path`` overrides the store's own ``taxonomy.txt``.  The home
-    map covers every user in the store, including users whose every row the
-    override taxonomy drops.
+    ``taxonomy_path`` overrides the store's own ``taxonomy.txt``.  The
+    corpus's ``countries`` table holds the home of every user in the store,
+    including a country whose users lose every row to the override taxonomy.
     """
     store = Path(store)
     taxonomy_path = Path(taxonomy_path) if taxonomy_path else store / "taxonomy.txt"
@@ -152,7 +155,7 @@ def read_store(
     remap = np.array([taxonomy.index_of(n) if n in taxonomy else -1 for n in names], np.int64)
     subcat_idx = remap[arrays["subcat_idx"]]
     known = subcat_idx >= 0
-    user_ids = arrays["user_ids"].tolist()
+    countries, user_country = np.unique(arrays["home"], return_inverse=True)
     corpus = Corpus(
         taxonomy,
         lat=arrays["lat"],
@@ -160,11 +163,13 @@ def read_store(
         ts=arrays["ts"],
         subcat_idx=subcat_idx,
         user_idx=arrays["user_idx"],
-        user_ids=user_ids,
+        user_ids=arrays["user_ids"].tolist(),
         venue_idx=arrays["venue_idx"],
         venue_ids=arrays["venue_ids"].tolist(),
+        countries=countries.tolist(),
+        user_country=user_country,
         skipped_unknown=int(np.count_nonzero(~known)),
     )
     if not known.all():
         corpus = corpus.subset(known)
-    return corpus, dict(zip(user_ids, arrays["home"].tolist())), taxonomy
+    return corpus, taxonomy

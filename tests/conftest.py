@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from tastemap.ingest import Corpus, load_geo_index, parse_corpus
+from tastemap.ingest import COLUMNS, Corpus, load_geo_index, parse_corpus
 from tastemap.model import Taxonomy, load_taxonomy, reference_taxonomy_path
 
 TOY_TAXONOMY = """\
@@ -67,6 +67,29 @@ def corpus_of(taxonomy: Taxonomy, records) -> Corpus:
     corpus = parse_corpus(io.StringIO(jsonl_text(records)), taxonomy, error_budget=0)
     assert corpus.skipped_unknown == 0, "a fixture record names an unknown subcategory"
     return corpus
+
+
+def with_homes(corpus: Corpus, home: dict[str, str], countries=()) -> Corpus:
+    """The same corpus with each user's home country taken from ``home``
+    ({user: country}); a user it does not name has none.  ``countries``
+    adds codes to the country table that no user has."""
+    countries = sorted(set(home.values()).union(countries))
+    return Corpus(
+        corpus.taxonomy,
+        **{name: getattr(corpus, name) for name in COLUMNS},
+        user_ids=corpus.user_ids,
+        venue_ids=corpus.venue_ids,
+        countries=countries,
+        user_country=[countries.index(home[u]) if u in home else -1 for u in corpus.user_ids],
+        skipped_unknown=corpus.skipped_unknown,
+        malformed_lines=corpus.malformed_lines,
+    )
+
+
+def home_map(corpus: Corpus) -> dict[str, str]:
+    """{user: home country} of the users that have one."""
+    return {u: corpus.countries[c]
+            for u, c in zip(corpus.user_ids, corpus.user_country.tolist()) if c >= 0}
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import corpus_of, make_checkin
+from conftest import corpus_of, make_checkin, with_homes
 from tastemap.boundaries import compare_with_survey, fit_pca, select_components, spearman
 from tastemap.cli import main
 from tastemap.model import Area, UserProfile, load_taxonomy, reference_taxonomy_path
@@ -170,13 +170,13 @@ def test_criterion_04_signature_math(ref_tax):
         assert abs(pearson(x, y) - sxy / math.sqrt(sxx * syy)) <= 1e-12
 
     for n in (2, 4, 8, 16):
-        checkins, countries = [], []
+        checkins, home = [], {}
         for i in range(n):
             checkins.append(make_checkin(f"u{i}", "v", 1.0, 1.0, "2024-04-16T12:00:00", "Pub"))
-            countries.append(f"c{i}")
-        corpus = corpus_of(ref_tax, checkins)
+            home[f"u{i}"] = f"c{i}"
+        corpus = with_homes(corpus_of(ref_tax, checkins), home)
         areas = [Area(f"c{i}", "country", country_code=f"c{i}") for i in range(n)]
-        h = subcategory_entropy(corpus, "Pub", areas, np.asarray(countries, object))
+        h = subcategory_entropy(corpus, "Pub", areas)
         assert h == float(np.log2(n))
 
 

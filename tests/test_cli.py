@@ -5,6 +5,7 @@ import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,6 +199,16 @@ class TestSimnet:
                      for t in (65, 70, 75, 80, 85, 90, 95, 100)]
         assert all(a >= b - 1e-9 for a, b in zip(fractions, fractions[1:]))
 
+    def test_metrics_thresholds_in_numeric_order(self, pipeline, tmp_path):
+        out = tmp_path / "simnet"
+        assert main(["simnet", "--store", str(pipeline["store"]), "--thresholds", "100,65,80",
+                     "--out-dir", str(out)]) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert list(metrics) == ["65", "80", "100"]
+        for entry in metrics.values():
+            assert list(entry) == sorted(entry)
+            assert list(entry["assortativity"]) == sorted(entry["assortativity"])
+
     def test_identical_users_component(self, pipeline, tmp_path):
         # three identical users: a triangle at threshold 100
         taxonomy = pipeline["taxonomy"]
@@ -358,11 +369,17 @@ class TestSignatures:
                      "--out-dir", str(tmp_path / "x")])
         assert code == 2
 
-    def test_unknown_scope_exits_2_and_writes_nothing(self, pipeline, tmp_path, capsys):
+    @pytest.mark.parametrize("scope,message", [
+        pytest.param("all,Nope", "Nope", id="unknown"),
+        pytest.param("", "no scope", id="empty"),
+        pytest.param(",", "no scope", id="commas"),
+    ])
+    def test_unknown_scope_exits_2_and_writes_nothing(self, pipeline, tmp_path, capsys,
+                                                      scope, message):
         out = tmp_path / "sig"
         assert main(["signatures", "--store", str(pipeline["store"]),
-                     "--scope", "all,Nope", "--out-dir", str(out)]) == 2
-        assert "Nope" in capsys.readouterr().err
+                     "--scope", scope, "--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["signatures", "cluster"])
@@ -507,6 +524,41 @@ class TestSurvey:
                      "--dataset", "ffood_weekend", "--out-dir", str(out)]) == 0
         rows = read_csv(out / "survey_comparison.csv")
         assert rows[0] == ["country", "rho_dataset2", "p_dataset2", "significant_dataset2"]
+
+
+class TestOverrideTaxonomy:
+    """A --taxonomy that drops every subcategory one country's users checked
+    in at leaves that country a candidate area without check-ins."""
+
+    @pytest.fixture
+    def narrow(self, pipeline, tmp_path):
+        store = pipeline["store"]
+        home = dict(read_csv(store / "home_countries.csv")[1:])
+        used = {row[5] for row in read_csv(store / "corpus.csv")[1:] if home[row[0]] == "C5"}
+        lines = Path(pipeline["taxonomy"]).read_text(encoding="utf-8").splitlines(keepends=True)
+        path = tmp_path / "narrow.txt"
+        path.write_text("".join(line for line in lines
+                                if line.rstrip("\n").partition("\t")[2] not in used),
+                        encoding="utf-8")
+        return path
+
+    def test_signatures_and_cluster_list_the_country_as_empty(self, pipeline, tmp_path, narrow):
+        common = ["--store", str(pipeline["store"]), "--taxonomy", str(narrow),
+                  "--level", "country"]
+        assert main(["signatures", *common, "--out-dir", str(tmp_path / "sig")]) == 0
+        areas = json.loads((tmp_path / "sig" / "areas_used.json").read_text())
+        assert areas == {"areas_used": [f"C{i}" for i in range(5)], "excluded_empty": ["C5"]}
+        assert main(["cluster", *common, "--k", "3", "--out-dir", str(tmp_path / "cl")]) == 0
+        report = json.loads((tmp_path / "cl" / "cluster_report.json").read_text())
+        assert report["excluded_empty"] == ["C5"]
+
+    def test_survey_of_the_emptied_country_exits_2(self, pipeline, tmp_path, narrow):
+        survey = tmp_path / "survey.csv"
+        TestSurvey().write_survey(survey, [f"C{i}" for i in range(6)], np.random.default_rng(43))
+        out = tmp_path / "survey_out"
+        assert main(["survey", "--store", str(pipeline["store"]), "--taxonomy", str(narrow),
+                     "--survey", str(survey), "--out-dir", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestMalformedSideFiles:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corpus_of, make_checkin
+from conftest import corpus_of, make_checkin, with_homes
 from tastemap.errors import EmptyAreaError, UndefinedMetric
 from tastemap.ingest import grid_partition
 from tastemap.model import Area, class_slice
@@ -47,7 +47,7 @@ rows = st.lists(
         st.integers(0, 6),  # subcategory of the toy taxonomy
         st.booleans(),  # weekend
         st.integers(0, 23),  # hour
-        st.sampled_from(("AA", "BB")),  # country
+        st.sampled_from(("AA", "BB")),  # home country of the row's user
     ),
     max_size=40,
 )
@@ -59,8 +59,8 @@ def build(toy_tax, data):
                      ts=f"{DAYS[w]}T{h:02d}:30:00")
         for i, (lon, lat, s, w, h, _) in enumerate(data)
     ]
-    countries = np.asarray([row[5] for row in data], dtype=object)
-    return corpus_of(toy_tax, checkins), countries
+    home = {f"u{i}": row[5] for i, row in enumerate(data)}
+    return with_homes(corpus_of(toy_tax, checkins), home, countries=("AA", "BB", "CC"))
 
 
 def inside(area, lon, lat, country):
@@ -87,39 +87,39 @@ def brute_entropy(column):
     return -sum(c / total * math.log2(c / total) for c in column if c)
 
 
-def products(toy_tax, corpus, countries):
+def products(toy_tax, corpus):
     """Every per-area product of a corpus, as plain comparable values."""
     out = {}
     for area in AREAS + COUNTRIES:
-        out[area.area_id, "cube"] = area_cube(corpus, area, countries).tolist()
-        out[area.area_id, "counts"] = region_counts(corpus, area, countries).tolist()
+        out[area.area_id, "cube"] = area_cube(corpus, area).tolist()
+        out[area.area_id, "counts"] = region_counts(corpus, area).tolist()
         for class_id in toy_tax.class_ids:
             for group in DAY_GROUPS:
-                series = temporal_series(corpus, area, class_id, group, countries)
+                series = temporal_series(corpus, area, class_id, group)
                 out[area.area_id, class_id, group] = series.bins.tolist()
         try:
-            sig = spatiotemporal_vector(corpus, area, countries)
+            sig = spatiotemporal_vector(corpus, area)
             out[area.area_id, "st"] = sig.normalized.tolist()
         except EmptyAreaError:
             out[area.area_id, "st"] = None
     for level in (AREAS, COUNTRIES):
         for name in toy_tax.subcategories:
             try:
-                out[level[0].kind, name] = subcategory_entropy(corpus, name, level, countries)
+                out[level[0].kind, name] = subcategory_entropy(corpus, name, level)
             except UndefinedMetric:
                 out[level[0].kind, name] = None
-        out[level[0].kind, "summary"] = entropy_summary(corpus, level, countries)
+        out[level[0].kind, "summary"] = entropy_summary(corpus, level)
     return out
 
 
 @SETTINGS
 @given(data=rows)
 def test_counts_and_curves_equal_check_in_loops(toy_tax, data):
-    corpus, countries = build(toy_tax, data)
+    corpus = build(toy_tax, data)
     for area in AREAS + COUNTRIES:
         cube = brute_cube(toy_tax, data, area)
-        assert np.array_equal(area_cube(corpus, area, countries), cube)
-        assert region_counts(corpus, area, countries).tolist() == cube.sum(axis=(1, 2)).tolist()
+        assert np.array_equal(area_cube(corpus, area), cube)
+        assert region_counts(corpus, area).tolist() == cube.sum(axis=(1, 2)).tolist()
 
         for class_id in toy_tax.class_ids:
             lo, hi = toy_tax.class_ranges[class_id]
@@ -127,7 +127,7 @@ def test_counts_and_curves_equal_check_in_loops(toy_tax, data):
                 hourly = [int(cube[lo:hi, w, h].sum()) for h in range(24)]
                 peak = max(hourly)
                 want = [c / peak if peak else 0.0 for c in hourly]
-                got = temporal_series(corpus, area, class_id, group, countries).bins
+                got = temporal_series(corpus, area, class_id, group).bins
                 assert got.tolist() == want
 
         slots = [0] * (8 * toy_tax.m)
@@ -136,9 +136,9 @@ def test_counts_and_curves_equal_check_in_loops(toy_tax, data):
                 slots[s * 8 + 4 * int(w) + h // 6] += 1
         if max(slots) == 0:
             with pytest.raises(EmptyAreaError):
-                spatiotemporal_vector(corpus, area, countries)
+                spatiotemporal_vector(corpus, area)
         else:
-            sig = spatiotemporal_vector(corpus, area, countries)
+            sig = spatiotemporal_vector(corpus, area)
             assert sig.raw_counts.tolist() == slots
             assert sig.normalized.tolist() == [c / max(slots) for c in slots]
 
@@ -146,18 +146,18 @@ def test_counts_and_curves_equal_check_in_loops(toy_tax, data):
 @SETTINGS
 @given(data=rows)
 def test_entropy_equals_check_in_loops(toy_tax, data):
-    corpus, countries = build(toy_tax, data)
+    corpus = build(toy_tax, data)
     for level in (AREAS, COUNTRIES):
         matrix = [brute_cube(toy_tax, data, area).sum(axis=(1, 2)) for area in level]
         want = [brute_entropy([int(row[s]) for row in matrix]) for s in range(toy_tax.m)]
         for s, name in enumerate(toy_tax.subcategories):
             if want[s] is None:
                 with pytest.raises(UndefinedMetric):
-                    subcategory_entropy(corpus, name, level, countries)
+                    subcategory_entropy(corpus, name, level)
             else:
-                got = subcategory_entropy(corpus, name, level, countries)
+                got = subcategory_entropy(corpus, name, level)
                 assert got == pytest.approx(want[s], abs=1e-12)
-        for row in entropy_summary(corpus, level, countries):
+        for row in entropy_summary(corpus, level):
             lo, hi = toy_tax.class_ranges[row.class_id]
             defined = [h for h in want[lo:hi] if h is not None]
             assert row.level == level[0].kind
@@ -174,7 +174,7 @@ def test_entropy_equals_check_in_loops(toy_tax, data):
 def test_products_invariant_under_row_permutation(toy_tax, data, seed):
     order = np.random.default_rng(seed).permutation(len(data))
     shuffled = [data[i] for i in order]
-    assert products(toy_tax, *build(toy_tax, shuffled)) == products(toy_tax, *build(toy_tax, data))
+    assert products(toy_tax, build(toy_tax, shuffled)) == products(toy_tax, build(toy_tax, data))
 
 
 count_vectors = st.lists(

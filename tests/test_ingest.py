@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corpus_of, jsonl_text, make_checkin, write_jsonl
+from conftest import corpus_of, home_map, jsonl_text, make_checkin, write_jsonl
 from tastemap import _kernels
 from tastemap.errors import DataError, ParseError
 from tastemap.ingest import (
@@ -58,6 +58,24 @@ class TestParseCorpus:
             parse_corpus(path, toy_tax)
         assert err.value.line_number == 1
         assert "line: 1" in str(err.value)
+
+    def test_jsonl_error_names_the_physical_line(self, toy_tax):
+        text = "\n\n\n" + '{"user": "u1"\n' + jsonl_text([make_checkin()])
+        with pytest.raises(ParseError) as err:
+            parse_corpus(io.StringIO(text), toy_tax, error_budget=0)
+        assert err.value.line_number == 4
+        assert "line: 4" in str(err.value)
+
+    def test_csv_error_names_the_physical_line(self, toy_tax):
+        text = ("user,venue,lat,lon,ts,subcat\n\n\n"
+                "u1,v1,95.0,2.5,2024-04-16T09:30:00,Pub\n"
+                "u2,v2,3.0,4.0,2024-04-20T20:00:00,Bakery\n")
+        with pytest.raises(ParseError) as err:
+            parse_corpus(io.StringIO(text), toy_tax, error_budget=0)
+        assert err.value.line_number == 4
+        with pytest.raises(ParseError) as err:
+            parse_corpus(io.StringIO("\n" + text), toy_tax, error_budget=0)
+        assert err.value.line_number == 5
 
     def test_malformed_within_budget_counted(self, toy_tax, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -145,8 +163,8 @@ def oracle_checkin(rec, taxonomy):
 def oracle_parse(text, taxonomy, error_budget):
     """``(checkins, skipped_unknown, malformed)``, or ParseError over budget."""
     lines = iter(io.StringIO(text))
-    first = ""
-    for line in lines:
+    first_no, first = 0, ""
+    for first_no, line in enumerate(lines, 1):
         if line.strip():
             first = line
             break
@@ -155,7 +173,7 @@ def oracle_parse(text, taxonomy, error_budget):
         return checkins, 0, 0
     first_row = next(csv.reader(io.StringIO(first)), [])
     if set(first_row) != set(CORPUS_FIELDS):
-        numbered = [(1, first), *enumerate(lines, 2)]
+        numbered = [(first_no, first), *enumerate(lines, first_no + 1)]
         for lineno, raw in numbered:
             if not raw.strip():
                 continue
@@ -171,7 +189,9 @@ def oracle_parse(text, taxonomy, error_budget):
                 malformed += 1
                 first_bad = first_bad or lineno
     else:
-        for lineno, row in enumerate(csv.DictReader(lines, fieldnames=first_row), 2):
+        reader = csv.DictReader(lines, fieldnames=first_row)
+        for row in reader:
+            lineno = first_no + reader.line_num
             if row is None or all(v in (None, "") for v in row.values()):
                 continue
             total += 1
@@ -381,9 +401,25 @@ class TestAssignHomeCountry:
             toy_tax,
             [make_checkin(user="u1", lat=1.0, lon=i + 1.0) for i in range(3)],
         )
-        home, report = assign_home_country(corpus, two_country_geo)
-        assert home == {"u1": "AA"}
+        located, report = assign_home_country(corpus, two_country_geo)
+        assert home_map(located) == {"u1": "AA"}
+        assert located.countries == ("AA",) and len(located) == 3
         assert report.users_discarded_mixed_country == 0
+
+    def test_located_keeps_the_rows_of_homed_users(self, toy_tax, two_country_geo):
+        checkins = [
+            make_checkin(user="a", lat=1.0, lon=1.0),
+            make_checkin(user="m", lat=1.0, lon=1.0),
+            make_checkin(user="b", lat=1.0, lon=21.0, subcat="Bakery"),
+            make_checkin(user="m", lat=1.0, lon=21.0),
+            make_checkin(user="a", lat=2.0, lon=3.0, subcat="Steakhouse"),
+        ]
+        located, _ = assign_home_country(corpus_of(toy_tax, checkins), two_country_geo)
+        assert home_map(located) == {"a": "AA", "b": "BB"}
+        assert located.countries == ("AA", "BB")
+        kept = [c for c in checkins if c["user"] != "m"]
+        assert located.lon.tolist() == [c["lon"] for c in kept]
+        assert [located.user_ids[i] for i in located.user_idx] == [c["user"] for c in kept]
 
     def test_mixed_country_user_excluded(self, toy_tax, two_country_geo):
         corpus = corpus_of(
@@ -393,14 +429,14 @@ class TestAssignHomeCountry:
                 make_checkin(user="u1", lat=5.0, lon=25.0),
             ],
         )
-        home, report = assign_home_country(corpus, two_country_geo)
-        assert home == {}
+        located, report = assign_home_country(corpus, two_country_geo)
+        assert home_map(located) == {} and len(located) == 0
         assert report.users_discarded_mixed_country == 1
 
     def test_unresolvable_user_excluded(self, toy_tax, two_country_geo):
         corpus = corpus_of(toy_tax, [make_checkin(user="u1", lat=5.0, lon=15.0)])
-        home, _ = assign_home_country(corpus, two_country_geo)
-        assert home == {}
+        located, _ = assign_home_country(corpus, two_country_geo)
+        assert home_map(located) == {} and located.countries == ()
 
     def test_discard_fraction_one_percent(self, toy_tax, two_country_geo):
         checkins = [make_checkin(user=f"u{i:03d}", lat=1.0, lon=1.0) for i in range(99)]
@@ -425,7 +461,7 @@ class TestAssignHomeCountry:
             shuffled = list(checkins)
             rng.shuffle(shuffled)
             again, _ = assign_home_country(corpus_of(toy_tax, shuffled), two_country_geo)
-            assert again == base
+            assert home_map(again) == home_map(base)
 
     def test_per_class_stats(self, toy_tax, two_country_geo):
         corpus = corpus_of(

@@ -3,17 +3,15 @@
 import numpy as np
 import pytest
 
-from conftest import corpus_of, make_checkin
+from conftest import corpus_of, make_checkin, with_homes
 from tastemap.errors import DataError, EmptyAreaError
 from tastemap.ingest import grid_partition
 from tastemap.model import Area
 from tastemap.prefs import (
     area_counts_matrix,
     build_profiles,
-    profiles_to_csv,
     region_counts,
     region_profile,
-    signatures_to_csv,
 )
 
 
@@ -62,9 +60,9 @@ class TestBinaryProfile:
             make_checkin(user="a", subcat="Bakery"),
             make_checkin(user="a", subcat="Steakhouse"),
         ]
-        profiles = build_profiles(corpus_of(toy_tax, checkins), {"a": "AA", "b": "BB"})
+        profiles = build_profiles(with_homes(corpus_of(toy_tax, checkins), {"a": "AA"}))
         assert [p.user_id for p in profiles] == ["a", "b"]
-        assert profiles[0].home_country == "AA"
+        assert [p.home_country for p in profiles] == ["AA", None]
         expect = one_profile(toy_tax, [c for c in checkins if c["user"] == "a"])
         assert np.array_equal(profiles[0].bits, expect.bits)
         assert profiles[0].bits.dtype == np.uint8
@@ -103,13 +101,17 @@ class TestRegionCounts:
         total = area_counts_matrix(corpus, cells).sum(axis=0)
         assert np.array_equal(total, region_counts(corpus, self.AREA))
 
-    def test_country_areas_need_country_array(self, toy_tax):
-        corpus = corpus_of(toy_tax, [make_checkin()])
+    def test_unknown_country_raises_and_homed_corpus_counts(self, toy_tax):
+        checkins = [make_checkin(user="u1"), make_checkin(user="u2"), make_checkin(user="u2")]
+        corpus = corpus_of(toy_tax, checkins)
         area = Area("AA", "country", country_code="AA")
         with pytest.raises(DataError):
             region_counts(corpus, area)
-        counts = region_counts(corpus, area, np.array(["AA"], dtype=object))
-        assert counts.sum() == 1
+        homed = with_homes(corpus, {"u1": "AA", "u2": "BB"})
+        assert region_counts(homed, area).sum() == 1
+        assert region_counts(homed, Area("BB", "country", country_code="BB")).sum() == 2
+        with pytest.raises(DataError):
+            region_counts(homed, Area("CC", "country", country_code="CC"))
 
 
 class TestRegionProfile:
@@ -154,34 +156,3 @@ class TestRegionProfile:
         counts = np.zeros(ref_tax.m, int)
         counts[0] = 2
         assert region_profile(counts, "a").variant == "spatial_101"
-
-
-class TestCsvExport:
-    def test_profiles_csv_header_is_subcategories(self, toy_tax, tmp_path):
-        import csv
-
-        profiles = build_profiles(
-            corpus_of(toy_tax, [make_checkin(user="u1", subcat="Pub")]), None
-        )
-        path = tmp_path / "profiles.csv"
-        profiles_to_csv(profiles, toy_tax, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["user", *toy_tax.subcategories]
-        assert rows[1][0] == "u1"
-        assert rows[1][1 + toy_tax.index_of("Pub")] == "1"
-
-    def test_signatures_csv_one_row_per_area(self, toy_tax, tmp_path):
-        import csv
-
-        sigs = [
-            region_profile(np.array([4, 2, 0, 0, 0, 0, 1]), "a"),
-            region_profile(np.array([1, 1, 1, 1, 1, 1, 1]), "b"),
-        ]
-        path = tmp_path / "sigs.csv"
-        signatures_to_csv(sigs, toy_tax.subcategories, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["area", *toy_tax.subcategories]
-        assert [row[0] for row in rows[1:]] == ["a", "b"]
-        assert float(rows[1][1]) == 1.0

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import corpus_of, make_checkin
+from conftest import corpus_of, make_checkin, with_homes
 from tastemap.errors import DataError, EmptyAreaError, UndefinedMetric
 from tastemap.model import Area
 from tastemap.prefs import region_profile
@@ -290,38 +290,39 @@ class TestEntropy:
         return [Area(f"c{i}", "country", country_code=f"c{i}") for i in range(n)]
 
     def corpus_with_area_counts(self, toy_tax, counts, subcat="Pub"):
-        """counts[i] check-ins at areas c{i}, plus the matching country array."""
-        checkins, countries = [], []
+        """counts[i] check-ins at area c{i}, each by its own user homed there."""
+        checkins, home = [], {}
         for i, n in enumerate(counts):
             for k in range(n):
                 checkins.append(make_checkin(user=f"u{i}_{k}", subcat=subcat))
-                countries.append(f"c{i}")
-        return corpus_of(toy_tax, checkins), np.asarray(countries, dtype=object)
+                home[f"u{i}_{k}"] = f"c{i}"
+        return with_homes(corpus_of(toy_tax, checkins), home,
+                          countries=[f"c{i}" for i in range(len(counts))])
 
     def test_single_area_zero_entropy(self, toy_tax):
-        corpus, countries = self.corpus_with_area_counts(toy_tax, [5, 0])
-        h = subcategory_entropy(corpus, "Pub", self.areas(2), countries)
+        corpus = self.corpus_with_area_counts(toy_tax, [5, 0])
+        h = subcategory_entropy(corpus, "Pub", self.areas(2))
         assert h == 0.0
 
     def test_uniform_over_four_is_two_bits(self, toy_tax):
-        corpus, countries = self.corpus_with_area_counts(toy_tax, [3, 3, 3, 3])
-        h = subcategory_entropy(corpus, "Pub", self.areas(4), countries)
+        corpus = self.corpus_with_area_counts(toy_tax, [3, 3, 3, 3])
+        h = subcategory_entropy(corpus, "Pub", self.areas(4))
         assert h == 2.0
 
     def test_three_one_split(self, toy_tax):
-        corpus, countries = self.corpus_with_area_counts(toy_tax, [3, 1])
-        h = subcategory_entropy(corpus, "Pub", self.areas(2), countries)
+        corpus = self.corpus_with_area_counts(toy_tax, [3, 1])
+        h = subcategory_entropy(corpus, "Pub", self.areas(2))
         assert h == pytest.approx(0.8112781244591328, abs=1e-12)
 
     def test_zero_total_undefined(self, toy_tax):
-        corpus, countries = self.corpus_with_area_counts(toy_tax, [2])
+        corpus = self.corpus_with_area_counts(toy_tax, [2])
         with pytest.raises(UndefinedMetric):
-            subcategory_entropy(corpus, "Wine Bar", self.areas(1), countries)
+            subcategory_entropy(corpus, "Wine Bar", self.areas(1))
 
     def test_uniform_attains_log2_exactly(self, toy_tax):
         for n in (2, 4, 8, 16):
-            corpus, countries = self.corpus_with_area_counts(toy_tax, [2] * n)
-            h = subcategory_entropy(corpus, "Pub", self.areas(n), countries)
+            corpus = self.corpus_with_area_counts(toy_tax, [2] * n)
+            h = subcategory_entropy(corpus, "Pub", self.areas(n))
             assert h == float(np.log2(n))
 
     def test_entropy_bounded_by_support(self, toy_tax):
@@ -330,8 +331,8 @@ class TestEntropy:
             counts = rng.integers(0, 6, size=6).tolist()
             if sum(counts) == 0:
                 counts[0] = 1
-            corpus, countries = self.corpus_with_area_counts(toy_tax, counts)
-            h = subcategory_entropy(corpus, "Pub", self.areas(6), countries)
+            corpus = self.corpus_with_area_counts(toy_tax, counts)
+            h = subcategory_entropy(corpus, "Pub", self.areas(6))
             support = sum(1 for c in counts if c > 0)
             assert -1e-12 <= h <= np.log2(support) + 1e-12
 
@@ -339,9 +340,9 @@ class TestEntropy:
 class TestEntropySummary:
     def test_single_subcategory_zero_spread(self, toy_tax):
         checkins = [make_checkin(user=f"u{i}", subcat="Pub") for i in range(4)]
-        countries = np.asarray(["c0"] * 4, dtype=object)
+        corpus = with_homes(corpus_of(toy_tax, checkins), {f"u{i}": "c0" for i in range(4)})
         areas = [Area("c0", "country", country_code="c0")]
-        rows = {r.class_id: r for r in entropy_summary(corpus_of(toy_tax, checkins), areas, countries)}
+        rows = {r.class_id: r for r in entropy_summary(corpus, areas)}
         assert rows["Drink"].mean == 0.0
         assert rows["Drink"].sigma == 0.0
         assert rows["Drink"].n_subcategories == 1
@@ -349,17 +350,17 @@ class TestEntropySummary:
 
     def test_population_sigma_convention(self, toy_tax):
         # Pub uniform over 2 areas (H=1), Wine Bar uniform over 8 (H=3): mean 2, sigma 1
-        checkins, countries = [], []
+        checkins, home = [], {}
         for i in range(2):
             checkins.append(make_checkin(user=f"p{i}", subcat="Pub"))
-            countries.append(f"c{i}")
+            home[f"p{i}"] = f"c{i}"
         for i in range(8):
             checkins.append(make_checkin(user=f"w{i}", subcat="Wine Bar"))
-            countries.append(f"c{i}")
+            home[f"w{i}"] = f"c{i}"
         areas = [Area(f"c{i}", "country", country_code=f"c{i}") for i in range(8)]
         rows = {
             r.class_id: r
-            for r in entropy_summary(corpus_of(toy_tax, checkins), areas, np.asarray(countries, object))
+            for r in entropy_summary(with_homes(corpus_of(toy_tax, checkins), home), areas)
         }
         assert rows["Drink"].n_subcategories == 2
         assert rows["Drink"].mean == pytest.approx(2.0)
@@ -369,7 +370,7 @@ class TestEntropySummary:
     def test_schema_has_class_level_mean_sigma(self, toy_tax):
         checkins = [make_checkin(subcat="Pub")]
         areas = [Area("c0", "country", country_code="c0")]
-        rows = entropy_summary(corpus_of(toy_tax, checkins), areas, np.asarray(["c0"], object))
+        rows = entropy_summary(with_homes(corpus_of(toy_tax, checkins), {"u1": "c0"}), areas)
         assert [r.class_id for r in rows] == list(toy_tax.class_ids)
         first = rows[0]
         assert hasattr(first, "level") and hasattr(first, "mean") and hasattr(first, "sigma")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TOY_TAXONOMY, corpus_of, make_checkin, write_taxonomy
+from conftest import TOY_TAXONOMY, corpus_of, home_map, make_checkin, with_homes, write_taxonomy
 from tastemap.errors import DataError
 from tastemap.ingest import Corpus, assign_home_country, parse_corpus
 from tastemap.model import load_taxonomy
@@ -69,9 +69,14 @@ class TestColumns:
         assert_same_corpus(kept, corpus_of(toy_tax, [c for c, k in zip(records, mask) if k]))
 
         users = sorted({c["user"] for c in records})
+        home = {u: data.draw(st.sampled_from(["AA", "BB"])) for u in users}
         keep = data.draw(st.sets(st.sampled_from(users))) if users else set()
-        assert_same_corpus(corpus.filter_users(keep),
-                           corpus_of(toy_tax, [c for c in records if c["user"] in keep]))
+        homed = with_homes(corpus, home)
+        kept_users = np.array([u in keep for u in homed.user_ids], bool)
+        kept = homed.subset(kept_users[homed.user_idx])
+        assert_same_corpus(kept, corpus_of(toy_tax, [c for c in records if c["user"] in keep]))
+        assert home_map(kept) == {u: home[u] for u in keep}
+        assert kept.countries == homed.countries
 
     @settings(max_examples=40, deadline=None)
     @given(records=st.lists(checkins, max_size=25))
@@ -91,24 +96,25 @@ class TestStoreRoundTrip:
         with tempfile.TemporaryDirectory() as tmp:
             store = Path(tmp)
             home = {u: f"C{i % 3}" for i, u in enumerate(corpus.user_ids)}
-            write_store(store, corpus, home, tax_path)
-            loaded, loaded_home, _ = read_store(store, taxonomy)
+            write_store(store, with_homes(corpus, home), tax_path)
+            loaded, _ = read_store(store, taxonomy)
             parsed = parse_corpus(store / "corpus.csv", load_taxonomy(taxonomy or tax_path))
-        return loaded, loaded_home, parsed, home
+        return loaded, parsed, home
 
     @settings(max_examples=60, deadline=None)
     @given(records=st.lists(checkins, max_size=25), data=st.data())
     def test_loaded_store_equals_parsed_export(self, toy_tax, tax_path, records, data):
         mask = data.draw(st.lists(st.booleans(), min_size=len(records), max_size=len(records)))
         corpus = corpus_of(toy_tax, records).subset(np.array(mask, bool))
-        loaded, home, parsed, written_home = self.round_trip(corpus, tax_path)
+        loaded, parsed, home = self.round_trip(corpus, tax_path)
         assert_same_corpus(loaded, parsed)
         assert_same_corpus(loaded, corpus)
-        assert home == written_home
+        assert home_map(loaded) == home
+        assert loaded.countries == tuple(sorted(set(home.values())))
 
     def test_empty_store(self, toy_tax, tax_path):
-        loaded, home, parsed, _ = self.round_trip(corpus_of(toy_tax, []), tax_path)
-        assert len(loaded) == 0 and home == {}
+        loaded, parsed, _ = self.round_trip(corpus_of(toy_tax, []), tax_path)
+        assert len(loaded) == 0 and loaded.countries == ()
         assert_same_corpus(loaded, parsed)
 
     def test_override_taxonomy_drops_unknown_rows_as_parsing_does(self, toy_tax, tax_path,
@@ -117,16 +123,31 @@ class TestStoreRoundTrip:
                    make_checkin(user="b", venue="v2", subcat="Steakhouse")]
         narrow = write_taxonomy(tmp_path / "narrow.txt",
                                 TOY_TAXONOMY.replace("FastFood\tBakery\n", ""))
-        loaded, home, parsed, written_home = self.round_trip(
-            corpus_of(toy_tax, records), tax_path, narrow)
+        loaded, parsed, home = self.round_trip(corpus_of(toy_tax, records), tax_path, narrow)
         assert_same_corpus(loaded, parsed)
         assert loaded.user_ids == ("a", "b") and len(loaded) == 2
         assert loaded.skipped_unknown == parsed.skipped_unknown == 1
-        assert home == written_home
+        assert home_map(loaded) == home
+
+    def test_override_taxonomy_keeps_every_home_country(self, toy_tax, tax_path, tmp_path):
+        records = [make_checkin(user="a", subcat="Pub"), make_checkin(user="b", subcat="Pub"),
+                   make_checkin(user="c", subcat="Bakery")]
+        narrow = write_taxonomy(tmp_path / "narrow.txt",
+                                TOY_TAXONOMY.replace("FastFood\tBakery\n", ""))
+        loaded, _, home = self.round_trip(corpus_of(toy_tax, records), tax_path, narrow)
+        assert home["c"] == "C2" and loaded.user_ids == ("a", "b")
+        assert loaded.countries == ("C0", "C1", "C2")
+        assert home_map(loaded) == {"a": "C0", "b": "C1"}
 
     def test_id_ending_in_nul_is_refused(self, toy_tax, tax_path, tmp_path):
         corpus = corpus_of(toy_tax, [make_checkin(user="u\x00")])
         with pytest.raises(DataError):
-            write_store(tmp_path, corpus, {"u\x00": "AA"}, tax_path)
+            write_store(tmp_path, with_homes(corpus, {"u\x00": "AA"}), tax_path)
         assert not (tmp_path / "manifest.json").exists()
+
+    def test_user_without_home_is_refused_before_writing(self, toy_tax, tax_path, tmp_path):
+        corpus = corpus_of(toy_tax, [make_checkin(user="a"), make_checkin(user="b")])
+        with pytest.raises(DataError, match="'b' has no home"):
+            write_store(tmp_path, with_homes(corpus, {"a": "AA"}), tax_path)
+        assert list(tmp_path.iterdir()) == []
 

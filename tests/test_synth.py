@@ -75,9 +75,9 @@ class TestGenerateCorpus:
         generated = generate_corpus(spec, 3, tmp_path, ref_tax)
         corpus = parse_corpus(generated.corpus_path, ref_tax)
         geo = load_geo_index(generated.geo_path)
-        home, report = assign_home_country(corpus, geo)
+        located, report = assign_home_country(corpus, geo)
         assert report.users_discarded_mixed_country == 0
-        assert len(home) == 10
+        assert located.n_users == 10 and len(located) == len(corpus)
 
     def test_labels_partition_users(self, ref_tax, tmp_path):
         spec = SynthSpec.from_dict(spec_dict())
@@ -93,14 +93,11 @@ class TestGenerateCorpus:
         generated = generate_corpus(spec, 5, tmp_path, ref_tax)
         corpus = parse_corpus(generated.corpus_path, ref_tax)
         geo = load_geo_index(generated.geo_path)
-        home, _ = assign_home_country(corpus, geo)
-        from tastemap.ingest import home_codes_array
-
-        countries = home_codes_array(corpus, home)
+        located, _ = assign_home_country(corpus, geo)
         sigs = []
         for code in ("AA", "BB"):
             area = Area(code, "country", country_code=code)
-            sigs.append(region_profile(region_counts(corpus, area, countries), code))
+            sigs.append(region_profile(region_counts(located, area), code))
         matrix = correlation_matrix(sigs, ref_tax)
         assert matrix.values[0, 1] <= 0.0
 
