@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .boundaries import compare_with_survey, fit_pca, kmeans_cosine, select_components
+from .csvtext import write_labelled_rows
 from .errors import DataError, EmptyAreaError, UndefinedMetric
 from .ingest import (
     Corpus,
@@ -36,7 +37,7 @@ from .signatures import (
     DAY_GROUPS,
     class_period_indices,
     correlation_matrix,
-    hourly_curve,
+    hourly_curves,
     spatiotemporal_vector,
     subcategory_entropies,
     summarize_entropies,
@@ -99,7 +100,12 @@ def _read_cities(path: str | Path) -> list[Area]:
         required = {"city", "country", "min_lon", "min_lat", "max_lon", "max_lat"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise DataError(f"cities file must have columns {sorted(required)}")
+        seen = set()
         for row in reader:
+            if row["city"] in seen:
+                raise DataError(f"{path} line {reader.line_num}: cities file lists "
+                                f"{row['city']!r} twice")
+            seen.add(row["city"])
             bbox = _row_floats(path, reader, row, ("min_lon", "min_lat", "max_lon", "max_lat"))
             areas.append(
                 Area(
@@ -253,21 +259,20 @@ def cmd_signatures(args) -> int:
         cubes.append(area_cube(corpus, area))
     if len(spatial) < 2:
         raise UndefinedMetric("fewer than two areas have check-ins; nothing to correlate")
+    cubes = np.stack(cubes)
     out = _outdir(args)
 
     for scope in scopes:
         matrix = correlation_matrix(spatial, taxonomy, scope)
         write_matrix_csv(matrix, out / f"corr_{scope}.csv")
 
+    header = ["area", *(f"h{h:02d}" for h in range(24))]
+    area_ids = [area.area_id for area in used]
     for class_id in taxonomy.class_ids:
         for day_group in DAY_GROUPS:
-            with open(out / f"temporal_{class_id}_{day_group}.csv", "w",
-                      encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["area", *(f"h{h:02d}" for h in range(24))])
-                for area, cube in zip(used, cubes):
-                    bins = hourly_curve(cube, taxonomy, class_id, day_group)
-                    writer.writerow([area.area_id, *(repr(float(b)) for b in bins)])
+            curves = hourly_curves(cubes, taxonomy, class_id, day_group)
+            write_labelled_rows(out / f"temporal_{class_id}_{day_group}.csv", header, area_ids,
+                                (map(repr, row) for row in curves.tolist()))
 
     entropies = subcategory_entropies(np.stack([sig.raw_counts for sig in spatial]))
     with open(out / "entropy.csv", "w", encoding="utf-8", newline="") as fh:
@@ -290,7 +295,7 @@ def cmd_signatures(args) -> int:
                     "" if row.sigma is None else repr(row.sigma),
                 ]
             )
-    _write_json({"areas_used": [a.area_id for a in used], "excluded_empty": empty},
+    _write_json({"areas_used": area_ids, "excluded_empty": empty},
                 out / "areas_used.json")
     print(f"signature reports written to {out}")
     return 0
@@ -326,11 +331,8 @@ def cmd_cluster(args) -> int:
         writer.writerow(["area", "cluster"])
         for area_id in report.area_ids:
             writer.writerow([area_id, report.assignments[area_id]])
-    with open(out / "pca_scores.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["area", *(f"pc{i + 1}" for i in range(p))])
-        for area_id, row in zip(report.area_ids, scores):
-            writer.writerow([area_id, *(repr(float(v)) for v in row)])
+    write_labelled_rows(out / "pca_scores.csv", ["area", *(f"pc{i + 1}" for i in range(p))],
+                        report.area_ids, (map(repr, row) for row in scores.tolist()))
     print(f"cluster report written to {out} (k={k}, components={p})")
     return 0
 

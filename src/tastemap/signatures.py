@@ -13,13 +13,13 @@ at ``s*8 + w*4 + h//6``.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .csvtext import write_labelled_rows
 from .errors import DataError, UndefinedMetric
 from .ingest import Corpus
 from .model import Area, AreaSignature, Taxonomy, class_slice
@@ -66,7 +66,9 @@ def correlation_matrix(
     uses the full vector.  Rows are centred and scaled to unit length, so one
     matrix product gives every pair.  A constant row (``np.ptp == 0``, the
     rule ``pearson`` uses) has no defined correlation: its row and column are
-    NaN rather than dropped, so the matrix shape is stable.
+    NaN rather than dropped, so the matrix shape is stable.  The matrix is
+    exactly symmetric, bit for bit and NaN included: the lower triangle is a
+    copy of the upper one.
     """
     if len(signatures) < 2:
         raise DataError("need at least two signatures to correlate")
@@ -76,6 +78,8 @@ def correlation_matrix(
     X -= X.mean(axis=1, keepdims=True)
     X[varies] /= np.linalg.norm(X[varies], axis=1, keepdims=True)
     values = np.clip(X @ X.T, -1.0, 1.0)
+    lower = np.tril_indices(len(values), -1)
+    values[lower] = values.T[lower]
     np.fill_diagonal(values, 1.0)
     values[~varies] = values[:, ~varies] = np.nan
     return CorrelationMatrix(
@@ -84,11 +88,36 @@ def correlation_matrix(
 
 
 def write_matrix_csv(matrix: CorrelationMatrix, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["area", *matrix.labels])
-        for label, row in zip(matrix.labels, matrix.values.tolist()):
-            writer.writerow([label, *("" if v != v else repr(v) for v in row)])
+    """CSV of the matrix: a header row ``area,<labels>``, then one row per
+    label.  An undefined (NaN) entry is an empty field, any other the
+    ``repr`` of its float.
+
+    The matrix must be exactly symmetric over its labels, NaN and the sign
+    of zero included, as ``correlation_matrix`` makes it; anything else is a
+    DataError.  Each entry of the upper triangle, diagonal included, is
+    formatted once, when its row is written, and its string is kept for the
+    mirrored entry of a later row only until that row is written.
+    """
+    values = matrix.values
+    n = len(matrix.labels)
+    if values.shape != (n, n) or not (
+        np.array_equal(values, values.T, equal_nan=True)
+        and np.array_equal(np.signbit(values), np.signbit(values.T))
+    ):
+        raise DataError(f"correlation matrix {matrix.scope!r} is not symmetric over its labels")
+    undefined = np.isnan(values)
+
+    def rows():
+        cells = np.empty((n, n), object)
+        for i in range(n):
+            strings = np.array(list(map(repr, values[i, i:].tolist())), object)
+            cells[i, i:] = strings
+            cells[i:, i] = strings
+            cells[i, undefined[i]] = ""
+            yield cells[i].tolist()
+            cells[i] = None
+
+    write_labelled_rows(path, ["area", *matrix.labels], matrix.labels, rows())
 
 
 def _block(taxonomy: Taxonomy, class_id: str, day_group: str) -> tuple[int, int, int]:
@@ -111,14 +140,16 @@ class TemporalSeries:
     bins: np.ndarray
 
 
-def hourly_curve(cube: np.ndarray, taxonomy: Taxonomy, class_id: str, day_group: str) -> np.ndarray:
-    """Check-ins per local hour of one class and day group in an area's cube,
-    divided by the busiest hour.  An empty curve stays all-zero."""
+def hourly_curves(
+    cubes: np.ndarray, taxonomy: Taxonomy, class_id: str, day_group: str
+) -> np.ndarray:
+    """Check-ins per local hour of one class and day group, one row per area
+    of a stack of count cubes (areas, m, 2, 24), each row divided by its
+    busiest hour.  An empty curve stays all-zero."""
     lo, hi, w = _block(taxonomy, class_id, day_group)
-    counts = cube[lo:hi, w].sum(axis=0).astype(np.float64)
-    peak = counts.max()
-    if peak > 0:
-        counts /= peak
+    counts = cubes[:, lo:hi, w].sum(axis=1).astype(np.float64)
+    peak = counts.max(axis=1, keepdims=True)
+    np.divide(counts, peak, out=counts, where=peak > 0)
     return counts
 
 
@@ -127,7 +158,7 @@ def temporal_series(corpus: Corpus, area: Area, class_id: str, day_group: str) -
 
     Weekend means Saturday or Sunday.  An empty series stays all-zero.
     """
-    bins = hourly_curve(area_cube(corpus, area), corpus.taxonomy, class_id, day_group)
+    (bins,) = hourly_curves(area_cube(corpus, area)[None], corpus.taxonomy, class_id, day_group)
     return TemporalSeries(area_id=area.area_id, class_id=class_id, day_group=day_group, bins=bins)
 
 

@@ -14,6 +14,10 @@ from .errors import DataError, UndefinedMetric, UndefinedSimilarity
 from .model import UserProfile
 from .signatures import pearson
 
+# Bytes of edge lines assembled at once by ``write_edge_list``: about 1M
+# edges for short ids, and bounded whatever their length.
+EDGE_CHUNK_BYTES = 1 << 24
+
 
 def _bits(profile) -> np.ndarray:
     return profile.bits if isinstance(profile, UserProfile) else np.asarray(profile)
@@ -212,10 +216,29 @@ def degree_assortativity(net: SimilarityNetwork) -> float:
 
 
 def write_edge_list(net: SimilarityNetwork, path: str | Path) -> None:
-    """Tab-separated ``u<TAB>v`` lines in deterministic order."""
-    nodes = net.nodes
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(f"{nodes[i]}\t{nodes[j]}\n" for i, j in net.edges.tolist())
+    """UTF-8 ``u<TAB>v`` lines, one per edge in ``net.edges`` order.
+
+    The lines are assembled as bytes, without a Python object per edge: the
+    node ids are encoded once into a table padded with 0xFF (a byte UTF-8
+    never uses), each chunk of edges becomes a byte matrix of rows
+    ``[u | TAB | v | LF]`` by indexing that table, and the padding is
+    dropped before writing.
+    """
+    encoded = [u.encode("utf-8") for u in net.nodes]
+    width = max(map(len, encoded), default=0)
+    table = np.frombuffer(b"".join(e.ljust(width, b"\xff") for e in encoded), np.uint8)
+    table = table.reshape(len(encoded), width)
+    chunk = max(1, EDGE_CHUNK_BYTES // (2 * width + 2))
+    with open(path, "wb") as fh:
+        for start in range(0, net.n_edges, chunk):
+            pairs = net.edges[start:start + chunk]
+            rows = np.empty((len(pairs), 2 * width + 2), np.uint8)
+            rows[:, :width] = table[pairs[:, 0]]
+            rows[:, width] = ord("\t")
+            rows[:, width + 1:-1] = table[pairs[:, 1]]
+            rows[:, -1] = ord("\n")
+            rows = rows.ravel()
+            fh.write(rows[rows != 0xFF].tobytes())
 
 
 def write_node_attributes(net: SimilarityNetwork, path: str | Path) -> None:

@@ -37,6 +37,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .csvtext import quote_fields
 from .errors import DataError
 from .ingest import COLUMNS, CORPUS_FIELDS, Corpus
 from .model import Taxonomy, load_taxonomy
@@ -45,6 +46,7 @@ FORMAT_VERSION = 1
 CORPUS_FILE = "corpus.npz"
 MANIFEST_FILE = "manifest.json"
 TABLES = ("subcategories", "user_ids", "venue_ids", "home")
+CSV_CHUNK = 1 << 16  # rows of corpus.csv formatted at once
 
 
 def _npz_bytes(arrays: Mapping[str, np.ndarray]) -> bytes:
@@ -59,10 +61,45 @@ def _npz_bytes(arrays: Mapping[str, np.ndarray]) -> bytes:
     return buf.getvalue()
 
 
+def _isoformat(ts: np.ndarray) -> list[str]:
+    """``datetime.isoformat`` of each timestamp: microseconds only where
+    they are not zero."""
+    whole = ts == ts.astype("datetime64[s]")
+    out = np.empty(len(ts), object)
+    out[whole] = np.datetime_as_string(ts[whole], unit="s")
+    out[~whole] = np.datetime_as_string(ts[~whole], unit="us")
+    return out.tolist()
+
+
+def _write_corpus_csv(path: Path, corpus: Corpus) -> None:
+    """The check-ins as ``csv.writer`` writes their rows, built from the
+    columns ``CSV_CHUNK`` rows at a time: each distinct user, venue and
+    subcategory id is quoted once, coordinates are ``repr`` of their floats
+    and timestamps are ``datetime.isoformat``."""
+    users = np.array(quote_fields(corpus.user_ids), object)
+    venues = np.array(quote_fields(corpus.venue_ids), object)
+    # The last field carries the line end.
+    subcats = np.array([f + "\n" for f in quote_fields(corpus.taxonomy.subcategories)], object)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(CORPUS_FIELDS)
+        for start in range(0, len(corpus), CSV_CHUNK):
+            rows = slice(start, start + CSV_CHUNK)
+            fh.write("".join(map(",".join, zip(
+                users[corpus.user_idx[rows]].tolist(),
+                venues[corpus.venue_idx[rows]].tolist(),
+                map(repr, corpus.lat[rows].tolist()),
+                map(repr, corpus.lon[rows].tolist()),
+                _isoformat(corpus.ts[rows]),
+                subcats[corpus.subcat_idx[rows]].tolist(),
+            ))))
+
+
 def write_store(store: Path, corpus: Corpus, taxonomy_path: Path) -> None:
     """Write every store file; the manifest goes last, so a store left
     half-written by a failed ingest is rejected on read.  Every user must
-    have a home country."""
+    have a home country.  ``corpus.csv`` is written from the columns with
+    no Python code per field (see ``_write_corpus_csv``).
+    """
     homeless = np.flatnonzero(corpus.user_country < 0)
     if homeless.size:
         raise DataError(f"user {corpus.user_ids[homeless[0]]!r} has no home country")
@@ -82,19 +119,7 @@ def write_store(store: Path, corpus: Corpus, taxonomy_path: Path) -> None:
     data = _npz_bytes(arrays)
     (store / CORPUS_FILE).write_bytes(data)
 
-    users = [corpus.user_ids[i] for i in corpus.user_idx.tolist()]
-    venues = [corpus.venue_ids[i] for i in corpus.venue_idx.tolist()]
-    subcats = [corpus.taxonomy.subcategories[i] for i in corpus.subcat_idx.tolist()]
-    with open(store / "corpus.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CORPUS_FIELDS)
-        writer.writerows(
-            [user, venue, repr(lat), repr(lon), ts.isoformat(), subcat]
-            for user, venue, lat, lon, ts, subcat in zip(
-                users, venues, corpus.lat.tolist(), corpus.lon.tolist(),
-                corpus.ts.astype(object), subcats,
-            )
-        )
+    _write_corpus_csv(store / "corpus.csv", corpus)
     with open(store / "home_countries.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["user", "country"])

@@ -578,6 +578,17 @@ class TestMalformedSideFiles:
         assert f"{cities} line 3:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["signatures", "cluster"])
+    def test_city_listed_twice(self, pipeline, tmp_path, capsys, command):
+        cities = tmp_path / "cities.csv"
+        cities.write_text(self.CITIES + "C0-east,C0,-60,0,-55,10\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([command, "--store", str(pipeline["store"]), "--level", "city",
+                     "--cities", str(cities), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cities} line 3:" in err and "'C0-east' twice" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("row", ["C2,0.5", "C2,0.5,high"])
     def test_bad_survey_row(self, pipeline, tmp_path, capsys, row):
         survey = tmp_path / "survey.csv"

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import corpus_of, make_checkin, with_homes
 from tastemap.errors import DataError, EmptyAreaError, UndefinedMetric
@@ -167,6 +169,29 @@ class TestCorrelationMatrix:
                     assert values[i, j] == pytest.approx(want, abs=1e-12)
             assert np.isnan(values[3]).all()
             assert np.isnan(values[5]).all() == (scope == "FastFood")
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), scope=st.sampled_from(["all", "Drink", "FastFood"]))
+    def test_exactly_symmetric_nan_rows_included(self, toy_tax, data, scope):
+        n = data.draw(st.integers(2, 9))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        counts = rng.integers(0, 50, size=(n, toy_tax.m))
+        counts[:, 0] += 1  # no empty area
+        for i in data.draw(st.lists(st.integers(0, n - 1), max_size=n)):
+            counts[i] = counts[i, 0]  # constant everywhere
+        lo, hi = toy_tax.class_ranges["Drink"]
+        for i in data.draw(st.lists(st.integers(0, n - 1), max_size=n)):
+            counts[i, lo:hi] = 3  # constant Drink block
+        sigs = [region_profile(row, f"a{i}") for i, row in enumerate(counts)]
+        values = correlation_matrix(sigs, toy_tax, scope).values
+        # bit for bit: equal values, equal signs of zero, equal NaNs
+        assert np.array_equal(values.view(np.uint64), values.T.view(np.uint64))
+        block = slice(None) if scope == "all" else slice(*toy_tax.class_ranges[scope])
+        vectors = np.array([sig.normalized[block] for sig in sigs])
+        constant = np.ptp(vectors, axis=1) == 0
+        assert np.array_equal(np.isnan(values).all(axis=1), constant)
+        assert np.array_equal(np.isnan(values), constant[:, None] | constant[None, :])
 
 
 class TestTemporalSeries:

@@ -1,0 +1,256 @@
+"""The bulk report writers give the bytes of the ``csv``-module writers they
+replaced.  Each ``old_*`` function is the previous writer, kept verbatim as
+the reference."""
+
+import csv
+from datetime import datetime
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import with_homes, write_taxonomy
+from tastemap import simnet, store
+from tastemap.csvtext import quote_fields, write_labelled_rows
+from tastemap.errors import DataError
+from tastemap.ingest import CORPUS_FIELDS, Corpus
+from tastemap.model import load_taxonomy
+from tastemap.signatures import (
+    DAY_GROUPS,
+    CorrelationMatrix,
+    _block,
+    hourly_curves,
+    write_matrix_csv,
+)
+from tastemap.simnet import SimilarityNetwork, write_edge_list
+
+# ---------------------------------------------------------------------------
+# The previous writers
+# ---------------------------------------------------------------------------
+
+
+def old_write_matrix_csv(matrix, path):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["area", *matrix.labels])
+        for label, row in zip(matrix.labels, matrix.values.tolist()):
+            writer.writerow([label, *("" if v != v else repr(v) for v in row)])
+
+
+def old_hourly_curve(cube, taxonomy, class_id, day_group):
+    lo, hi, w = _block(taxonomy, class_id, day_group)
+    counts = cube[lo:hi, w].sum(axis=0).astype(np.float64)
+    peak = counts.max()
+    if peak > 0:
+        counts /= peak
+    return counts
+
+
+def old_write_temporal(path, area_ids, cubes, taxonomy, class_id, day_group):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["area", *(f"h{h:02d}" for h in range(24))])
+        for area_id, cube in zip(area_ids, cubes):
+            bins = old_hourly_curve(cube, taxonomy, class_id, day_group)
+            writer.writerow([area_id, *(repr(float(b)) for b in bins)])
+
+
+def old_write_pca_scores(path, area_ids, scores, p):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["area", *(f"pc{i + 1}" for i in range(p))])
+        for area_id, row in zip(area_ids, scores):
+            writer.writerow([area_id, *(repr(float(v)) for v in row)])
+
+
+def old_write_corpus_csv(path, corpus):
+    users = [corpus.user_ids[i] for i in corpus.user_idx.tolist()]
+    venues = [corpus.venue_ids[i] for i in corpus.venue_idx.tolist()]
+    subcats = [corpus.taxonomy.subcategories[i] for i in corpus.subcat_idx.tolist()]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CORPUS_FIELDS)
+        writer.writerows(
+            [user, venue, repr(lat), repr(lon), ts.isoformat(), subcat]
+            for user, venue, lat, lon, ts, subcat in zip(
+                users, venues, corpus.lat.tolist(), corpus.lon.tolist(),
+                corpus.ts.astype(object), subcats,
+            )
+        )
+
+
+def old_write_edge_list(net, path):
+    nodes = net.nodes
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"{nodes[i]}\t{nodes[j]}\n" for i, j in net.edges.tolist())
+
+
+# ---------------------------------------------------------------------------
+# Inputs
+# ---------------------------------------------------------------------------
+
+# Labels and ids that need quoting (comma, quote, newline), that look like
+# they might (a bare CR, a leading space), non-ASCII ones, and the empty one.
+labels = st.text(st.sampled_from(['a', 'Z', ',', '"', '\n', '\r', ' ', 'é', '日']), max_size=4)
+# NaN, both zeros, neighbours of 1e-05 (where repr switches to exponent form)
+# and ordinary correlations.
+matrix_values = st.one_of(
+    st.sampled_from([np.nan, -0.0, 0.0, 1.0, -1.0, 1e-05, np.nextafter(1e-05, 0.0),
+                     np.nextafter(1e-05, 1.0), -1e-05, 1e-300]),
+    st.floats(-1.0, 1.0),
+)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    n = draw(st.integers(0, 7))
+    upper = draw(st.lists(matrix_values, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))
+    values = np.empty((n, n))
+    rows, cols = np.triu_indices(n)
+    values[rows, cols] = upper
+    values[cols, rows] = upper
+    return CorrelationMatrix(tuple(draw(st.lists(labels, min_size=n, max_size=n))), values, "all")
+
+
+# ---------------------------------------------------------------------------
+# Tests
+# ---------------------------------------------------------------------------
+
+
+class TestQuoteFields:
+    def test_fields_are_what_csv_writes_in_a_row(self, tmp_path):
+        values = ["", "a", "a,b", 'say "hi"', "two\nlines", "cr\rhere", " pad", "ü"]
+        path = tmp_path / "q.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerow(values)
+        assert path.read_bytes() == (",".join(quote_fields(values)) + "\n").encode("utf-8")
+        assert quote_fields([""]) == [""]  # not '""', which a one-field row gets
+
+
+class TestMatrixCsv:
+    @settings(max_examples=150, deadline=None)
+    @given(matrix=symmetric_matrices())
+    def test_equals_old_writer(self, tmp_path_factory, matrix):
+        tmp = tmp_path_factory.mktemp("m")
+        write_matrix_csv(matrix, tmp / "new.csv")
+        old_write_matrix_csv(matrix, tmp / "old.csv")
+        assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("cell", [0.5, -0.0, np.nan])
+    def test_asymmetric_matrix_rejected_before_writing(self, tmp_path, cell):
+        values = np.array([[1.0, 0.0, 0.25], [0.0, 1.0, 0.5], [0.25, 0.5, 1.0]])
+        values[2, 0] = cell  # (0, 2) is 0.25
+        if cell == 0.0:
+            values[0, 2] = 0.0  # the same value, with the other sign
+        path = tmp_path / "m.csv"
+        with pytest.raises(DataError, match="not symmetric"):
+            write_matrix_csv(CorrelationMatrix(("a", "b", "c"), values, "all"), path)
+        assert not path.exists()
+
+    def test_labels_must_match_the_matrix(self, tmp_path):
+        with pytest.raises(DataError):
+            write_matrix_csv(CorrelationMatrix(("a", "b"), np.eye(3), "all"), tmp_path / "m.csv")
+
+
+class TestTemporalRows:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_equals_old_writer(self, tmp_path_factory, toy_tax, data):
+        n = data.draw(st.integers(1, 6))
+        area_ids = data.draw(st.lists(labels, min_size=n, max_size=n))
+        # Small counts, so peaks tie; every subcategory of an area is empty
+        # with probability 1/2, so some class curves are all zero.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        cubes = rng.choice([0, 0, 1, 2, 7], size=(n, toy_tax.m, 2, 24))
+        cubes *= rng.integers(0, 2, size=(n, toy_tax.m, 1, 1))
+        tmp = tmp_path_factory.mktemp("t")
+        for class_id in toy_tax.class_ids:
+            for day_group in DAY_GROUPS:
+                curves = hourly_curves(cubes, toy_tax, class_id, day_group)
+                write_labelled_rows(tmp / "new.csv", ["area", *(f"h{h:02d}" for h in range(24))],
+                                    area_ids, (map(repr, row) for row in curves.tolist()))
+                old_write_temporal(tmp / "old.csv", area_ids, cubes, toy_tax, class_id, day_group)
+                assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+
+
+class TestPcaRows:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_equals_old_writer(self, tmp_path_factory, data):
+        n = data.draw(st.integers(0, 6))
+        p = data.draw(st.integers(1, 4))
+        area_ids = data.draw(st.lists(labels, min_size=n, max_size=n))
+        values = st.one_of(matrix_values, st.floats(allow_nan=False, allow_infinity=False))
+        scores = np.array(data.draw(st.lists(values, min_size=n * p, max_size=n * p)),
+                          np.float64).reshape(n, p)
+        tmp = tmp_path_factory.mktemp("p")
+        write_labelled_rows(tmp / "new.csv", ["area", *(f"pc{i + 1}" for i in range(p))],
+                            area_ids, (map(repr, row) for row in scores.tolist()))
+        old_write_pca_scores(tmp / "old.csv", area_ids, scores, p)
+        assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+
+
+ids = st.text(st.sampled_from(['u', '7', ',', '"', '\n', ' ', 'é', '日']), max_size=3)
+MIN_US = int((datetime(1, 1, 1) - datetime(1970, 1, 1)).total_seconds()) * 10**6
+MAX_US = int((datetime(9999, 12, 31, 23, 59, 59) - datetime(1970, 1, 1)).total_seconds()) * 10**6
+
+
+class TestCorpusCsv:
+    @pytest.fixture(scope="class")
+    def quoted_tax(self, tmp_path_factory):
+        text = 'Drink\tPub, "The" Inn\nDrink\tBar\nFastFood\tBakery\n'
+        return write_taxonomy(tmp_path_factory.mktemp("tax") / "tax.txt", text)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), chunk=st.sampled_from([1, 3, 1 << 16]))
+    def test_equals_old_writer(self, tmp_path_factory, quoted_tax, data, chunk):
+        taxonomy = load_taxonomy(quoted_tax)
+        user_ids = data.draw(st.lists(ids, min_size=1, max_size=4, unique=True))
+        venue_ids = data.draw(st.lists(ids, min_size=1, max_size=4, unique=True))
+        rows = data.draw(st.integers(0, 12))
+
+        def index(k):
+            return data.draw(st.lists(st.integers(0, k - 1), min_size=rows, max_size=rows))
+
+        seconds = data.draw(st.lists(st.integers(MIN_US // 10**6, MAX_US // 10**6),
+                                     min_size=rows, max_size=rows))
+        micros = data.draw(st.lists(st.sampled_from([0, 0, 1, 500000, 999999]),
+                                    min_size=rows, max_size=rows))
+        coords = st.one_of(st.sampled_from([-0.0, 0.0, 1e-05, -90.0, 180.0]), st.floats(-90, 90))
+        corpus = Corpus(
+            taxonomy,
+            lat=data.draw(st.lists(coords, min_size=rows, max_size=rows)),
+            lon=data.draw(st.lists(coords, min_size=rows, max_size=rows)),
+            ts=(np.array(seconds, np.int64) * 10**6 + micros).view("datetime64[us]"),
+            subcat_idx=index(taxonomy.m),
+            user_idx=index(len(user_ids)),
+            user_ids=user_ids,
+            venue_idx=index(len(venue_ids)),
+            venue_ids=venue_ids,
+        )
+        corpus = with_homes(corpus, {u: "AA" for u in user_ids})
+        tmp = tmp_path_factory.mktemp("c")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(store, "CSV_CHUNK", chunk)
+            store.write_store(tmp, corpus, quoted_tax)
+        old_write_corpus_csv(tmp / "old.csv", corpus)
+        assert (tmp / "corpus.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+
+
+class TestEdgeList:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), chunk_bytes=st.sampled_from([1, 40, 1 << 24]))
+    def test_equals_old_writer(self, tmp_path_factory, data, chunk_bytes):
+        # ids of 0 to 12 UTF-8 bytes: ASCII, two-, three- and four-byte characters
+        nodes = data.draw(st.lists(st.text(st.sampled_from(["a", "ü", "日", "😀", ",", " "]),
+                                           max_size=3), min_size=0, max_size=8, unique=True))
+        pairs = [(i, j) for i in range(len(nodes)) for j in range(i + 1, len(nodes))]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+        net = SimilarityNetwork(65.0, tuple(nodes), sorted(edges))
+        tmp = tmp_path_factory.mktemp("e")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simnet, "EDGE_CHUNK_BYTES", chunk_bytes)
+            write_edge_list(net, tmp / "new.tsv")
+        old_write_edge_list(net, tmp / "old.tsv")
+        assert (tmp / "new.tsv").read_bytes() == (tmp / "old.tsv").read_bytes()
