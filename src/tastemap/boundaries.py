@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
@@ -12,23 +11,17 @@ import numpy as np
 from .errors import DataError, UndefinedMetric
 
 _EIG_ZERO_REL = 1e-12
+_MAX_ITER = 300  # k-means iterations per restart
 
 
 @dataclass(frozen=True, eq=False)
 class PcaModel:
-    """Mean, orthonormal components (rows, descending eigenvalue order),
-    eigenvalues and explained-variance ratios of a fitted decomposition."""
+    """Mean, orthonormal components (rows, descending eigenvalue order) and
+    eigenvalues of a fitted decomposition."""
 
     mean: np.ndarray
     components: np.ndarray
     eigenvalues: np.ndarray
-    ratios: np.ndarray
-
-    def transform(self, data: np.ndarray) -> np.ndarray:
-        return (np.asarray(data, np.float64) - self.mean) @ self.components.T
-
-    def reconstruct(self, scores: np.ndarray) -> np.ndarray:
-        return np.asarray(scores, np.float64) @ self.components + self.mean
 
 
 def fit_pca(data) -> PcaModel:
@@ -74,22 +67,22 @@ def fit_pca(data) -> PcaModel:
     # Fix each component's sign so results do not depend on LAPACK internals.
     flip = components[np.arange(components.shape[0]), np.abs(components).argmax(axis=1)] < 0
     components[flip] *= -1.0
-    ratios = w / w.sum()
-    return PcaModel(mean=mean, components=components, eigenvalues=w, ratios=ratios)
+    return PcaModel(mean=mean, components=components, eigenvalues=w)
 
 
-def select_components(model: PcaModel, coverage: float = 1.0) -> int:
-    """Smallest component count whose cumulative variance ratio reaches
-    ``coverage`` (within 1e-9); eigenvalues below 1e-12 of the largest are
-    treated as exactly zero first.  ``coverage`` must lie in (0, 1]."""
+def pca_scores(data, coverage: float = 1.0) -> np.ndarray:
+    """The rows of ``data``, centred and projected on the fewest leading
+    components of ``fit_pca`` whose cumulative variance ratio reaches
+    ``coverage`` (within 1e-9); eigenvalues below 1e-12 of the largest count
+    as exactly zero first.  ``coverage`` must lie in (0, 1]."""
     if not 0.0 < coverage <= 1.0:
         raise DataError(f"coverage must lie in (0, 1], got {coverage:g}")
+    model = fit_pca(data)
     ev = model.eigenvalues.copy()
     ev[ev < ev[0] * _EIG_ZERO_REL] = 0.0
-    ratios = ev / ev.sum()
-    cumulative = np.cumsum(ratios)
-    hit = np.nonzero(cumulative >= coverage - 1e-9)[0]
-    return int(hit[0]) + 1 if hit.size else len(ev)
+    hit = np.nonzero(np.cumsum(ev / ev.sum()) >= coverage - 1e-9)[0]
+    p = int(hit[0]) + 1 if hit.size else len(ev)
+    return ((np.asarray(data, np.float64) - model.mean) @ model.components.T)[:, :p]
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,14 +129,14 @@ def _kmeanspp(unit: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     return unit[chosen].copy()
 
 
-def _kmeans_once(unit: np.ndarray, k: int, rng: np.random.Generator, max_iter: int):
+def _kmeans_once(unit: np.ndarray, k: int, rng: np.random.Generator):
     n = unit.shape[0]
     centroids = _kmeanspp(unit, k, rng)
     prev = None
     history: list[float] = []
     iterations = 0
     labels = np.zeros(n, np.int64)
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         sims = unit @ centroids.T
         labels = sims.argmax(axis=1)  # ties resolve to the lowest cluster index
 
@@ -178,10 +171,10 @@ def kmeans_cosine(
     seed: int,
     area_ids: Sequence[str] | None = None,
     n_restarts: int = 10,
-    max_iter: int = 300,
 ) -> ClusterReport:
     """Spherical k-means: unit-normalized rows, distance 1 - cosine,
-    centroids renormalized means, k-means++ seeding, best of ``n_restarts``.
+    centroids renormalized means, k-means++ seeding, at most ``_MAX_ITER``
+    iterations per restart, best of ``n_restarts``.
 
     Fully deterministic for a given (input, seed): restart r draws from an
     independent stream keyed by (seed, r) and ties keep the earlier restart.
@@ -210,7 +203,7 @@ def kmeans_cosine(
     best = None
     for r in range(n_restarts):
         rng = np.random.default_rng([seed, r])
-        labels, centroids, objective, iterations, history = _kmeans_once(unit, k, rng, max_iter)
+        labels, centroids, objective, iterations, history = _kmeans_once(unit, k, rng)
         if best is None or objective < best[0]:
             best = (objective, labels, centroids, iterations, history)
     objective, labels, centroids, iterations, history = best
@@ -248,17 +241,14 @@ def rank_by_cosine(target: str, vectors: Mapping[str, np.ndarray]) -> list[str]:
     return sorted(cos, key=lambda a: (-cos[a], a))
 
 
-def spearman(
-    rank_a: Sequence[Hashable], rank_b: Sequence[Hashable], method: str = "t"
-) -> tuple[float, float]:
+def spearman(rank_a: Sequence[Hashable], rank_b: Sequence[Hashable]) -> tuple[float, float]:
     """Rank correlation of two orderings of the same items, with a two-sided
     p-value.
 
     rho is the Pearson correlation of rank positions (the inputs are tie-free
-    orderings).  The default p-value uses the t approximation
+    orderings).  The p-value uses the t approximation
     t = rho * sqrt((n-2)/(1-rho^2)) with n-2 degrees of freedom; |rho| = 1 is
-    reported with the exact permutation bound 2/n!.  ``method="exact"``
-    enumerates all permutations (n <= 8 only).
+    reported with the exact permutation bound 2/n!.
     """
     a = list(rank_a)
     b = list(rank_b)
@@ -274,23 +264,6 @@ def spearman(
     yc = y - y.mean()
     rho = float((xc @ yc) / np.sqrt((xc @ xc) * (yc @ yc)))
     rho = min(1.0, max(-1.0, rho))
-
-    if method == "exact":
-        if n > 8:
-            raise DataError("exact permutation p-value is limited to n <= 8")
-        hits = 0
-        count = 0
-        base = np.arange(n, dtype=np.float64)
-        bc = base - base.mean()
-        denom = float(bc @ bc)
-        for perm in permutations(range(n)):
-            r = float(bc @ (np.asarray(perm, np.float64) - base.mean())) / denom
-            if abs(r) >= abs(rho) - 1e-12:
-                hits += 1
-            count += 1
-        return rho, hits / count
-    if method != "t":
-        raise DataError(f"unknown p-value method: {method!r}")
 
     if abs(rho) >= 1.0 - 1e-15:
         return rho, min(1.0, 2.0 / math.factorial(n))

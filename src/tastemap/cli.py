@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .boundaries import compare_with_survey, fit_pca, kmeans_cosine, select_components
+from .boundaries import compare_with_survey, kmeans_cosine, pca_scores
 from .csvtext import write_labelled_rows
 from .errors import DataError, EmptyAreaError, UndefinedMetric
 from .ingest import (
@@ -107,15 +108,8 @@ def _read_cities(path: str | Path) -> list[Area]:
                                 f"{row['city']!r} twice")
             seen.add(row["city"])
             bbox = _row_floats(path, reader, row, ("min_lon", "min_lat", "max_lon", "max_lat"))
-            areas.append(
-                Area(
-                    area_id=row["city"],
-                    kind="city",
-                    country_code=row["country"],
-                    bbox=bbox,
-                    attributes={"country": row["country"]},
-                )
-            )
+            areas.append(Area(area_id=row["city"], kind="city", country_code=row["country"],
+                              bbox=bbox))
     if not areas:
         raise DataError("cities file lists no cities")
     return sorted(areas, key=lambda a: a.area_id)
@@ -167,7 +161,7 @@ def cmd_ingest(args) -> int:
     active = filter_active_users(located, args.min_checkins)
     out = _outdir(args)
     write_store(out, active, Path(args.taxonomy))
-    doc = report.to_dict()
+    doc = dataclasses.asdict(report)
     doc["min_checkins"] = args.min_checkins
     doc["store_users"] = active.n_users
     doc["store_checkins"] = len(active)
@@ -184,7 +178,11 @@ def _parse_attributes(path: str | Path) -> dict[str, dict[str, str]]:
             raise DataError("attributes file needs a 'user' column")
         keys = [k for k in reader.fieldnames if k != "user"]
         for row in reader:
-            attrs[row["user"]] = {k: row[k] for k in keys if row[k] not in (None, "")}
+            user = row["user"]
+            if user in attrs:
+                raise DataError(f"{path} line {reader.line_num}: attributes file lists "
+                                f"{user!r} twice")
+            attrs[user] = {k: row[k] for k in keys if row[k] not in (None, "")}
     return attrs
 
 
@@ -193,14 +191,17 @@ def cmd_simnet(args) -> int:
         thresholds = [float(t) for t in args.thresholds.split(",") if t.strip()]
     except ValueError as exc:
         raise DataError(f"bad threshold list: {exc}") from exc
+    tags = [f"{t:g}" for t in thresholds]
+    for i, tag in enumerate(tags):
+        if tag in tags[:i]:
+            raise DataError(f"bad threshold list: two thresholds share the file tag {tag!r}")
     corpus, _ = read_store(args.store, args.taxonomy)
     profiles = build_profiles(corpus)
     attributes = _parse_attributes(args.attributes) if args.attributes else None
     networks = build_networks(profiles, thresholds, attributes)
     out = _outdir(args)
     metrics: dict[str, dict] = {}
-    for threshold, net in zip(thresholds, networks):
-        tag = f"{threshold:g}"
+    for threshold, tag, net in zip(thresholds, tags, networks):
         write_edge_list(net, out / f"edges_s{tag}.tsv")
         write_node_attributes(net, out / f"nodes_s{tag}.csv")
         sizes = component_sizes(net)
@@ -208,12 +209,9 @@ def cmd_simnet(args) -> int:
         attr_keys = sorted({k for a in net.attributes.values() for k in a})
         assort: dict[str, float | None] = {}
         for key in attr_keys:
-            if all(key in net.attributes[u] for u in net.nodes):
-                try:
-                    assort[key] = categorical_assortativity(net, key)
-                except UndefinedMetric:
-                    assort[key] = None
-            else:
+            try:
+                assort[key] = categorical_assortativity(net, key)
+            except (DataError, UndefinedMetric):  # missing on some node, or undefined
                 assort[key] = None
         try:
             deg_assort = degree_assortativity(net)
@@ -313,10 +311,8 @@ def cmd_cluster(args) -> int:
             empty.append(area.area_id)
     if len(rows) < 2:
         raise UndefinedMetric("fewer than two areas have check-ins; nothing to cluster")
-    matrix = np.stack(rows)
-    model = fit_pca(matrix)
-    p = select_components(model, args.coverage)
-    scores = model.transform(matrix)[:, :p]
+    scores = pca_scores(np.stack(rows), args.coverage)
+    p = scores.shape[1]
     k = args.k if args.k is not None else DEFAULT_K[args.level]
     report = kmeans_cosine(scores, k, args.seed, [a.area_id for a in used],
                            n_restarts=args.restarts)
@@ -347,21 +343,14 @@ def _read_survey(path: str | Path) -> dict[str, np.ndarray]:
         for row in reader:
             country = row["country"]
             if country in coords:
-                raise DataError(f"survey file lists {country!r} twice")
+                raise DataError(f"{path} line {reader.line_num}: survey file lists "
+                                f"{country!r} twice")
             coords[country] = np.array(
                 _row_floats(path, reader, row, ("trad_secular", "surv_selfexpr")), np.float64
             )
     if not coords:
         raise DataError("survey file lists no countries")
     return coords
-
-
-def _country_scores(matrix: np.ndarray, countries: list[str]) -> dict[str, np.ndarray]:
-    """PCA scores (full coverage) of the countries' vectors, one row each."""
-    model = fit_pca(matrix)
-    p = select_components(model, 1.0)
-    scores = model.transform(matrix)[:, :p]
-    return {c: scores[i] for i, c in enumerate(countries)}
 
 
 def cmd_survey(args) -> int:
@@ -383,7 +372,7 @@ def cmd_survey(args) -> int:
 
     results = {}
     for name, matrix in datasets:
-        scores = _country_scores(matrix, countries)
+        scores = dict(zip(countries, pca_scores(matrix)))
         results[name] = {r.country: r for r in compare_with_survey(scores, survey, countries)}
 
     names = [name for name, _ in datasets]

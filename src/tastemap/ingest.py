@@ -343,14 +343,6 @@ def geocode(geo: GeoIndex, lats: np.ndarray, lons: np.ndarray) -> np.ndarray:
     )
 
 
-def point_to_country(lat: float, lon: float, geo: GeoIndex) -> str | None:
-    """Country containing the point (boundary-inclusive), or None."""
-    if not -90.0 <= lat <= 90.0 or not -180.0 <= lon <= 180.0:
-        raise DataError("coordinates out of range")
-    code = geocode(geo, np.array([lat]), np.array([lon]))[0]
-    return None if code < 0 else geo.countries[code]
-
-
 # ---------------------------------------------------------------------------
 # Home-country assignment and user filtering
 # ---------------------------------------------------------------------------
@@ -372,20 +364,6 @@ class IngestReport:
     per_class: Mapping[str, ClassStats]
     skipped_unknown_subcategory: int = 0
     malformed_lines: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "total_checkins": self.total_checkins,
-            "users_total": self.users_total,
-            "users_discarded_mixed_country": self.users_discarded_mixed_country,
-            "discard_fraction": self.discard_fraction,
-            "per_class": {
-                c: {"checkins": s.checkins, "venues": s.venues, "users": s.users}
-                for c, s in self.per_class.items()
-            },
-            "skipped_unknown_subcategory": self.skipped_unknown_subcategory,
-            "malformed_lines": self.malformed_lines,
-        }
 
 
 def assign_home_country(corpus: Corpus, geo: GeoIndex) -> tuple[Corpus, IngestReport]:
@@ -485,11 +463,8 @@ def grid_partition(city: Area, rows: int, cols: int) -> list[Area]:
                     area_id=f"{city.area_id}:{r}:{c}",
                     kind="grid_cell",
                     bbox=(lon_lo, lat_lo, lon_hi, lat_hi),
-                    row=r,
-                    col=c,
                     closed_max_lon=(c == cols - 1),
                     closed_max_lat=(r == rows - 1),
-                    attributes={"city": city.area_id},
                 )
             )
     return cells

@@ -77,10 +77,6 @@ class Taxonomy:
                 return class_id
         raise TaxonomyError(f"subcategory {name!r} not covered by any class")
 
-    def class_count(self, class_id: str) -> int:
-        lo, hi = self._range(class_id)
-        return hi - lo
-
     def _range(self, class_id: str) -> tuple[int, int]:
         try:
             return self.class_ranges[class_id]
@@ -175,7 +171,6 @@ class AreaSignature:
     area_id: str
     raw_counts: np.ndarray
     normalized: np.ndarray
-    variant: str
 
 
 @dataclass(frozen=True)
@@ -191,11 +186,8 @@ class Area:
     kind: str
     country_code: str | None = None
     bbox: tuple[float, float, float, float] | None = None  # min_lon, min_lat, max_lon, max_lat
-    row: int | None = None
-    col: int | None = None
     closed_max_lon: bool = True
     closed_max_lat: bool = True
-    attributes: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in AREA_KINDS:
@@ -205,29 +197,13 @@ class Area:
             if not (min_lon <= max_lon and min_lat <= max_lat):
                 raise DataError(f"invalid bounding box for area {self.area_id!r}")
 
-    def contains(self, lat: float, lon: float) -> bool:
-        if self.bbox is None:
-            raise DataError(f"area {self.area_id!r} has no bounding box")
-        min_lon, min_lat, max_lon, max_lat = self.bbox
-        ok_lon = lon >= min_lon and (lon <= max_lon if self.closed_max_lon else lon < max_lon)
-        ok_lat = lat >= min_lat and (lat <= max_lat if self.closed_max_lat else lat < max_lat)
-        return ok_lon and ok_lat
-
 
 def class_slice(taxonomy: Taxonomy, vec, class_id: str) -> np.ndarray:
-    """Project a full feature vector onto one class's contiguous block.
-
-    Accepts a plain array, a UserProfile (uses ``bits``) or an AreaSignature
-    (uses ``normalized``).  Concatenating the class slices in declared order
-    reconstructs the full vector.
-    """
+    """Project feature vectors (the last axis) onto one class's contiguous
+    block.  Concatenating the class slices in declared order reconstructs
+    the full vector."""
     lo, hi = taxonomy._range(class_id)
-    if isinstance(vec, UserProfile):
-        arr = vec.bits
-    elif isinstance(vec, AreaSignature):
-        arr = vec.normalized
-    else:
-        arr = np.asarray(vec)
+    arr = np.asarray(vec)
     if arr.shape[-1] != taxonomy.m:
         raise DataError(
             f"vector length {arr.shape[-1]} does not match taxonomy size {taxonomy.m}"

@@ -50,7 +50,7 @@ def area_counts_matrix(corpus: Corpus, areas: Sequence[Area]) -> np.ndarray:
     return out
 
 
-def region_profile(counts: np.ndarray, area_id: str = "", variant: str | None = None) -> AreaSignature:
+def region_profile(counts: np.ndarray, area_id: str = "") -> AreaSignature:
     """Normalize a count vector by its maximum entry.
 
     Raises EmptyAreaError on an all-zero vector: an area without check-ins
@@ -68,5 +68,4 @@ def region_profile(counts: np.ndarray, area_id: str = "", variant: str | None = 
         area_id=area_id,
         raw_counts=counts.astype(np.int64),
         normalized=counts / float(peak),
-        variant=variant or f"spatial_{counts.size}",
     )

@@ -72,8 +72,10 @@ def correlation_matrix(
     """
     if len(signatures) < 2:
         raise DataError("need at least two signatures to correlate")
-    X = np.array([sig.normalized if scope == "all" else class_slice(taxonomy, sig, scope)
-                  for sig in signatures], np.float64)
+    rows = [sig.normalized for sig in signatures]
+    if scope != "all":
+        rows = [class_slice(taxonomy, row, scope) for row in rows]
+    X = np.array(rows, np.float64)
     varies = np.ptp(X, axis=1) > 0
     X -= X.mean(axis=1, keepdims=True)
     X[varies] /= np.linalg.norm(X[varies], axis=1, keepdims=True)
@@ -130,16 +132,6 @@ def _block(taxonomy: Taxonomy, class_id: str, day_group: str) -> tuple[int, int,
     return lo, hi, DAY_GROUPS.index(day_group)
 
 
-@dataclass(frozen=True, eq=False)
-class TemporalSeries:
-    """Hourly check-in curve for one (area, class, day group), peak-normalized."""
-
-    area_id: str
-    class_id: str
-    day_group: str
-    bins: np.ndarray
-
-
 def hourly_curves(
     cubes: np.ndarray, taxonomy: Taxonomy, class_id: str, day_group: str
 ) -> np.ndarray:
@@ -153,18 +145,14 @@ def hourly_curves(
     return counts
 
 
-def temporal_series(corpus: Corpus, area: Area, class_id: str, day_group: str) -> TemporalSeries:
-    """Check-ins per local hour, divided by the busiest hour of this series.
+def temporal_series(corpus: Corpus, area: Area, class_id: str, day_group: str) -> np.ndarray:
+    """Check-ins per local hour of one area, class and day group, divided by
+    the busiest hour of this series: ``hourly_curves`` of the area's cube.
 
     Weekend means Saturday or Sunday.  An empty series stays all-zero.
     """
     (bins,) = hourly_curves(area_cube(corpus, area)[None], corpus.taxonomy, class_id, day_group)
-    return TemporalSeries(area_id=area.area_id, class_id=class_id, day_group=day_group, bins=bins)
-
-
-def spatiotemporal_index(subcat_index: int, is_weekend: bool, hour: int) -> int:
-    """Flat position of one (subcategory, day group, hour) observation."""
-    return subcat_index * SLOTS_PER_SUBCATEGORY + (4 if is_weekend else 0) + hour // 6
+    return bins
 
 
 def spatiotemporal_vector(corpus: Corpus, area: Area) -> AreaSignature:
@@ -175,7 +163,7 @@ def spatiotemporal_vector(corpus: Corpus, area: Area) -> AreaSignature:
     """
     cube = area_cube(corpus, area)
     counts = cube.reshape(len(cube), len(DAY_GROUPS), PERIODS_PER_DAY, -1).sum(axis=3).ravel()
-    return region_profile(counts, area.area_id, f"spatiotemporal_{counts.size}")
+    return region_profile(counts, area.area_id)
 
 
 def class_period_indices(taxonomy: Taxonomy, class_id: str, day_group: str) -> np.ndarray:

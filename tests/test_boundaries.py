@@ -8,14 +8,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import stats
 
 from tastemap.boundaries import (
-    PcaModel,
     compare_with_survey,
     fit_pca,
     kmeans_cosine,
+    pca_scores,
     rank_by_cosine,
-    select_components,
     spearman,
 )
 from tastemap.errors import DataError, UndefinedMetric
@@ -29,13 +29,36 @@ def planted_rank(rank, n_areas=30, n_features=808, seed=0):
     return left @ right + 3.0
 
 
+def axis_data(*variances):
+    """Rows at plus and minus sqrt(v) on each axis: the covariance spectrum
+    is proportional to ``variances``."""
+    rows = []
+    for i, v in enumerate(variances):
+        for sign in (1.0, -1.0):
+            row = np.zeros(len(variances))
+            row[i] = sign * math.sqrt(v)
+            rows.append(row)
+    return np.array(rows)
+
+
+def integer_matrix(data, wide):
+    """A small integer-valued matrix that is not constant; ``wide`` means
+    fewer rows than columns, so fit_pca takes the Gram route."""
+    n = data.draw(st.integers(2, 7))
+    d = data.draw(st.integers(n + 1, 9) if wide else st.integers(1, n))
+    X = data.draw(arrays(np.float64, (n, d), elements=st.integers(-5, 5).map(float)))
+    assume((X != X[0]).any())
+    return X
+
+
 class TestFitPca:
     def test_collinear_points_have_one_component(self):
         t = np.linspace(0.0, 5.0, 12)
         data = np.stack([2 * t + 1, -t, 0.5 * t]).T
-        model = fit_pca(data)
-        assert model.ratios[0] == pytest.approx(1.0, abs=1e-9)
-        assert (model.ratios[1:] < 1e-9).all()
+        eigenvalues = fit_pca(data).eigenvalues
+        share = eigenvalues / eigenvalues.sum()
+        assert share[0] == pytest.approx(1.0, abs=1e-9)
+        assert (share[1:] < 1e-9).all()
 
     def test_two_points_have_rank_one(self):
         model = fit_pca(np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]]))
@@ -43,13 +66,14 @@ class TestFitPca:
         assert nonzero == 1
 
     def test_planted_rank_three(self):
-        model = fit_pca(planted_rank(3))
-        assert (model.ratios > 1e-9).sum() == 3
+        eigenvalues = fit_pca(planted_rank(3)).eigenvalues
+        assert (eigenvalues / eigenvalues.sum() > 1e-9).sum() == 3
 
     def test_reconstruction_round_trip(self):
         data = planted_rank(5, seed=2)
         model = fit_pca(data)
-        rebuilt = model.reconstruct(model.transform(data))
+        scores = pca_scores(data)
+        rebuilt = scores @ model.components[: scores.shape[1]] + model.mean
         assert np.abs(rebuilt - data).max() < 1e-9
 
     def test_components_orthonormal(self):
@@ -58,9 +82,10 @@ class TestFitPca:
         assert np.abs(gram - np.eye(gram.shape[0])).max() < 1e-9
 
     def test_ratios_sum_to_one(self):
-        rng = np.random.default_rng(4)
-        model = fit_pca(rng.normal(size=(40, 10)))
-        assert model.ratios.sum() == pytest.approx(1.0, abs=1e-9)
+        # The scores' variances, one per kept component, add up to all of it.
+        data = np.random.default_rng(4).normal(size=(40, 10))
+        kept = pca_scores(data).var(axis=0, ddof=1).sum()
+        assert kept / data.var(axis=0, ddof=1).sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_eigenvalues_sorted_descending(self):
         rng = np.random.default_rng(5)
@@ -79,12 +104,7 @@ class TestFitPca:
     @settings(max_examples=100, deadline=None)
     @given(wide=st.booleans(), data=st.data())
     def test_largest_entry_of_each_component_is_positive(self, wide, data):
-        # wide: fewer rows than columns, so fit_pca takes the Gram route.
-        n = data.draw(st.integers(2, 7))
-        d = data.draw(st.integers(n + 1, 9) if wide else st.integers(1, n))
-        X = data.draw(arrays(np.float64, (n, d), elements=st.integers(-5, 5).map(float)))
-        assume((X != X[0]).any())
-        components = fit_pca(X).components
+        components = fit_pca(integer_matrix(data, wide)).components
         for row in components:
             assert row[np.abs(row).argmax()] > 0
 
@@ -105,44 +125,46 @@ class TestFitPca:
 
 class TestSelectComponents:
     def test_single_full_ratio(self):
-        model = PcaModel(
-            mean=np.zeros(2),
-            components=np.eye(1, 2),
-            eigenvalues=np.array([2.0]),
-            ratios=np.array([1.0]),
-        )
-        assert select_components(model) == 1
+        assert pca_scores(axis_data(2.0, 0.0)).shape[1] == 1
 
     def test_trailing_zero_not_needed(self):
-        model = PcaModel(
-            mean=np.zeros(3),
-            components=np.eye(3),
-            eigenvalues=np.array([0.6, 0.4, 0.0]),
-            ratios=np.array([0.6, 0.4, 0.0]),
-        )
-        assert select_components(model, 1.0) == 2
+        assert pca_scores(axis_data(0.6, 0.4, 0.0), 1.0).shape[1] == 2
 
     def test_partial_coverage(self):
-        model = PcaModel(
-            mean=np.zeros(3),
-            components=np.eye(3),
-            eigenvalues=np.array([0.6, 0.3, 0.1]),
-            ratios=np.array([0.6, 0.3, 0.1]),
-        )
-        assert select_components(model, 0.85) == 2
-        assert select_components(model, 0.95) == 3
+        data = axis_data(0.6, 0.3, 0.1)
+        assert pca_scores(data, 0.85).shape[1] == 2
+        assert pca_scores(data, 0.95).shape[1] == 3
 
     @pytest.mark.parametrize("coverage", [0.0, -0.1, 1.0 + 1e-12, 2.0, math.nan])
     def test_coverage_outside_unit_interval_rejected(self, coverage):
-        model = fit_pca(planted_rank(3))
+        data = planted_rank(3)
         with pytest.raises(DataError):
-            select_components(model, coverage)
-        assert select_components(model, 1e-9) == 1
+            pca_scores(data, coverage)
+        assert pca_scores(data, 1e-9).shape[1] == 1
 
     @pytest.mark.parametrize("rank", [1, 3, 5])
     def test_planted_rank_selected(self, rank):
-        model = fit_pca(planted_rank(rank, seed=rank))
-        assert select_components(model, 1.0) == rank
+        assert pca_scores(planted_rank(rank, seed=rank), 1.0).shape[1] == rank
+
+    @settings(max_examples=100, deadline=None)
+    @given(wide=st.booleans(), data=st.data())
+    def test_scores_reproduce_the_gram_matrix(self, wide, data):
+        # Oracle: the centred rows' Gram matrix and its spectrum.  The scores
+        # must span it (S S^T = Xc Xc^T) on orthogonal columns that carry its
+        # nonzero eigenvalues in descending order (S^T S = diag), so they are
+        # right up to the sign of each component.
+        X = integer_matrix(data, wide)
+        xc = X - X.mean(axis=0)
+        gram = xc @ xc.T
+        eigenvalues = np.linalg.eigvalsh(gram)[::-1]
+        zeroed = np.where(eigenvalues < eigenvalues[0] * 1e-12, 0.0, eigenvalues)
+        p = int(np.argmax(np.cumsum(zeroed / zeroed.sum()) >= 1.0 - 1e-9)) + 1
+        scores = pca_scores(X)
+        atol = 1e-8 * float(np.trace(gram))
+        assert scores.shape == (len(X), p)
+        np.testing.assert_allclose(scores @ scores.T, gram, rtol=0.0, atol=atol)
+        np.testing.assert_allclose(scores.T @ scores, np.diag(eigenvalues[:p]), rtol=0.0,
+                                   atol=atol)
 
 
 def bundles(angle_deg=60.0, jitter_deg=5.0, per_bundle=10):
@@ -212,6 +234,34 @@ class TestKmeansCosine:
         for seed in range(5):
             report = kmeans_cosine(data, k=3, seed=seed)
             assert len(set(report.assignments.values())) == 3
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_result_is_a_fixed_point(self, data):
+        # Every row sits at its most similar centroid, every centroid is the
+        # mean direction of its rows (where they have one: opposite rows
+        # cancel), and the objective is their summed cosine distance.
+        n = data.draw(st.integers(1, 40))
+        X = data.draw(arrays(np.float64, (n, data.draw(st.integers(1, 6))),
+                             elements=st.integers(-5, 5).map(float)))
+        X[~X.any(axis=1), 0] = 1.0  # a zero row has no direction
+        k = data.draw(st.integers(1, min(n, 6)))
+        try:
+            report = kmeans_cosine(X, k=k, seed=data.draw(st.integers(0, 99)))
+        except UndefinedMetric:
+            assume(False)
+        unit = X / np.linalg.norm(X, axis=1, keepdims=True)
+        labels = np.array([report.assignments[str(i)] for i in range(n)])
+        sims = unit @ report.centroids.T
+        own = sims[np.arange(n), labels]
+        assert (own >= sims.max(axis=1) - 1e-9).all()
+        for c in range(k):
+            direction = unit[labels == c].sum(axis=0)
+            norm = np.linalg.norm(direction)
+            if norm > 0:
+                np.testing.assert_allclose(report.centroids[c], direction / norm,
+                                           rtol=0.0, atol=1e-9)
+        assert report.objective == pytest.approx(float((1.0 - own).sum()), abs=1e-9)
 
     @pytest.mark.parametrize("data, k", [
         ([[-1.0], [1.0], [2.0]], 3),
@@ -304,16 +354,21 @@ class TestSpearman:
         with pytest.raises(DataError):
             spearman([1, 2], [2, 1])
 
-    def test_exact_method_agrees_with_t_on_direction(self):
-        rho_t, p_t = spearman([1, 2, 3, 4, 5], [1, 3, 2, 4, 5])
-        rho_e, p_e = spearman([1, 2, 3, 4, 5], [1, 3, 2, 4, 5], method="exact")
-        assert rho_t == rho_e
-        assert 0.0 < p_e <= 1.0
-
-    def test_exact_method_size_limit(self):
-        items = list(range(9))
-        with pytest.raises(DataError):
-            spearman(items, items, method="exact")
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_equals_scipy_spearmanr(self, data):
+        n = data.draw(st.integers(3, 39))
+        a = data.draw(st.permutations(range(n)))
+        b = data.draw(st.permutations(range(n)))
+        rho, p = spearman(a, b)
+        pos_b = {item: i for i, item in enumerate(b)}
+        want_rho, want_p = stats.spearmanr(np.arange(n), [pos_b[item] for item in a])
+        assert rho == pytest.approx(want_rho, rel=1e-12)
+        if abs(rho) == 1.0:
+            # scipy reports p = 0 here; the exact permutation bound is 2/n!.
+            assert p == 2.0 / math.factorial(n)
+        else:
+            assert p == pytest.approx(want_p, rel=1e-12)
 
 
 class TestCompareWithSurvey:

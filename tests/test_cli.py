@@ -256,6 +256,27 @@ class TestSimnet:
         assert not (out / "edges_s65.tsv").exists()
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("thresholds", ["65,65.0", "65,80,65.0000001"])
+    def test_thresholds_sharing_a_file_tag_exit_2_and_write_nothing(self, pipeline, tmp_path,
+                                                                     capsys, thresholds):
+        out = tmp_path / "simnet"
+        assert main(["simnet", "--store", str(pipeline["store"]), "--thresholds", thresholds,
+                     "--out-dir", str(out)]) == 2
+        assert "'65'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_user_listed_twice_in_attributes_exits_2(self, pipeline, tmp_path, capsys):
+        store = pipeline["store"]
+        user = read_csv(store / "home_countries.csv")[1][0]
+        attrs = tmp_path / "attrs.csv"
+        attrs.write_text(f"user,hemisphere\n{user},north\n{user},south\n", encoding="utf-8")
+        out = tmp_path / "simnet"
+        assert main(["simnet", "--store", str(store), "--thresholds", "65",
+                     "--attributes", str(attrs), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{attrs} line 3:" in err and f"{user!r} twice" in err
+        assert not out.exists()
+
     def test_empty_threshold_list_writes_empty_metrics(self, pipeline, tmp_path):
         out = tmp_path / "simnet"
         assert main(["simnet", "--store", str(pipeline["store"]), "--thresholds", "",
@@ -578,15 +599,24 @@ class TestMalformedSideFiles:
         assert f"{cities} line 3:" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["signatures", "cluster"])
+    @pytest.mark.parametrize("command", ["signatures", "cluster", "survey"])
     def test_city_listed_twice(self, pipeline, tmp_path, capsys, command):
-        cities = tmp_path / "cities.csv"
-        cities.write_text(self.CITIES + "C0-east,C0,-60,0,-55,10\n", encoding="utf-8")
+        # For survey, the repeated row is a country of the survey file.
+        side = tmp_path / "side.csv"
         out = tmp_path / "out"
-        assert main([command, "--store", str(pipeline["store"]), "--level", "city",
-                     "--cities", str(cities), "--out-dir", str(out)]) == 2
+        if command == "survey":
+            side.write_text(SURVEY_HEADER + "C0,0.1,0.2\nC1,0.3,0.4\nC0,0.5,0.6\n",
+                            encoding="utf-8")
+            argv = ["--survey", str(side)]
+            line, repeated = 4, "'C0' twice"
+        else:
+            side.write_text(self.CITIES + "C0-east,C0,-60,0,-55,10\n", encoding="utf-8")
+            argv = ["--level", "city", "--cities", str(side)]
+            line, repeated = 3, "'C0-east' twice"
+        assert main([command, "--store", str(pipeline["store"]), *argv,
+                     "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err
-        assert f"{cities} line 3:" in err and "'C0-east' twice" in err
+        assert f"{side} line {line}:" in err and repeated in err
         assert not out.exists()
 
     @pytest.mark.parametrize("row", ["C2,0.5", "C2,0.5,high"])

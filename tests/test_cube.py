@@ -96,7 +96,7 @@ def products(toy_tax, corpus):
         for class_id in toy_tax.class_ids:
             for group in DAY_GROUPS:
                 series = temporal_series(corpus, area, class_id, group)
-                out[area.area_id, class_id, group] = series.bins.tolist()
+                out[area.area_id, class_id, group] = series.tolist()
         try:
             sig = spatiotemporal_vector(corpus, area)
             out[area.area_id, "st"] = sig.normalized.tolist()
@@ -127,7 +127,7 @@ def test_counts_and_curves_equal_check_in_loops(toy_tax, data):
                 hourly = [int(cube[lo:hi, w, h].sum()) for h in range(24)]
                 peak = max(hourly)
                 want = [c / peak if peak else 0.0 for c in hourly]
-                got = temporal_series(corpus, area, class_id, group).bins
+                got = temporal_series(corpus, area, class_id, group)
                 assert got.tolist() == want
 
         slots = [0] * (8 * toy_tax.m)
@@ -202,7 +202,8 @@ def test_correlation_matrix_equals_pairwise_pearson(toy_tax, vectors):
         sigs.append(region_profile(counts, f"a{i}"))
     for scope in ("all", *toy_tax.class_ids):
         matrix = correlation_matrix(sigs, toy_tax, scope).values
-        rows_ = [s.normalized if scope == "all" else class_slice(toy_tax, s, scope) for s in sigs]
+        rows_ = [s.normalized if scope == "all" else class_slice(toy_tax, s.normalized, scope)
+                 for s in sigs]
         for i, x in enumerate(rows_):
             for j, y in enumerate(rows_):
                 try:

@@ -24,7 +24,6 @@ from tastemap.ingest import (
     grid_partition,
     load_geo_index,
     parse_corpus,
-    point_to_country,
     top_cells,
 )
 from tastemap.model import Area
@@ -306,23 +305,25 @@ class TestParseEquivalence:
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
 
+def country_at(lat, lon, geo):
+    """The country ``geocode`` finds for one point, None for none."""
+    (code,) = geocode(geo, np.array([lat]), np.array([lon])).tolist()
+    return None if code < 0 else geo.countries[code]
+
+
 class TestPointToCountry:
     def test_centroid(self, two_country_geo):
-        assert point_to_country(5.0, 5.0, two_country_geo) == "AA"
+        assert country_at(5.0, 5.0, two_country_geo) == "AA"
 
     def test_outside_all_polygons(self, two_country_geo):
-        assert point_to_country(5.0, 15.0, two_country_geo) is None
+        assert country_at(5.0, 15.0, two_country_geo) is None
 
     def test_edge_is_inside(self, two_country_geo):
-        assert point_to_country(0.0, 5.0, two_country_geo) == "AA"
-        assert point_to_country(10.0, 10.0, two_country_geo) == "AA"
+        assert country_at(0.0, 5.0, two_country_geo) == "AA"
+        assert country_at(10.0, 10.0, two_country_geo) == "AA"
 
     def test_second_country(self, two_country_geo):
-        assert point_to_country(5.0, 25.0, two_country_geo) == "BB"
-
-    def test_out_of_range_rejected(self, two_country_geo):
-        with pytest.raises(DataError):
-            point_to_country(95.0, 0.0, two_country_geo)
+        assert country_at(5.0, 25.0, two_country_geo) == "BB"
 
     def test_multi_ring_country(self, tmp_path):
         path = tmp_path / "geo.txt"
@@ -330,9 +331,9 @@ class TestPointToCountry:
             "AA\t0,0;1,0;1,1;0,1;0,0\nAA\t5,5;6,5;6,6;5,6;5,5\n", encoding="utf-8"
         )
         geo = load_geo_index(path)
-        assert point_to_country(0.5, 0.5, geo) == "AA"
-        assert point_to_country(5.5, 5.5, geo) == "AA"
-        assert point_to_country(3.0, 3.0, geo) is None
+        assert country_at(0.5, 0.5, geo) == "AA"
+        assert country_at(5.5, 5.5, geo) == "AA"
+        assert country_at(3.0, 3.0, geo) is None
 
 
 def ray_cast(x, y, ring):

@@ -7,15 +7,14 @@ import pytest
 
 from conftest import corpus_of, jsonl_text, make_checkin, write_taxonomy
 from tastemap.errors import DataError, ParseError, TaxonomyError
-from tastemap.ingest import parse_corpus
+from tastemap.ingest import area_mask, parse_corpus
 from tastemap.model import Area, class_slice, load_taxonomy
 
 
 class TestLoadTaxonomy:
     def test_reference_file_class_sizes(self, ref_tax):
-        assert ref_tax.class_count("Drink") == 21
-        assert ref_tax.class_count("FastFood") == 27
-        assert ref_tax.class_count("SlowFood") == 53
+        sizes = {c: hi - lo for c, (lo, hi) in ref_tax.class_ranges.items()}
+        assert sizes == {"Drink": 21, "FastFood": 27, "SlowFood": 53}
         assert ref_tax.m == 101
 
     def test_single_class_single_subcategory(self, tmp_path):
@@ -98,7 +97,7 @@ class TestClassSlice:
             assert np.array_equal(np.concatenate(parts), vec)
 
     def test_m_consistent_with_class_counts(self, ref_tax):
-        assert ref_tax.m == sum(ref_tax.class_count(c) for c in ref_tax.class_ids)
+        assert ref_tax.m == sum(hi - lo for lo, hi in ref_tax.class_ranges.values())
 
 
 class TestCheckIn:
@@ -117,17 +116,21 @@ class TestCheckIn:
                          toy_tax)
 
 
-class TestArea:
-    def test_contains_uses_closed_edges_by_default(self):
-        area = Area("c", "city", bbox=(0.0, 0.0, 1.0, 1.0))
-        assert area.contains(1.0, 1.0) and area.contains(0.0, 0.0)
+def inside(toy_tax, area, points):
+    """area_mask of a corpus with one check-in at each (lat, lon) point."""
+    records = [make_checkin(user=f"u{i}", lat=lat, lon=lon) for i, (lat, lon) in enumerate(points)]
+    return area_mask(corpus_of(toy_tax, records), area).tolist()
 
-    def test_half_open_cell_excludes_max_edges(self):
+
+class TestArea:
+    def test_contains_uses_closed_edges_by_default(self, toy_tax):
+        area = Area("c", "city", bbox=(0.0, 0.0, 1.0, 1.0))
+        assert inside(toy_tax, area, [(1.0, 1.0), (0.0, 0.0)]) == [True, True]
+
+    def test_half_open_cell_excludes_max_edges(self, toy_tax):
         cell = Area("c:0:0", "grid_cell", bbox=(0.0, 0.0, 1.0, 1.0),
                     closed_max_lon=False, closed_max_lat=False)
-        assert cell.contains(0.5, 0.5)
-        assert not cell.contains(1.0, 0.5)
-        assert not cell.contains(0.5, 1.0)
+        assert inside(toy_tax, cell, [(0.5, 0.5), (0.5, 1.0), (1.0, 0.5)]) == [True, False, False]
 
     def test_bad_kind_rejected(self):
         with pytest.raises(DataError):

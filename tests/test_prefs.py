@@ -151,8 +151,3 @@ class TestRegionProfile:
             if counts.max() == 0:
                 counts[0] = 1
             assert region_profile(counts, "a").normalized.max() == 1.0
-
-    def test_variant_defaults_to_dimension(self, ref_tax):
-        counts = np.zeros(ref_tax.m, int)
-        counts[0] = 2
-        assert region_profile(counts, "a").variant == "spatial_101"

@@ -16,7 +16,6 @@ from tastemap.signatures import (
     correlation_matrix,
     entropy_summary,
     pearson,
-    spatiotemporal_index,
     spatiotemporal_vector,
     subcategory_entropy,
     temporal_series,
@@ -201,15 +200,15 @@ class TestTemporalSeries:
             [make_checkin(user=f"u{i}", ts="2024-04-16T12:30:00") for i in range(4)],
         )
         series = temporal_series(corpus, BOX, "Drink", "weekday")
-        assert series.bins[12] == 1.0
-        assert series.bins.sum() == 1.0
+        assert series[12] == 1.0
+        assert series.sum() == 1.0
 
     def test_two_peak_normalization(self, toy_tax):
         checkins = [make_checkin(user=f"a{i}", ts="2024-04-16T08:00:00") for i in range(10)]
         checkins += [make_checkin(user=f"b{i}", ts="2024-04-16T18:00:00") for i in range(5)]
         series = temporal_series(corpus_of(toy_tax, checkins), BOX, "Drink", "weekday")
-        assert series.bins[8] == 1.0
-        assert series.bins[18] == 0.5
+        assert series[8] == 1.0
+        assert series[18] == 0.5
 
     def test_weekend_split(self, toy_tax):
         checkins = [
@@ -219,13 +218,13 @@ class TestTemporalSeries:
         corpus = corpus_of(toy_tax, checkins)
         weekday = temporal_series(corpus, BOX, "Drink", "weekday")
         weekend = temporal_series(corpus, BOX, "Drink", "weekend")
-        assert weekday.bins[10] == 1.0 and weekday.bins[22] == 0.0
-        assert weekend.bins[22] == 1.0 and weekend.bins[10] == 0.0
+        assert weekday[10] == 1.0 and weekday[22] == 0.0
+        assert weekend[22] == 1.0 and weekend[10] == 0.0
 
     def test_class_filter(self, toy_tax):
         corpus = corpus_of(toy_tax, [make_checkin(subcat="Bakery", ts="2024-04-16T09:00:00")])
-        assert temporal_series(corpus, BOX, "Drink", "weekday").bins.sum() == 0.0
-        assert temporal_series(corpus, BOX, "FastFood", "weekday").bins[9] == 1.0
+        assert temporal_series(corpus, BOX, "Drink", "weekday").sum() == 0.0
+        assert temporal_series(corpus, BOX, "FastFood", "weekday")[9] == 1.0
 
     def test_order_independence(self, toy_tax):
         rng = np.random.default_rng(25)
@@ -233,17 +232,17 @@ class TestTemporalSeries:
             make_checkin(user=f"u{i}", ts=f"2024-04-16T{rng.integers(24):02d}:00:00")
             for i in range(40)
         ]
-        base = temporal_series(corpus_of(toy_tax, checkins), BOX, "Drink", "weekday").bins
+        base = temporal_series(corpus_of(toy_tax, checkins), BOX, "Drink", "weekday")
         shuffled = list(checkins)
         rng.shuffle(shuffled)
-        again = temporal_series(corpus_of(toy_tax, shuffled), BOX, "Drink", "weekday").bins
+        again = temporal_series(corpus_of(toy_tax, shuffled), BOX, "Drink", "weekday")
         assert np.array_equal(base, again)
 
     def test_scaling_invariance(self, toy_tax):
         checkins = [make_checkin(user=f"u{i}", ts="2024-04-16T07:00:00") for i in range(3)]
         checkins += [make_checkin(user=f"w{i}", ts="2024-04-16T19:00:00") for i in range(6)]
-        base = temporal_series(corpus_of(toy_tax, checkins), BOX, "Drink", "weekday").bins
-        tripled = temporal_series(corpus_of(toy_tax, checkins * 3), BOX, "Drink", "weekday").bins
+        base = temporal_series(corpus_of(toy_tax, checkins), BOX, "Drink", "weekday")
+        tripled = temporal_series(corpus_of(toy_tax, checkins * 3), BOX, "Drink", "weekday")
         assert np.array_equal(base, tripled)
 
     def test_bad_day_group_rejected(self, toy_tax):
@@ -257,7 +256,6 @@ class TestSpatiotemporalVector:
         corpus = corpus_of(ref_tax, [make_checkin(subcat="Pub")])
         sig = spatiotemporal_vector(corpus, BOX)
         assert sig.normalized.shape == (808,)
-        assert sig.variant == "spatiotemporal_808"
 
     def test_one_subcategory_gives_8(self, tmp_path):
         from conftest import write_taxonomy
@@ -293,7 +291,6 @@ class TestSpatiotemporalVector:
             sig = spatiotemporal_vector(corpus, BOX)
             hand = 8 * s + 4 * int(weekend) + hour // 6
             assert sig.normalized[hand] == 1.0
-            assert spatiotemporal_index(s, weekend, hour) == hand
 
     def test_class_period_indices_cover_block(self, ref_tax):
         idx = class_period_indices(ref_tax, "FastFood", "weekend")
@@ -306,7 +303,7 @@ class TestSpatiotemporalVector:
     def test_class_period_indices_follow_the_index_formula(self, ref_tax):
         lo, hi = ref_tax.class_ranges["Drink"]
         for group, weekend in (("weekday", False), ("weekend", True)):
-            want = [spatiotemporal_index(s, weekend, 6 * p) for s in range(lo, hi) for p in range(4)]
+            want = [8 * s + 4 * int(weekend) + p for s in range(lo, hi) for p in range(4)]
             assert class_period_indices(ref_tax, "Drink", group).tolist() == want
 
 
