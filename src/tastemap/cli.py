@@ -21,10 +21,9 @@ import numpy as np
 
 from .boundaries import compare_with_survey, kmeans_cosine, pca_scores
 from .csvtext import write_labelled_rows
-from .errors import DataError, EmptyAreaError, UndefinedMetric
+from .errors import DataError, UndefinedMetric
 from .ingest import (
     Corpus,
-    area_mask,
     assign_home_country,
     filter_active_users,
     grid_partition,
@@ -33,13 +32,13 @@ from .ingest import (
     top_cells,
 )
 from .model import Area, load_taxonomy
-from .prefs import area_cube, build_profiles, region_counts, region_profile
+from .prefs import area_cubes, build_profiles, region_profile
 from .signatures import (
     DAY_GROUPS,
     class_period_indices,
     correlation_matrix,
     hourly_curves,
-    spatiotemporal_vector,
+    period_counts,
     subcategory_entropies,
     summarize_entropies,
     write_matrix_csv,
@@ -115,28 +114,37 @@ def _read_cities(path: str | Path) -> list[Area]:
     return sorted(areas, key=lambda a: a.area_id)
 
 
-def _level_areas(args, corpus: Corpus) -> list[Area]:
-    """Areas for the requested level."""
+def _level_cubes(args, corpus: Corpus) -> tuple[list[Area], np.ndarray, list[str]]:
+    """The areas of the requested level that have check-ins, their count
+    cubes (areas, m, 2, 24) and the ids of the areas left out for having
+    none.  At grid level each city keeps its ``--top`` most popular cells, or
+    every non-empty one; a cell without check-ins is dropped, not listed."""
     if args.level == "country":
-        return [Area(area_id=c, kind="country", country_code=c) for c in corpus.countries]
-    if not getattr(args, "cities", None):
+        areas = [Area(area_id=c, kind="country", country_code=c) for c in corpus.countries]
+    elif not getattr(args, "cities", None):
         raise DataError(f"level {args.level!r} needs --cities")
-    cities = _read_cities(args.cities)
-    if args.level == "city":
-        return cities
+    else:
+        areas = _read_cities(args.cities)
+    if args.level != "grid":
+        cubes = area_cubes(corpus, areas)
+        full = cubes.any(axis=(1, 2, 3))
+        return ([area for area, f in zip(areas, full) if f], cubes[full],
+                [area.area_id for area, f in zip(areas, full) if not f])
     if args.top < 0:
         raise DataError(f"--top must be >= 0, got {args.top}")
-    cells: list[Area] = []
-    for city in cities:
+    cells, kept = [], []
+    for city in areas:
         grid = grid_partition(city, args.rows, args.cols)
-        if args.top > 0:
-            grid = top_cells(corpus, grid, args.top)
-        else:
-            grid = [cell for cell in grid if bool(np.any(area_mask(corpus, cell)))]
-        cells.extend(grid)
+        cubes = area_cubes(corpus, grid)
+        totals = cubes.sum(axis=(1, 2, 3))
+        keep = (top_cells(grid, totals, args.top) if args.top
+                else [cell for cell, total in zip(grid, totals) if total])
+        row = {cell.area_id: i for i, cell in enumerate(grid)}
+        kept.append(cubes[[row[cell.area_id] for cell in keep]])
+        cells.extend(keep)
     if not cells:
         raise DataError("no grid cell contains any check-in")
-    return cells
+    return cells, np.concatenate(kept), []
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +196,12 @@ def _parse_attributes(path: str | Path) -> dict[str, dict[str, str]]:
 
 def cmd_simnet(args) -> int:
     try:
-        thresholds = [float(t) for t in args.thresholds.split(",") if t.strip()]
+        # "or 0.0" turns -0.0 into 0.0, so -0 and 0 share the file tag "0".
+        thresholds = [float(t) or 0.0 for t in args.thresholds.split(",") if t.strip()]
     except ValueError as exc:
         raise DataError(f"bad threshold list: {exc}") from exc
+    if not thresholds:
+        raise DataError("--thresholds names no threshold")
     tags = [f"{t:g}" for t in thresholds]
     for i, tag in enumerate(tags):
         if tag in tags[:i]:
@@ -244,20 +255,12 @@ def cmd_signatures(args) -> int:
         raise DataError(f"--scope names no scope: use 'all' or one of {taxonomy.class_ids}")
     if unknown:
         raise DataError(f"unknown scope(s) {unknown}: use 'all' or one of {taxonomy.class_ids}")
-    areas = _level_areas(args, corpus)
-
-    spatial, used, cubes, empty = [], [], [], []
-    for area in areas:
-        try:
-            spatial.append(region_profile(region_counts(corpus, area), area.area_id))
-        except EmptyAreaError:
-            empty.append(area.area_id)
-            continue
-        used.append(area)
-        cubes.append(area_cube(corpus, area))
-    if len(spatial) < 2:
+    used, cubes, empty = _level_cubes(args, corpus)
+    if len(used) < 2:
         raise UndefinedMetric("fewer than two areas have check-ins; nothing to correlate")
-    cubes = np.stack(cubes)
+    area_ids = [area.area_id for area in used]
+    counts = cubes.sum(axis=(2, 3))
+    spatial = [region_profile(row, area_id) for row, area_id in zip(counts, area_ids)]
     out = _outdir(args)
 
     for scope in scopes:
@@ -265,14 +268,13 @@ def cmd_signatures(args) -> int:
         write_matrix_csv(matrix, out / f"corr_{scope}.csv")
 
     header = ["area", *(f"h{h:02d}" for h in range(24))]
-    area_ids = [area.area_id for area in used]
     for class_id in taxonomy.class_ids:
         for day_group in DAY_GROUPS:
             curves = hourly_curves(cubes, taxonomy, class_id, day_group)
             write_labelled_rows(out / f"temporal_{class_id}_{day_group}.csv", header, area_ids,
                                 (map(repr, row) for row in curves.tolist()))
 
-    entropies = subcategory_entropies(np.stack([sig.raw_counts for sig in spatial]))
+    entropies = subcategory_entropies(counts)
     with open(out / "entropy.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["class", "subcategory", "entropy_bits"])
@@ -301,16 +303,11 @@ def cmd_signatures(args) -> int:
 
 def cmd_cluster(args) -> int:
     corpus, _ = read_store(args.store, args.taxonomy)
-    areas = _level_areas(args, corpus)
-    rows, used, empty = [], [], []
-    for area in areas:
-        try:
-            rows.append(spatiotemporal_vector(corpus, area).normalized)
-            used.append(area)
-        except EmptyAreaError:
-            empty.append(area.area_id)
-    if len(rows) < 2:
+    used, cubes, empty = _level_cubes(args, corpus)
+    if len(used) < 2:
         raise UndefinedMetric("fewer than two areas have check-ins; nothing to cluster")
+    rows = [region_profile(row, area.area_id).normalized
+            for row, area in zip(period_counts(cubes), used)]
     scores = pca_scores(np.stack(rows), args.coverage)
     p = scores.shape[1]
     k = args.k if args.k is not None else DEFAULT_K[args.level]
@@ -362,7 +359,8 @@ def cmd_survey(args) -> int:
         raise DataError(f"countries missing from the corpus: {missing}")
 
     areas = [Area(area_id=c, kind="country", country_code=c) for c in countries]
-    vectors = np.stack([spatiotemporal_vector(corpus, a).normalized for a in areas])
+    vectors = np.stack([region_profile(row, c).normalized
+                        for row, c in zip(period_counts(area_cubes(corpus, areas)), countries)])
     datasets = []
     if args.dataset in ("full", "both"):
         datasets.append(("dataset1", vectors))

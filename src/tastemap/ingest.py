@@ -491,14 +491,14 @@ def area_mask(corpus: Corpus, area: Area) -> np.ndarray:
     return ok_lon & ok_lat
 
 
-def top_cells(corpus: Corpus, cells: Sequence[Area], n: int) -> list[Area]:
-    """The n most popular cells by check-in count.
+def top_cells(cells: Sequence[Area], totals: Sequence[int], n: int) -> list[Area]:
+    """The n most popular cells, given each cell's check-in count.
 
     Ties break toward the lexicographically smaller cell id; asking for more
     cells than have any check-ins is an error.
     """
-    counted = [(int(area_mask(corpus, cell).sum()), cell) for cell in cells]
-    nonempty = [(cnt, cell) for cnt, cell in counted if cnt > 0]
+    nonempty = [(int(total), cell) for total, cell in zip(totals, cells, strict=True)
+                if total > 0]
     if n > len(nonempty):
         raise DataError(f"asked for {n} cells but only {len(nonempty)} are nonempty")
     nonempty.sort(key=lambda pair: (-pair[0], pair[1].area_id))

@@ -26,7 +26,7 @@ def build_profiles(corpus: Corpus) -> list[UserProfile]:
     ]
 
 
-def area_cube(corpus: Corpus, area: Area) -> np.ndarray:
+def region_counts(corpus: Corpus, area: Area) -> np.ndarray:
     """Check-in counts inside one area by subcategory, day group (0 weekday,
     1 weekend) and local hour, as int64[m, 2, 24].  This is the one place
     where check-ins become per-area counts; every per-area product is a
@@ -37,14 +37,9 @@ def area_cube(corpus: Corpus, area: Area) -> np.ndarray:
     return np.bincount(cell, minlength=m * 48).astype(np.int64).reshape(m, 2, 24)
 
 
-def region_counts(corpus: Corpus, area: Area) -> np.ndarray:
-    """Check-in count per subcategory inside one area."""
-    return area_cube(corpus, area).sum(axis=(1, 2))
-
-
-def area_counts_matrix(corpus: Corpus, areas: Sequence[Area]) -> np.ndarray:
-    """Stacked region_counts rows, one per area."""
-    out = np.zeros((len(areas), corpus.taxonomy.m), np.int64)
+def area_cubes(corpus: Corpus, areas: Sequence[Area]) -> np.ndarray:
+    """Stacked region_counts cubes, one per area, as int64[areas, m, 2, 24]."""
+    out = np.zeros((len(areas), corpus.taxonomy.m, 2, 24), np.int64)
     for i, area in enumerate(areas):
         out[i] = region_counts(corpus, area)
     return out

@@ -1,14 +1,14 @@
 """Spatial correlations, temporal curves, spatio-temporal vectors, entropy.
 
 Every per-area product is a reduction of one aggregation, the area's count
-cube ``prefs.area_cube`` of shape (m subcategories, 2 day groups, 24 hours),
-weekday before weekend.  Spatial counts sum out day group and hour; an hourly
-curve sums one class's rows of one day group; entropy reduces the stacked
-spatial counts of the areas.  The spatio-temporal signature splits the day
-into the four 6-hour periods [0,6), [6,12), [12,18), [18,24): it is the cube
-reshaped to (m, 2, 4, 6), summed over the last axis and flattened.  That
-reshape is the layout: the entry for (subcategory s, weekend w, hour h) sits
-at ``s*8 + w*4 + h//6``.
+cube ``prefs.region_counts`` of shape (m subcategories, 2 day groups, 24
+hours), weekday before weekend; ``prefs.area_cubes`` stacks the cubes of many
+areas.  Spatial counts sum out day group and hour; an hourly curve sums one
+class's rows of one day group; entropy reduces the stacked spatial counts of
+the areas.  The spatio-temporal signature splits the day into the four 6-hour
+periods [0,6), [6,12), [12,18), [18,24): ``period_counts`` reshapes the cube
+to (m, 2, 4, 6), sums the last axis and flattens.  That reshape is the layout:
+the entry for (subcategory s, weekend w, hour h) sits at ``s*8 + w*4 + h//6``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .csvtext import write_labelled_rows
 from .errors import DataError, UndefinedMetric
 from .ingest import Corpus
 from .model import Area, AreaSignature, Taxonomy, class_slice
-from .prefs import area_counts_matrix, area_cube, region_profile
+from .prefs import area_cubes, region_counts, region_profile
 
 DAY_GROUPS = ("weekday", "weekend")
 PERIODS_PER_DAY = 4
@@ -151,8 +151,16 @@ def temporal_series(corpus: Corpus, area: Area, class_id: str, day_group: str) -
 
     Weekend means Saturday or Sunday.  An empty series stays all-zero.
     """
-    (bins,) = hourly_curves(area_cube(corpus, area)[None], corpus.taxonomy, class_id, day_group)
+    (bins,) = hourly_curves(area_cubes(corpus, [area]), corpus.taxonomy, class_id, day_group)
     return bins
+
+
+def period_counts(cubes: np.ndarray) -> np.ndarray:
+    """Counts per subcategory, day group and 6-hour period of one count cube
+    (m, 2, 24) or a stack of them (areas, m, 2, 24), each cube flattened to
+    the 8*m spatio-temporal layout."""
+    periods = cubes.reshape(*cubes.shape[:-1], PERIODS_PER_DAY, -1).sum(axis=-1)
+    return periods.reshape(*cubes.shape[:-3], -1)
 
 
 def spatiotemporal_vector(corpus: Corpus, area: Area) -> AreaSignature:
@@ -161,9 +169,7 @@ def spatiotemporal_vector(corpus: Corpus, area: Area) -> AreaSignature:
     A single maximum normalizes the whole flattened vector, mirroring the
     spatial rule on the enlarged feature set.
     """
-    cube = area_cube(corpus, area)
-    counts = cube.reshape(len(cube), len(DAY_GROUPS), PERIODS_PER_DAY, -1).sum(axis=3).ravel()
-    return region_profile(counts, area.area_id)
+    return region_profile(period_counts(region_counts(corpus, area)), area.area_id)
 
 
 def class_period_indices(taxonomy: Taxonomy, class_id: str, day_group: str) -> np.ndarray:
@@ -191,7 +197,7 @@ def subcategory_entropies(counts: np.ndarray) -> list[float | None]:
 def subcategory_entropy(corpus: Corpus, subcategory: str, areas: Sequence[Area]) -> float:
     """Shannon entropy (bits) of one subcategory's check-ins over areas."""
     i = corpus.taxonomy.index_of(subcategory)
-    (h,) = subcategory_entropies(area_counts_matrix(corpus, areas)[:, [i]])
+    (h,) = subcategory_entropies(area_cubes(corpus, areas).sum(axis=(2, 3))[:, [i]])
     if h is None:
         raise UndefinedMetric("no check-ins at this subcategory in any area")
     return h
@@ -230,5 +236,5 @@ def entropy_summary(corpus: Corpus, areas: Sequence[Area]) -> list[EntropySummar
     per class, at the granularity the areas define."""
     if not areas:
         raise DataError("need at least one area")
-    entropies = subcategory_entropies(area_counts_matrix(corpus, areas))
+    entropies = subcategory_entropies(area_cubes(corpus, areas).sum(axis=(2, 3)))
     return summarize_entropies(corpus.taxonomy, areas[0].kind, entropies)

@@ -277,12 +277,30 @@ class TestSimnet:
         assert f"{attrs} line 3:" in err and f"{user!r} twice" in err
         assert not out.exists()
 
-    def test_empty_threshold_list_writes_empty_metrics(self, pipeline, tmp_path):
+    @pytest.mark.parametrize("thresholds", ["", ",", " , "], ids=["empty", "comma", "blanks"])
+    def test_empty_threshold_list_exits_2_and_writes_nothing(self, pipeline, tmp_path, capsys,
+                                                            thresholds):
         out = tmp_path / "simnet"
-        assert main(["simnet", "--store", str(pipeline["store"]), "--thresholds", "",
+        assert main(["simnet", "--store", str(tmp_path / "no-store"), "--thresholds", thresholds,
+                     "--out-dir", str(out)]) == 2
+        assert "names no threshold" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_zero_shares_the_tag_of_zero(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "simnet"
+        assert main(["simnet", "--store", str(pipeline["store"]), "--thresholds", "100,-0,0",
+                     "--out-dir", str(out)]) == 2
+        assert "'0'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_lone_negative_zero_is_tagged_0(self, pipeline, tmp_path):
+        out = tmp_path / "simnet"
+        assert main(["simnet", "--store", str(pipeline["store"]), "--thresholds", "-0",
                      "--out-dir", str(out)]) == 0
-        assert json.loads((out / "metrics.json").read_text()) == {}
-        assert sorted(p.name for p in out.iterdir()) == ["metrics.json"]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "edges_s0.tsv", "metrics.json", "nodes_s0.csv"]
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert list(metrics) == ["0"] and repr(metrics["0"]["threshold"]) == "0.0"
 
 
 def test_cli_import_leaves_scipy_stats_out():

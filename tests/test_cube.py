@@ -17,12 +17,13 @@ from conftest import corpus_of, make_checkin, with_homes
 from tastemap.errors import EmptyAreaError, UndefinedMetric
 from tastemap.ingest import grid_partition
 from tastemap.model import Area, class_slice
-from tastemap.prefs import area_cube, region_counts, region_profile
+from tastemap.prefs import area_cubes, region_counts, region_profile
 from tastemap.signatures import (
     DAY_GROUPS,
     correlation_matrix,
     entropy_summary,
     pearson,
+    period_counts,
     spatiotemporal_vector,
     subcategory_entropy,
     temporal_series,
@@ -91,8 +92,8 @@ def products(toy_tax, corpus):
     """Every per-area product of a corpus, as plain comparable values."""
     out = {}
     for area in AREAS + COUNTRIES:
-        out[area.area_id, "cube"] = area_cube(corpus, area).tolist()
-        out[area.area_id, "counts"] = region_counts(corpus, area).tolist()
+        out[area.area_id, "cube"] = region_counts(corpus, area).tolist()
+        out[area.area_id, "counts"] = area_cubes(corpus, [area]).sum(axis=(2, 3)).tolist()
         for class_id in toy_tax.class_ids:
             for group in DAY_GROUPS:
                 series = temporal_series(corpus, area, class_id, group)
@@ -118,8 +119,9 @@ def test_counts_and_curves_equal_check_in_loops(toy_tax, data):
     corpus = build(toy_tax, data)
     for area in AREAS + COUNTRIES:
         cube = brute_cube(toy_tax, data, area)
-        assert np.array_equal(area_cube(corpus, area), cube)
-        assert region_counts(corpus, area).tolist() == cube.sum(axis=(1, 2)).tolist()
+        assert np.array_equal(region_counts(corpus, area), cube)
+        spatial = area_cubes(corpus, [area]).sum(axis=(2, 3))
+        assert spatial.tolist() == [cube.sum(axis=(1, 2)).tolist()]
 
         for class_id in toy_tax.class_ids:
             lo, hi = toy_tax.class_ranges[class_id]
@@ -141,6 +143,23 @@ def test_counts_and_curves_equal_check_in_loops(toy_tax, data):
             sig = spatiotemporal_vector(corpus, area)
             assert sig.raw_counts.tolist() == slots
             assert sig.normalized.tolist() == [c / max(slots) for c in slots]
+
+
+@SETTINGS
+@given(data=rows)
+def test_stacked_cubes_equal_check_in_loops(toy_tax, data):
+    corpus = build(toy_tax, data)
+    got = area_cubes(corpus, AREAS + COUNTRIES)
+    want = np.stack([brute_cube(toy_tax, data, area) for area in AREAS + COUNTRIES])
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+
+    slots = np.zeros((len(want), 8 * toy_tax.m), np.int64)
+    for i, area in enumerate(AREAS + COUNTRIES):
+        for lon, lat, s, w, h, country in data:
+            if inside(area, lon, lat, country):
+                slots[i, s * 8 + 4 * int(w) + h // 6] += 1
+    assert np.array_equal(period_counts(got), slots)
 
 
 @SETTINGS

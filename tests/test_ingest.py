@@ -27,6 +27,7 @@ from tastemap.ingest import (
     top_cells,
 )
 from tastemap.model import Area
+from tastemap.prefs import area_cubes
 
 
 class TestParseCorpus:
@@ -563,6 +564,11 @@ class TestGridPartition:
             grid_partition(flat, 2, 2)
 
 
+def cell_totals(corpus, cells):
+    """Check-ins per cell, as the CLI passes them to top_cells."""
+    return area_cubes(corpus, cells).sum(axis=(1, 2, 3))
+
+
 class TestTopCells:
     def _fixture(self, toy_tax):
         city = Area("metro", "city", bbox=(0.0, 0.0, 1.0, 1.0))
@@ -573,16 +579,16 @@ class TestTopCells:
             toy_tax,
             [make_checkin(user=f"u{i}", lat=lat, lon=lon) for i, (lat, lon) in enumerate(spots)],
         )
-        return corpus, cells
+        return cells, cell_totals(corpus, cells)
 
     def test_tie_broken_by_cell_id(self, toy_tax):
-        corpus, cells = self._fixture(toy_tax)
-        top = top_cells(corpus, cells, 2)
+        cells, totals = self._fixture(toy_tax)
+        top = top_cells(cells, totals, 2)
         assert [c.area_id for c in top] == ["metro:0:0", "metro:0:1"]
 
     def test_all_nonempty_is_permutation(self, toy_tax):
-        corpus, cells = self._fixture(toy_tax)
-        top = top_cells(corpus, cells, 3)
+        cells, totals = self._fixture(toy_tax)
+        top = top_cells(cells, totals, 3)
         assert {c.area_id for c in top} == {"metro:0:0", "metro:0:1", "metro:1:0"}
 
     def test_uniform_counts_sorted_by_id(self, toy_tax):
@@ -592,10 +598,22 @@ class TestTopCells:
             toy_tax,
             [make_checkin(user=f"u{i}", lat=0.5, lon=x) for i, x in enumerate((0.1, 0.5, 0.9))],
         )
-        top = top_cells(corpus, cells, 3)
+        top = top_cells(cells, cell_totals(corpus, cells), 3)
         assert [c.area_id for c in top] == ["metro:0:0", "metro:0:1", "metro:0:2"]
 
     def test_too_many_requested(self, toy_tax):
-        corpus, cells = self._fixture(toy_tax)
+        cells, totals = self._fixture(toy_tax)
         with pytest.raises(DataError):
-            top_cells(corpus, cells, 4)
+            top_cells(cells, totals, 4)
+
+    def test_tie_broken_by_id_string_not_row(self):
+        # Rows 2 and 10 tie; "c:10:0" sorts before "c:2:0" although row 2
+        # comes first in row-major order.
+        cells = grid_partition(Area("c", "city", bbox=(0.0, 0.0, 1.0, 12.0)), 12, 1)
+        totals = [0] * 12
+        totals[2] = totals[10] = 3
+        totals[5] = 1
+        assert [c.area_id for c in top_cells(cells, totals, 2)] == ["c:10:0", "c:2:0"]
+        assert [c.area_id for c in top_cells(cells, totals, 3)] == ["c:10:0", "c:2:0", "c:5:0"]
+        with pytest.raises(DataError, match="only 3 are nonempty"):
+            top_cells(cells, totals, 4)

@@ -8,7 +8,7 @@ from tastemap.errors import DataError, EmptyAreaError
 from tastemap.ingest import grid_partition
 from tastemap.model import Area
 from tastemap.prefs import (
-    area_counts_matrix,
+    area_cubes,
     build_profiles,
     region_counts,
     region_profile,
@@ -80,7 +80,7 @@ class TestRegionCounts:
     def test_counts_only_inside(self, toy_tax):
         checkins = [make_checkin(user=f"u{i}", subcat="Pub", lat=1.0, lon=1.0) for i in range(3)]
         checkins.append(make_checkin(user="u9", subcat="Pub", lat=5.0, lon=5.0))
-        counts = region_counts(corpus_of(toy_tax, checkins), self.AREA)
+        counts = region_counts(corpus_of(toy_tax, checkins), self.AREA).sum(axis=(1, 2))
         assert counts[toy_tax.index_of("Pub")] == 3
         assert counts.sum() == 3
 
@@ -98,7 +98,7 @@ class TestRegionCounts:
         ]
         corpus = corpus_of(toy_tax, checkins)
         cells = grid_partition(self.AREA, 3, 3)
-        total = area_counts_matrix(corpus, cells).sum(axis=0)
+        total = area_cubes(corpus, cells).sum(axis=0)
         assert np.array_equal(total, region_counts(corpus, self.AREA))
 
     def test_unknown_country_raises_and_homed_corpus_counts(self, toy_tax):

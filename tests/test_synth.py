@@ -97,7 +97,7 @@ class TestGenerateCorpus:
         sigs = []
         for code in ("AA", "BB"):
             area = Area(code, "country", country_code=code)
-            sigs.append(region_profile(region_counts(located, area), code))
+            sigs.append(region_profile(region_counts(located, area).sum(axis=(1, 2)), code))
         matrix = correlation_matrix(sigs, ref_tax)
         assert matrix.values[0, 1] <= 0.0
 
