@@ -21,8 +21,32 @@ Spec files are JSON::
         ...]}
 
 ``checkins_per_user`` is either a fixed integer or an inclusive [low, high]
-range.  ``hourly`` keys are class ids or "*" for all classes; omitted
-profiles are uniform.
+range.  ``hourly`` keys are class ids or "*" for all classes, its groups
+are "weekday" and "weekend", and each profile holds 24 nonnegative weights
+with a positive sum; omitted profiles are uniform.  A bad profile is a
+``DataError`` before any file is opened.
+
+Each user's draws are, in order: the check-in count, then per check-in the
+subcategory, weekend flag, date, hour, minute, second, longitude, latitude
+and venue.  They are the values numpy's scalar ``Generator`` calls would
+return on the user's stream; the generator reproduces them from the
+stream's raw 64-bit words (``random_raw``), decoding a block of a
+country's users (up to ``_BLOCK_ROWS`` check-ins) in one numpy pass:
+
+* a double (subcategory and hour via ``choice(k, p)``, weekend flag,
+  coordinates via ``uniform``) takes a whole word ``w`` as
+  ``(w >> 11) * 2**-53``;
+* a bounded integer in [0, n) (count, date, minute, second, venue) takes a
+  32-bit half ``h`` as ``(h * n) >> 32`` (Lemire), low half first, the
+  high half waiting for the next bounded draw across any doubles between;
+  it rejects ``h`` when ``(h * n) mod 2**32 < (2**32 - n) mod n`` and takes
+  the next half instead.  A one-value range takes nothing.
+
+Word positions follow from a cumulative sum over that fixed order.  A
+rejection shifts every later draw of its user, so each user with one is
+decoded again with its first rejected draw taking one more half, until no
+draw is rejected.  ``geo.txt`` and ``cities.csv`` write coordinates with
+``repr``, so they parse back to the spec's floats exactly.
 """
 
 from __future__ import annotations
@@ -39,8 +63,6 @@ from .model import Taxonomy
 
 REFERENCE_WEEK = ("2024-04-15", "2024-04-16", "2024-04-17", "2024-04-18",
                   "2024-04-19", "2024-04-20", "2024-04-21")
-WEEKDAY_DATES = REFERENCE_WEEK[:5]
-WEEKEND_DATES = REFERENCE_WEEK[5:]
 
 
 @dataclass(frozen=True)
@@ -63,6 +85,21 @@ class CountrySpec:
     venues_per_subcategory: int = 3
 
 
+def _usable_weights(weights) -> bool:
+    """Nonnegative with a positive, finite sum (so no NaN or infinity)."""
+    w = np.asarray(weights, np.float64)
+    if w.size == 0:
+        return False
+    with np.errstate(over="ignore"):
+        return bool(w.min() >= 0 and 0 < w.sum() < np.inf)
+
+
+def _usable_box(box) -> bool:
+    """min < max on both axes, with a finite width and height."""
+    lo_x, lo_y, hi_x, hi_y = box
+    return bool(lo_x < hi_x and lo_y < hi_y and np.isfinite([hi_x - lo_x, hi_y - lo_y]).all())
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     countries: tuple[CountrySpec, ...]
@@ -76,26 +113,32 @@ class SynthSpec:
         for c in self.countries:
             if c.users < 1:
                 raise DataError(f"country {c.code!r} needs at least one user")
-            if not 1 <= c.checkins_low <= c.checkins_high:
+            # Bounded draws take 32-bit halves, so a range holds at most 2**32 values.
+            if not 1 <= c.checkins_low <= c.checkins_high < c.checkins_low + 2**32:
                 raise DataError(f"country {c.code!r} has a bad check-in range")
-            weights = list(c.preferences.values())
-            if not weights or min(weights) < 0 or max(weights) <= 0:
+            if not _usable_weights(list(c.preferences.values())):
                 raise DataError(
                     f"country {c.code!r} needs nonnegative weights with at least one positive"
                 )
-            min_lon, min_lat, max_lon, max_lat = c.bbox
-            if not (min_lon < max_lon and min_lat < max_lat):
+            if not _usable_box(c.bbox):
                 raise DataError(f"country {c.code!r} has a degenerate bounding box")
             if not 0.0 <= c.weekend_fraction <= 1.0:
                 raise DataError(f"country {c.code!r} weekend_fraction out of [0, 1]")
-            if c.venues_per_subcategory < 1:
-                raise DataError(f"country {c.code!r} needs at least one venue per subcategory")
+            if not 1 <= c.venues_per_subcategory <= 2**32:
+                raise DataError(f"country {c.code!r} needs 1 to 2**32 venues per subcategory")
+            for key, profiles in c.hourly.items():
+                for group, weights in profiles.items():
+                    if group not in ("weekday", "weekend"):
+                        raise DataError(f"country {c.code!r}: hourly group {group!r} is "
+                                        "neither 'weekday' nor 'weekend'")
+                    if len(weights) != 24 or not _usable_weights(weights):
+                        raise DataError(f"country {c.code!r}: hourly profile {key!r} {group} "
+                                        "needs 24 nonnegative weights with a positive sum")
             city_ids = [city.city_id for city in c.cities]
             if len(set(city_ids)) != len(city_ids):
                 raise DataError(f"country {c.code!r} has duplicate city ids")
             for city in c.cities:
-                lo_x, lo_y, hi_x, hi_y = city.bbox
-                if not (lo_x < hi_x and lo_y < hi_y):
+                if not _usable_box(city.bbox):
                     raise DataError(f"city {city.city_id!r} has a degenerate bounding box")
 
     @staticmethod
@@ -153,14 +196,206 @@ def _hour_weights(spec: CountrySpec, class_id: str, day_group: str) -> np.ndarra
     profile = spec.hourly.get(class_id) or spec.hourly.get("*")
     if profile and day_group in profile:
         w = np.asarray(profile[day_group], np.float64)
-        if w.shape != (24,) or w.min() < 0 or w.sum() <= 0:
-            raise DataError(f"country {spec.code!r}: bad hourly profile")
         return w / w.sum()
     return np.full(24, 1.0 / 24.0)
 
 
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    """The table ``Generator.choice(k, p=probs)`` searches."""
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    return cdf
+
+
 def _user_stream(seed: int, user_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed).jumped(user_index))
+
+
+# The draws of one check-in, in the order they are made.  "count" is the
+# user's check-in count: it is drawn once, before the first check-in, so it
+# sits on the user's first row and consumes nothing on the others.
+_DRAWS = ("count", "subcat", "weekend", "date", "hour", "minute", "second", "lon", "lat",
+          "venue")
+_COL = {name: i for i, name in enumerate(_DRAWS)}
+# Bounded integers take a 32-bit half of a word; doubles take a whole word.
+_HALF = np.isin(_DRAWS, ("count", "date", "minute", "second", "venue"))
+_DOUBLES_PER_ROW = int((~_HALF).sum())
+_DOUBLES_BEFORE = np.cumsum(~_HALF) - ~_HALF  # in a row, before each column
+_LOW32 = np.uint64(0xFFFFFFFF)
+# Check-ins decoded at once: each takes about 2 KB of decoder buffers.
+_BLOCK_ROWS = 2048
+
+
+def _decode(words, word0, row_user, first_row, halves):
+    """The double and the 32-bit half of every draw of a block of users.
+
+    ``words`` holds the users' raw words back to back, user ``u``'s from
+    ``word0[u]`` and with first row ``first_row[u]``; row ``r`` is a
+    check-in of user ``row_user[r]``.  ``halves[r, j]`` is how many halves
+    bounded draw ``j`` consumes: 0 for a one-value range, 1 plus one per
+    rejected half otherwise; the draw keeps its last half.  Columns of the
+    other kind hold garbage.
+    """
+    flat = halves.ravel()
+    before = (np.cumsum(flat) - flat).reshape(halves.shape)
+    halves_before = before - before[first_row[row_user], :1]
+    row_in_user = np.arange(len(row_user)) - first_row[row_user]
+    doubles_before = _DOUBLES_PER_ROW * row_in_user[:, None] + _DOUBLES_BEFORE
+    base = word0[row_user][:, None] + doubles_before
+    # A double takes the next word, and so does every even-numbered half.
+    # An odd-numbered half is the high half of the latest word a half took;
+    # word numbers only grow, so a running maximum carries it forward.
+    double_word = base + (halves_before + 1) // 2
+    kept = halves_before + halves - 1
+    even = kept - (kept & 1)
+    takes_word = _HALF & (halves > 0) & (even >= halves_before)
+    half_word = np.maximum.accumulate(np.where(takes_word, base + even // 2, -1).ravel())
+    w = words[np.where(_HALF, half_word.reshape(halves.shape), double_word)]
+    return (w >> 11) * 2.0**-53, np.where(kept & 1, w >> 32, w & _LOW32)
+
+
+def _lemire(half: np.ndarray, n) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's integer in [0, n) from a 32-bit half, and whether numpy
+    rejects that half and takes the next one instead."""
+    m = half * n
+    return (m >> 32).astype(np.int64), (m & _LOW32) < (2**32 - n) % n
+
+
+class _Streams:
+    """The raw Philox words of a run of users, drawn from each user's own
+    stream as decoding finds it needs them."""
+
+    def __init__(self, seed: int, first_user: int, n_users: int):
+        self._streams = [_user_stream(seed, first_user + i).bit_generator
+                         for i in range(n_users)]
+        self.words = [np.empty(0, np.uint64)] * n_users
+
+    def draw(self, users: np.ndarray, need: np.ndarray) -> None:
+        """Make sure user ``users[i]`` has at least ``need[i]`` words."""
+        for u, n in zip(users.tolist(), need.tolist()):
+            have = len(self.words[u])
+            if n > have:
+                self.words[u] = np.concatenate([self.words[u],
+                                                self._streams[u].random_raw(n - have)])
+
+
+def _first_draw(streams: _Streams, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each stream's first ``integers(n)``, and the halves it consumed.
+
+    Nothing precedes it, so the draw's k-th half is the stream's half k.
+    """
+    value = np.zeros(len(streams.words), np.int64)
+    halves = np.full(len(streams.words), int(n > 1), np.int64)
+    pending = np.flatnonzero(halves)
+    while pending.size:
+        kept = halves[pending] - 1
+        streams.draw(pending, kept // 2 + 1)
+        w = np.array([streams.words[u][k // 2] for u, k in zip(pending.tolist(), kept.tolist())],
+                     np.uint64)
+        value[pending], rejected = _lemire(np.where(kept & 1, w >> 32, w & _LOW32), np.uint64(n))
+        halves[pending[rejected]] += 1
+        pending = pending[rejected]
+    return value, halves
+
+
+def _draw_users(country: CountrySpec, seed: int, first_user: int, n_users: int):
+    """Check-in counts and the decoded draws of a run of a country's users.
+
+    Returns ``(counts, doubles, ints)``: one row per check-in, users in
+    order, one column per entry of ``_DRAWS``; ``doubles`` is valid in the
+    double columns and ``ints`` in the bounded ones.
+    """
+    streams = _Streams(seed, first_user, n_users)
+    counts, count_halves = _first_draw(streams, country.checkins_high - country.checkins_low + 1)
+    counts += country.checkins_low
+
+    first_row = np.cumsum(counts) - counts
+    halves = np.zeros((int(counts.sum()), len(_DRAWS)), np.int64)
+    halves[:, _HALF] = 1
+    halves[:, _COL["count"]] = 0
+    halves[first_row, _COL["count"]] = count_halves
+    if country.venues_per_subcategory == 1:
+        halves[:, _COL["venue"]] = 0
+    # The count column only accounts for the halves the count took; like
+    # every draw that takes no half, it has bound 1, which never rejects.
+    bounds = np.ones(len(_DRAWS), np.uint64)
+    bounds[[_COL["minute"], _COL["second"], _COL["venue"]]] = (
+        60, 60, country.venues_per_subcategory)
+    doubles = np.empty(halves.shape)
+    ints = np.empty(halves.shape, np.int64)
+    # Decode every user; then re-decode each user that had a rejected half
+    # with that user's first rejected draw taking one half more, until no
+    # draw is rejected.
+    pending = np.arange(n_users)
+    while pending.size:
+        c = counts[pending]
+        block_first = np.cumsum(c) - c
+        block_user = np.repeat(np.arange(len(pending)), c)
+        rows = np.arange(len(block_user)) + np.repeat(first_row[pending] - block_first, c)
+        block_halves = halves[rows]
+        need = _DOUBLES_PER_ROW * c + (np.add.reduceat(block_halves.sum(1), block_first) + 1) // 2
+        streams.draw(pending, need)
+        block_words = [streams.words[u] for u in pending.tolist()]
+        lengths = np.array([len(w) for w in block_words])
+        unit, half = _decode(np.concatenate(block_words), np.cumsum(lengths) - lengths,
+                             block_user, block_first, block_halves)
+        n = np.repeat(bounds[None], len(rows), axis=0)
+        n[:, _COL["date"]] = np.where(unit[:, _COL["weekend"]] < country.weekend_fraction, 2, 5)
+        value, rejected = _lemire(half, n)
+        doubles[rows] = unit
+        ints[rows] = value
+        slots = np.flatnonzero(rejected)
+        users, first = np.unique(block_user[slots // len(_DRAWS)], return_index=True)
+        slots = slots[first]
+        halves[rows[slots // len(_DRAWS)], slots % len(_DRAWS)] += 1
+        pending = pending[users]
+    return counts, doubles, ints
+
+
+def _lines(country: CountrySpec, seed: int, first_user: int, local: range, taxonomy: Taxonomy):
+    """The labels.csv lines and corpus.jsonl records of the country's users
+    ``local`` (indices within the country); its first user is ``first_user``."""
+    counts, doubles, ints = _draw_users(country, seed, first_user + local.start, len(local))
+    user_ids = [f"u{first_user + i:06d}" for i in local]
+    if country.cities:
+        homes = [country.cities[i % len(country.cities)] for i in local]
+        boxes = np.array([city.bbox for city in homes], np.float64)
+        city_ids = [city.city_id for city in homes]
+    else:
+        boxes = np.tile(np.asarray(country.bbox, np.float64), (len(local), 1))
+        city_ids = [""] * len(local)
+    labels = [f"{user},{country.code},{city}\n" for user, city in zip(user_ids, city_ids)]
+
+    names = sorted(country.preferences)
+    weights = np.asarray([country.preferences[n] for n in names], np.float64)
+    subcat = np.searchsorted(_cdf(weights / weights.sum()), doubles[:, _COL["subcat"]],
+                             side="right")
+    weekend = doubles[:, _COL["weekend"]] < country.weekend_fraction
+    classes = sorted({taxonomy.class_of(n) for n in names})
+    hour_cdfs = np.array([_cdf(_hour_weights(country, cls, grp))
+                          for cls in classes for grp in ("weekday", "weekend")])
+    name_class = np.array([classes.index(taxonomy.class_of(n)) for n in names])
+    # searchsorted(side="right") of each row's own profile
+    hour_cdf = hour_cdfs[2 * name_class[subcat] + weekend]
+    hour = (hour_cdf <= doubles[:, _COL["hour"], None]).sum(1)
+    row_user = np.repeat(np.arange(len(local)), counts)
+    box = boxes[row_user]
+    lon = box[:, 0] + (box[:, 2] - box[:, 0]) * doubles[:, _COL["lon"]]
+    lat = box[:, 1] + (box[:, 3] - box[:, 1]) * doubles[:, _COL["lat"]]
+    day = ints[:, _COL["date"]] + 5 * weekend  # weekend dates follow the five weekdays
+
+    subcat_json = [json.dumps(n) for n in names]
+    venue_json = [json.dumps(f"v-{country.code}-{taxonomy.index_of(n)}-")[:-1] for n in names]
+    records = [
+        f'{{"user":"{user_ids[u]}","venue":{venue_json[s]}{v}","lat":{y!r},"lon":{x!r},'
+        f'"ts":"{REFERENCE_WEEK[d]}T{h:02d}:{mi:02d}:{se:02d}","subcat":{subcat_json[s]}}}\n'
+        for u, s, v, y, x, d, h, mi, se in zip(
+            row_user.tolist(), subcat.tolist(), ints[:, _COL["venue"]].tolist(),
+            lat.tolist(), lon.tolist(), day.tolist(), hour.tolist(),
+            ints[:, _COL["minute"]].tolist(), ints[:, _COL["second"]].tolist(),
+        )
+    ]
+    return labels, records
 
 
 def generate_corpus(
@@ -178,6 +413,11 @@ def generate_corpus(
         for name in country.preferences:
             if name not in taxonomy:
                 raise DataError(f"country {country.code!r}: unknown subcategory {name!r}")
+        for key in country.hourly:
+            if key != "*" and key not in taxonomy.class_ids:
+                raise DataError(
+                    f"country {country.code!r}: hourly key {key!r} is neither '*' nor a class id"
+                )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     corpus_path = out_dir / "corpus.jsonl"
@@ -192,62 +432,20 @@ def generate_corpus(
     ) as labels_fh:
         labels_fh.write("user,country,city\n")
         for country in spec.countries:
-            names = sorted(country.preferences)
-            weights = np.asarray([country.preferences[n] for n in names], np.float64)
-            probs = weights / weights.sum()
-            subcat_classes = [taxonomy.class_of(n) for n in names]
-            hour_probs = {
-                (cls, grp): _hour_weights(country, cls, grp)
-                for cls in set(subcat_classes)
-                for grp in ("weekday", "weekend")
-            }
-            for local_idx in range(country.users):
-                user_id = f"u{user_index:06d}"
-                rng = _user_stream(seed, user_index)
-                user_index += 1
-                if country.cities:
-                    city = country.cities[local_idx % len(country.cities)]
-                    box = city.bbox
-                    city_id = city.city_id
-                else:
-                    box = country.bbox
-                    city_id = ""
-                labels_fh.write(f"{user_id},{country.code},{city_id}\n")
-                n_checkins = int(
-                    rng.integers(country.checkins_low, country.checkins_high + 1)
-                )
-                for _ in range(n_checkins):
-                    choice = int(rng.choice(len(names), p=probs))
-                    subcat = names[choice]
-                    class_id = subcat_classes[choice]
-                    weekend = bool(rng.random() < country.weekend_fraction)
-                    dates = WEEKEND_DATES if weekend else WEEKDAY_DATES
-                    date = dates[int(rng.integers(len(dates)))]
-                    group = "weekend" if weekend else "weekday"
-                    hour = int(rng.choice(24, p=hour_probs[(class_id, group)]))
-                    minute = int(rng.integers(60))
-                    second = int(rng.integers(60))
-                    lon = float(rng.uniform(box[0], box[2]))
-                    lat = float(rng.uniform(box[1], box[3]))
-                    venue = (
-                        f"v-{country.code}-{taxonomy.index_of(subcat)}-"
-                        f"{int(rng.integers(country.venues_per_subcategory))}"
-                    )
-                    record = {
-                        "user": user_id,
-                        "venue": venue,
-                        "lat": lat,
-                        "lon": lon,
-                        "ts": f"{date}T{hour:02d}:{minute:02d}:{second:02d}",
-                        "subcat": subcat,
-                    }
-                    corpus_fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+            # Blocks of users with at most _BLOCK_ROWS check-ins, or one user.
+            block = max(1, _BLOCK_ROWS // country.checkins_high)
+            for start in range(0, country.users, block):
+                local = range(start, min(start + block, country.users))
+                labels, records = _lines(country, seed, user_index, local, taxonomy)
+                labels_fh.writelines(labels)
+                corpus_fh.write("".join(records))
+            user_index += country.users
 
     with open(geo_path, "w", encoding="utf-8") as fh:
         for country in spec.countries:
             min_lon, min_lat, max_lon, max_lat = country.bbox
             ring = ";".join(
-                f"{x:g},{y:g}"
+                f"{x!r},{y!r}"
                 for x, y in (
                     (min_lon, min_lat),
                     (max_lon, min_lat),
@@ -264,7 +462,7 @@ def generate_corpus(
             for country in spec.countries:
                 for city in country.cities:
                     b = city.bbox
-                    fh.write(f"{city.city_id},{country.code},{b[0]:g},{b[1]:g},{b[2]:g},{b[3]:g}\n")
+                    fh.write(f"{city.city_id},{country.code},{b[0]!r},{b[1]!r},{b[2]!r},{b[3]!r}\n")
 
     return GeneratedCorpus(corpus_path, labels_path, geo_path, cities_path)
 

@@ -1,17 +1,34 @@
 """Synthetic corpus generation and adjusted Rand index."""
 
 import csv
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from synth_oracle import generate_corpus_loop
+from tastemap import synth
+from tastemap.cli import main
 from tastemap.errors import DataError
 from tastemap.ingest import assign_home_country, load_geo_index, parse_corpus
-from tastemap.model import Area
+from tastemap.model import Area, reference_taxonomy_path
 from tastemap.prefs import region_counts, region_profile
 from tastemap.signatures import correlation_matrix
-from tastemap.synth import SynthSpec, adjusted_rand_index, generate_corpus
+from tastemap.synth import (
+    SynthSpec,
+    _first_draw,
+    _Streams,
+    _user_stream,
+    adjusted_rand_index,
+    generate_corpus,
+)
 
 
 def spec_dict(**overrides):
@@ -147,6 +164,156 @@ class TestGenerateCorpus:
             generate_corpus(SynthSpec.from_dict(doc), 0, tmp_path, ref_tax)
 
 
+# Subcategories from three classes of the reference taxonomy.
+ORACLE_NAMES = ("Pub", "Sake Bar", "Bakery", "Burger Joint", "Steakhouse", "Sushi Restaurant")
+OUTPUT_FILES = ("corpus.jsonl", "labels.csv", "geo.txt", "cities.csv")
+
+
+@st.composite
+def box(draw):
+    x0, y0 = draw(st.floats(-170, 170)), draw(st.floats(-80, 80))
+    w, h = draw(st.floats(1e-6, 10)), draw(st.floats(1e-6, 10))
+    return [x0, y0, x0 + w, y0 + h]
+
+
+def weights(n, draw):
+    return draw(st.lists(st.sampled_from([0.0, 0.0, 0.25, 1.0, 3.5]), min_size=n, max_size=n)
+                .filter(lambda ws: sum(ws) > 0))
+
+
+@st.composite
+def country_entry(draw, code, class_ids):
+    names = draw(st.lists(st.sampled_from(ORACLE_NAMES), min_size=1, max_size=4, unique=True))
+    low = draw(st.integers(1, 5))
+    hourly = {}
+    for key in draw(st.lists(st.sampled_from(("*", *class_ids)), max_size=3, unique=True)):
+        groups = draw(st.lists(st.sampled_from(("weekday", "weekend")), max_size=2, unique=True))
+        hourly[key] = {group: weights(24, draw) for group in groups}
+    entry = {
+        "code": code,
+        "bbox": draw(box()),
+        "users": draw(st.integers(1, 4)),
+        "checkins_per_user": draw(st.sampled_from([low, [low, low + draw(st.integers(0, 6))]])),
+        "preferences": dict(zip(names, weights(len(names), draw))),
+        "weekend_fraction": draw(st.sampled_from([0.0, 1.0, 2.0 / 7.0]) | st.floats(0, 1)),
+        "hourly": hourly,
+        "venues_per_subcategory": draw(st.sampled_from([1, 2, 3, 60, 2**31 + 1])),
+    }
+    n_cities = draw(st.integers(0, 3))
+    if n_cities:
+        entry["cities"] = [{"id": f"{code}-{i}", "bbox": draw(box())} for i in range(n_cities)]
+    return entry
+
+
+@st.composite
+def oracle_specs(draw, class_ids):
+    codes = draw(st.lists(st.text(alphabet='AZ"\\\u00e9\u4e2d\U0001f600', min_size=1, max_size=3),
+                          min_size=1, max_size=3, unique=True))
+    return {"countries": [draw(country_entry(code, class_ids)) for code in codes]}
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), seed=st.integers(0, 2**32),
+       block_rows=st.sampled_from([synth._BLOCK_ROWS, 1, 7]))
+def test_generator_writes_what_the_scalar_loop_wrote(ref_tax, data, seed, block_rows):
+    """Every output file is the per-check-in loop's, byte for byte: counts
+    fixed and ranged, one venue and 2**31 + 1 venues (numpy rejects about
+    half of those draws), weekend fractions 0 and 1, zero weights, cities,
+    country codes that JSON must escape, and countries decoded in several
+    blocks of users."""
+    doc = data.draw(oracle_specs(ref_tax.class_ids))
+    spec = SynthSpec.from_dict(doc)
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(synth, "_BLOCK_ROWS", block_rows):
+        new, old = Path(tmp, "new"), Path(tmp, "old")
+        generate_corpus(spec, seed, new, ref_tax)
+        generate_corpus_loop(spec, seed, old, ref_tax)
+        for name in OUTPUT_FILES:
+            assert (new / name).exists() == (old / name).exists()
+            if (old / name).exists():
+                assert (new / name).read_bytes() == (old / name).read_bytes(), name
+
+
+def test_first_draw_matches_integers_through_rejections():
+    """The count draw never meets a rejection at realistic ranges, so check
+    its decoding on its own: at n = 2**31 + 1 numpy rejects about half of
+    the halves, and the next double must come from the next unused word."""
+    n = 2**31 + 1
+    streams = _Streams(3, 0, 300)
+    value, halves = _first_draw(streams, n)
+    assert (halves > 1).sum() > 100
+    for i in range(300):
+        rng = _user_stream(3, i)
+        assert value[i] == rng.integers(n)
+        streams.draw(np.array([i]), np.array([(halves[i] + 1) // 2 + 1]))
+        assert rng.random() == (streams.words[i][(halves[i] + 1) // 2] >> 11) * 2.0**-53
+
+
+GOLDEN_SPEC = {
+    "countries": [
+        {"code": "AA", "bbox": [0, 0, 10, 10], "users": 6, "checkins_per_user": [3, 9],
+         "preferences": {"Pub": 3.0, "Bakery": 1.0, "Sushi Restaurant": 0.5},
+         "weekend_fraction": 0.4,
+         "hourly": {"*": {"weekday": [1.0] * 12 + [3.0] * 12, "weekend": [0.0] * 18 + [1.0] * 6}},
+         "cities": [{"id": "AA-1", "bbox": [0, 0, 5, 10]}, {"id": "AA-2", "bbox": [5, 0, 10, 10]}]},
+        {"code": "BB", "bbox": [20.5, -3.25, 30, 7.125], "users": 4, "checkins_per_user": 5,
+         "preferences": {"Sake Bar": 2.0, "Steakhouse": 1.0}, "venues_per_subcategory": 1},
+    ]
+}
+
+
+def test_corpus_digest_is_pinned(ref_tax, tmp_path):
+    """The corpus depends only on Philox words (stable under NEP 19) and our
+    own decoding; the scalar-loop oracle above also rests on ``Generator``
+    internals, which numpy may change.  Digest taken from that loop."""
+    generated = generate_corpus(SynthSpec.from_dict(GOLDEN_SPEC), 5, tmp_path, ref_tax)
+    data = generated.corpus_path.read_bytes()
+    assert data.count(b"\n") == 53
+    assert hashlib.sha256(data).hexdigest() == (
+        "74965b996b45179bd43769ad5562384e02f893ef334bf7f1dd740456c8904a29"
+    )
+
+
+class TestHourlyValidation:
+    @pytest.mark.parametrize("hourly", [
+        {"Nightlife": {"weekday": [1.0] * 24}},
+        {"*": {"weekdays": [1.0] * 24}},
+        {"*": {"weekday": [1.0] * 23}},
+        {"*": {"weekend": [1.0] * 23 + [-1.0]}},
+        {"*": {"weekend": [0.0] * 24}},
+        {"*": {"weekend": [float("nan")] * 24}},
+        {"*": {"weekend": [float("inf")] + [1.0] * 23}},
+    ], ids=["unknown-class", "unknown-group", "short", "negative", "zero-sum", "nan", "inf"])
+    def test_bad_profile_on_second_country_writes_nothing(self, ref_tax, tmp_path, hourly):
+        doc = spec_dict()
+        doc["countries"][1]["hourly"] = hourly
+        with pytest.raises(DataError):
+            generate_corpus(SynthSpec.from_dict(doc), 0, tmp_path / "out", ref_tax)
+        assert not (tmp_path / "out").exists()
+
+    def test_cli_exits_2_and_leaves_no_corpus(self, tmp_path):
+        doc = spec_dict()
+        doc["countries"][1]["hourly"] = {"*": {"weekdays": [1.0] * 24}}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["synth", "--spec", str(spec_path), "--taxonomy", str(reference_taxonomy_path()),
+                     "--seed", "0", "--out-dir", str(out)]) == 2
+        assert not list(out.glob("*"))
+
+
+def test_coordinates_are_written_exactly(ref_tax, tmp_path):
+    """A bbox narrower than %g's six digits keeps every user in its country."""
+    doc = {"countries": [{"code": "AA", "bbox": [10.1234567, 0, 10.1234599, 1], "users": 30,
+                          "checkins_per_user": 2, "preferences": {"Pub": 1.0},
+                          "cities": [{"id": "AA-1", "bbox": [10.1234567, 0, 10.1234599, 1]}]}]}
+    generated = generate_corpus(SynthSpec.from_dict(doc), 1, tmp_path, ref_tax)
+    assert generated.geo_path.read_text().split("\t")[1].split(";")[0] == "10.1234567,0.0"
+    assert "AA-1,AA,10.1234567,0.0,10.1234599,1.0" in generated.cities_path.read_text()
+    corpus = parse_corpus(generated.corpus_path, ref_tax)
+    _, report = assign_home_country(corpus, load_geo_index(generated.geo_path))
+    assert report.users_discarded_mixed_country == 0
+
+
 class TestSpecValidation:
     def test_duplicate_codes_rejected(self):
         doc = spec_dict()
@@ -177,6 +344,27 @@ class TestSpecValidation:
         doc["countries"][0]["bbox"] = [0, 0, 0, 10]
         with pytest.raises(DataError):
             SynthSpec.from_dict(doc)
+
+    @pytest.mark.parametrize("field, value", [
+        ("bbox", [-1e308, 0, 1e308, 10]),
+        ("bbox", [0, 0, float("inf"), 10]),
+        ("preferences", {"Pub": float("inf")}),
+        ("preferences", {"Pub": 1e308, "Bakery": 1e308}),
+        ("venues_per_subcategory", 2**32 + 1),
+        ("checkins_per_user", [1, 2**32 + 1]),
+    ], ids=["span-overflows", "infinite-bbox", "infinite-weight", "weight-sum-overflows",
+            "venues-past-32-bits", "count-range-past-32-bits"])
+    def test_values_the_generator_cannot_draw_rejected(self, field, value):
+        doc = spec_dict()
+        doc["countries"][0][field] = value
+        with pytest.raises(DataError):
+            SynthSpec.from_dict(doc)
+
+    def test_largest_32_bit_ranges_accepted(self):
+        doc = spec_dict()
+        doc["countries"][0]["venues_per_subcategory"] = 2**32
+        doc["countries"][0]["checkins_per_user"] = [1, 2**32]
+        SynthSpec.from_dict(doc)
 
 
 class TestAdjustedRandIndex:
