@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 degenerate-math error.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
@@ -20,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .boundaries import compare_with_survey, kmeans_cosine, pca_scores
-from .csvtext import write_labelled_rows
+from .csvtext import read_keyed_rows, row_floats, write_labelled_rows, write_rows
 from .errors import DataError, UndefinedMetric
 from .ingest import (
     Corpus,
@@ -82,33 +81,11 @@ def _outdir(args) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def _row_floats(path: str | Path, reader: csv.DictReader, row: dict, keys) -> tuple:
-    """The named fields of a CSV row as floats; a short row or a
-    non-numeric field is a DataError naming the file and line."""
-    try:
-        if None in row.values():
-            raise ValueError("too few fields")
-        return tuple(float(row[k]) for k in keys)
-    except ValueError as exc:
-        raise DataError(f"{path} line {reader.line_num}: {exc}") from exc
-
-
 def _read_cities(path: str | Path) -> list[Area]:
-    areas = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"city", "country", "min_lon", "min_lat", "max_lon", "max_lat"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise DataError(f"cities file must have columns {sorted(required)}")
-        seen = set()
-        for row in reader:
-            if row["city"] in seen:
-                raise DataError(f"{path} line {reader.line_num}: cities file lists "
-                                f"{row['city']!r} twice")
-            seen.add(row["city"])
-            bbox = _row_floats(path, reader, row, ("min_lon", "min_lat", "max_lon", "max_lat"))
-            areas.append(Area(area_id=row["city"], kind="city", country_code=row["country"],
-                              bbox=bbox))
+    edges = ("min_lon", "min_lat", "max_lon", "max_lat")
+    areas = [Area(area_id=row["city"], kind="city", country_code=row["country"],
+                  bbox=row_floats(path, line, row, edges))
+             for line, row in read_keyed_rows(path, "cities", "city", ("country", *edges))]
     if not areas:
         raise DataError("cities file lists no cities")
     return sorted(areas, key=lambda a: a.area_id)
@@ -153,10 +130,9 @@ def _level_cubes(args, corpus: Corpus) -> tuple[list[Area], np.ndarray, list[str
 
 
 def cmd_synth(args) -> int:
-    out = _outdir(args)
     taxonomy = load_taxonomy(args.taxonomy)
     spec = SynthSpec.from_file(args.spec)
-    generated = generate_corpus(spec, args.seed, out, taxonomy)
+    generated = generate_corpus(spec, args.seed, args.out_dir, taxonomy)
     print(f"wrote {generated.corpus_path}")
     return 0
 
@@ -179,19 +155,9 @@ def cmd_ingest(args) -> int:
 
 
 def _parse_attributes(path: str | Path) -> dict[str, dict[str, str]]:
-    attrs: dict[str, dict[str, str]] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "user" not in reader.fieldnames:
-            raise DataError("attributes file needs a 'user' column")
-        keys = [k for k in reader.fieldnames if k != "user"]
-        for row in reader:
-            user = row["user"]
-            if user in attrs:
-                raise DataError(f"{path} line {reader.line_num}: attributes file lists "
-                                f"{user!r} twice")
-            attrs[user] = {k: row[k] for k in keys if row[k] not in (None, "")}
-    return attrs
+    """Each user's non-empty attributes; fields beyond the header are ignored."""
+    return {row["user"]: {k: v for k, v in row.items() if k not in ("user", None) and v}
+            for _, row in read_keyed_rows(path, "attributes", "user", ())}
 
 
 def cmd_simnet(args) -> int:
@@ -275,26 +241,12 @@ def cmd_signatures(args) -> int:
                                 (map(repr, row) for row in curves.tolist()))
 
     entropies = subcategory_entropies(counts)
-    with open(out / "entropy.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["class", "subcategory", "entropy_bits"])
-        for class_id in taxonomy.class_ids:
-            lo, hi = taxonomy.class_ranges[class_id]
-            for name, h in zip(taxonomy.subcategories[lo:hi], entropies[lo:hi]):
-                writer.writerow([class_id, name, "" if h is None else repr(h)])
-    with open(out / "entropy_summary.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["class", "level", "n_subcategories", "mean", "sigma"])
-        for row in summarize_entropies(taxonomy, used[0].kind, entropies):
-            writer.writerow(
-                [
-                    row.class_id,
-                    row.level,
-                    row.n_subcategories,
-                    "" if row.mean is None else repr(row.mean),
-                    "" if row.sigma is None else repr(row.sigma),
-                ]
-            )
+    write_rows(out / "entropy.csv", ["class", "subcategory", "entropy_bits"],
+               ((class_id, taxonomy.subcategories[i], entropies[i])
+                for class_id in taxonomy.class_ids
+                for i in range(*taxonomy.class_ranges[class_id])))
+    write_rows(out / "entropy_summary.csv", ["class", "level", "n_subcategories", "mean", "sigma"],
+               map(dataclasses.astuple, summarize_entropies(taxonomy, used[0].kind, entropies)))
     _write_json({"areas_used": area_ids, "excluded_empty": empty},
                 out / "areas_used.json")
     print(f"signature reports written to {out}")
@@ -319,11 +271,8 @@ def cmd_cluster(args) -> int:
     doc["components"] = p
     doc["excluded_empty"] = empty
     _write_json(doc, out / "cluster_report.json")
-    with open(out / "assignments.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["area", "cluster"])
-        for area_id in report.area_ids:
-            writer.writerow([area_id, report.assignments[area_id]])
+    write_rows(out / "assignments.csv", ["area", "cluster"],
+               ((area_id, report.assignments[area_id]) for area_id in report.area_ids))
     write_labelled_rows(out / "pca_scores.csv", ["area", *(f"pc{i + 1}" for i in range(p))],
                         report.area_ids, (map(repr, row) for row in scores.tolist()))
     print(f"cluster report written to {out} (k={k}, components={p})")
@@ -331,20 +280,9 @@ def cmd_cluster(args) -> int:
 
 
 def _read_survey(path: str | Path) -> dict[str, np.ndarray]:
-    coords: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"country", "trad_secular", "surv_selfexpr"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise DataError(f"survey file must have columns {sorted(required)}")
-        for row in reader:
-            country = row["country"]
-            if country in coords:
-                raise DataError(f"{path} line {reader.line_num}: survey file lists "
-                                f"{country!r} twice")
-            coords[country] = np.array(
-                _row_floats(path, reader, row, ("trad_secular", "surv_selfexpr")), np.float64
-            )
+    axes = ("trad_secular", "surv_selfexpr")
+    coords = {row["country"]: np.array(row_floats(path, line, row, axes), np.float64)
+              for line, row in read_keyed_rows(path, "survey", "country", axes)}
     if not coords:
         raise DataError("survey file lists no countries")
     return coords
@@ -375,18 +313,17 @@ def cmd_survey(args) -> int:
 
     names = [name for name, _ in datasets]
     out = _outdir(args)
-    with open(out / "survey_comparison.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header = ["country"]
+    header = ["country"]
+    for name in names:
+        header += [f"rho_{name}", f"p_{name}", f"significant_{name}"]
+    rows = []
+    for country in countries:
+        row = [country]
         for name in names:
-            header += [f"rho_{name}", f"p_{name}", f"significant_{name}"]
-        writer.writerow(header)
-        for country in countries:
-            row = [country]
-            for name in names:
-                r = results[name][country]
-                row += [repr(r.rho), repr(r.p_value), str(r.significant).lower()]
-            writer.writerow(row)
+            r = results[name][country]
+            row += [r.rho, r.p_value, str(r.significant).lower()]
+        rows.append(row)
+    write_rows(out / "survey_comparison.csv", header, rows)
     _write_json(
         {
             name: {

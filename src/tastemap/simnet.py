@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -10,6 +9,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import _kernels
+from .csvtext import write_rows
 from .errors import DataError, UndefinedMetric, UndefinedSimilarity
 from .model import UserProfile
 from .signatures import pearson
@@ -244,9 +244,5 @@ def write_edge_list(net: SimilarityNetwork, path: str | Path) -> None:
 def write_node_attributes(net: SimilarityNetwork, path: str | Path) -> None:
     """CSV of node ids and whatever attributes the nodes carry."""
     keys = sorted({k for attrs in net.attributes.values() for k in attrs})
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["user", *keys])
-        for u in net.nodes:
-            attrs = net.attributes.get(u, {})
-            writer.writerow([u, *(attrs.get(k, "") for k in keys)])
+    write_rows(path, ["user", *keys],
+               ([u, *map(net.attributes.get(u, {}).get, keys)] for u in net.nodes))

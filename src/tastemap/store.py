@@ -37,7 +37,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .csvtext import quote_fields
+from .csvtext import quote_fields, write_rows
 from .errors import DataError
 from .ingest import COLUMNS, CORPUS_FIELDS, Corpus
 from .model import Taxonomy, load_taxonomy
@@ -120,10 +120,7 @@ def write_store(store: Path, corpus: Corpus, taxonomy_path: Path) -> None:
     (store / CORPUS_FILE).write_bytes(data)
 
     _write_corpus_csv(store / "corpus.csv", corpus)
-    with open(store / "home_countries.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["user", "country"])
-        writer.writerows(zip(corpus.user_ids, home))
+    write_rows(store / "home_countries.csv", ["user", "country"], zip(corpus.user_ids, home))
     (store / "taxonomy.txt").write_bytes(Path(taxonomy_path).read_bytes())
 
     manifest = {"corpus_sha256": hashlib.sha256(data).hexdigest(), "format": FORMAT_VERSION}

@@ -208,7 +208,9 @@ def _cdf(probs: np.ndarray) -> np.ndarray:
 
 
 def _user_stream(seed: int, user_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed).jumped(user_index))
+    """``Philox(key=seed).jumped(user_index)``: a jump adds the index to the
+    third counter word, so the stream is built at that counter directly."""
+    return np.random.Generator(np.random.Philox(counter=[0, 0, user_index, 0], key=seed))
 
 
 # The draws of one check-in, in the order they are made.  "count" is the

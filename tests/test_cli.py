@@ -277,6 +277,32 @@ class TestSimnet:
         assert f"{attrs} line 3:" in err and f"{user!r} twice" in err
         assert not out.exists()
 
+    def test_attributes_without_user_column_exit_2(self, pipeline, tmp_path, capsys):
+        attrs = tmp_path / "attrs.csv"
+        attrs.write_text("id,hemisphere\nu1,north\n", encoding="utf-8")
+        out = tmp_path / "simnet"
+        assert main(["simnet", "--store", str(pipeline["store"]), "--thresholds", "65",
+                     "--attributes", str(attrs), "--out-dir", str(out)]) == 2
+        assert "attributes file must have columns ['user']" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_extra_or_short_attribute_rows_add_no_attribute(self, pipeline, tmp_path):
+        store = pipeline["store"]
+        u0, u1, u2 = [row[0] for row in read_csv(store / "home_countries.csv")[1:4]]
+        attrs = tmp_path / "attrs.csv"
+        attrs.write_text(f"user,hemisphere,diet\n{u0},north\n{u1},south,veg,extra\n{u2},,veg\n",
+                         encoding="utf-8")
+        out = tmp_path / "simnet"
+        assert main(["simnet", "--store", str(store), "--thresholds", "0",
+                     "--attributes", str(attrs), "--out-dir", str(out)]) == 0
+        rows = {row[0]: row for row in read_csv(out / "nodes_s0.csv")}
+        assert rows["user"] == ["user", "country", "diet", "hemisphere"]
+        assert rows[u0][2:] == ["", "north"]
+        assert rows[u1][2:] == ["veg", "south"]
+        assert rows[u2][2:] == ["veg", ""]
+        assort = json.loads((out / "metrics.json").read_text())["0"]["assortativity"]
+        assert assort["diet"] is None and assort["hemisphere"] is None  # missing on some node
+
     @pytest.mark.parametrize("thresholds", ["", ",", " , "], ids=["empty", "comma", "blanks"])
     def test_empty_threshold_list_exits_2_and_writes_nothing(self, pipeline, tmp_path, capsys,
                                                             thresholds):
@@ -646,6 +672,33 @@ class TestMalformedSideFiles:
         assert main(["survey", "--store", str(pipeline["store"]), "--survey", str(survey),
                      "--out-dir", str(out)]) == 2
         assert f"{survey} line 4:" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("row", ["C1,nan,-0.68", "C1,0.5,inf", "C1,-Infinity,0.5"])
+    def test_non_finite_survey_value_exits_2(self, pipeline, tmp_path, capsys, row):
+        # Six countries, enough to rank: only the non-finite value is wrong.
+        others = "".join(f"C{i},0.{i},-0.{i}\n" for i in range(2, 6))
+        survey = tmp_path / "survey.csv"
+        survey.write_text(SURVEY_HEADER + "C0,0.1,0.2\n" + row + "\n" + others,
+                          encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["survey", "--store", str(pipeline["store"]), "--survey", str(survey),
+                     "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{survey} line 3:" in err and "not a finite number" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("level", ["city", "grid"])
+    @pytest.mark.parametrize("edge", ["inf", "-inf", "nan"])
+    def test_non_finite_city_edge_exits_2(self, pipeline, tmp_path, capsys, level, edge):
+        cities = tmp_path / "cities.csv"
+        cities.write_text(self.CITIES + f"C0-west,C0,-55,0,{edge},10\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["signatures", "--store", str(pipeline["store"]), "--level", level,
+                     "--cities", str(cities), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cities} line 3: max_lon is not a finite number: '{edge}'" in err
         assert not out.exists()
 
 

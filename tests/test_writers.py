@@ -1,6 +1,7 @@
-"""The bulk report writers give the bytes of the ``csv``-module writers they
-replaced.  Each ``old_*`` function is the previous writer, kept verbatim as
-the reference."""
+"""The report writers give the bytes of the writers they replaced, and the
+input tables are read by one set of rules.  Each ``old_*`` function is the
+previous writer, kept verbatim as the reference (``old_report_field`` is the
+formatting the per-command writers applied to each field)."""
 
 import csv
 from datetime import datetime
@@ -12,7 +13,13 @@ from hypothesis import strategies as st
 
 from conftest import with_homes, write_taxonomy
 from tastemap import simnet, store
-from tastemap.csvtext import quote_fields, write_labelled_rows
+from tastemap.csvtext import (
+    quote_fields,
+    read_keyed_rows,
+    row_floats,
+    write_labelled_rows,
+    write_rows,
+)
 from tastemap.errors import DataError
 from tastemap.ingest import CORPUS_FIELDS, Corpus
 from tastemap.model import load_taxonomy
@@ -78,6 +85,28 @@ def old_write_corpus_csv(path, corpus):
                 corpus.ts.astype(object), subcats,
             )
         )
+
+
+def old_report_field(v):
+    return "" if v is None else repr(float(v)) if isinstance(v, float) else v
+
+
+def old_write_report(path, header, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([old_report_field(v) for v in row])
+
+
+def old_write_node_attributes(net, path):
+    keys = sorted({k for attrs in net.attributes.values() for k in attrs})
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["user", *keys])
+        for u in net.nodes:
+            attrs = net.attributes.get(u, {})
+            writer.writerow([u, *(attrs.get(k, "") for k in keys)])
 
 
 def old_write_edge_list(net, path):
@@ -254,3 +283,65 @@ class TestEdgeList:
             write_edge_list(net, tmp / "new.tsv")
         old_write_edge_list(net, tmp / "old.tsv")
         assert (tmp / "new.tsv").read_bytes() == (tmp / "old.tsv").read_bytes()
+
+
+# Report fields: signed zeros, NaN, infinities, subnormal and tiny floats,
+# as Python floats and as numpy float64, ints, None and labels.
+report_floats = st.one_of(
+    st.sampled_from([-0.0, 0.0, np.nan, np.inf, -np.inf, 1e-300, 5e-324, 1e-05, 1e16]),
+    st.floats(),
+)
+report_fields = st.one_of(
+    st.none(), report_floats, report_floats.map(np.float64), st.integers(), labels,
+    st.booleans().map(lambda b: str(b).lower()),
+)
+
+
+class TestWriteRows:
+    @settings(max_examples=200, deadline=None)
+    @given(header=st.lists(labels, min_size=1, max_size=4),
+           rows=st.lists(st.tuples(labels, st.lists(report_fields, max_size=4)), max_size=6))
+    def test_equals_old_per_command_formatting(self, tmp_path_factory, header, rows):
+        rows = [[label, *fields] for label, fields in rows]
+        tmp = tmp_path_factory.mktemp("r")
+        write_rows(tmp / "new.csv", header, rows)
+        old_write_report(tmp / "old.csv", header, rows)
+        assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_node_attributes_equal_old_writer(self, tmp_path_factory, data):
+        nodes = data.draw(st.lists(labels, max_size=5, unique=True))
+        keys = st.sampled_from(["country", "k,1", 'q"', ""])
+        attributes = {u: data.draw(st.dictionaries(keys, labels, max_size=3)) for u in nodes}
+        net = SimilarityNetwork(65.0, tuple(nodes), [], attributes)
+        tmp = tmp_path_factory.mktemp("n")
+        simnet.write_node_attributes(net, tmp / "new.csv")
+        old_write_node_attributes(net, tmp / "old.csv")
+        assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+
+
+class TestReadKeyedRows:
+    def test_repeated_multi_line_key_names_its_physical_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text('user,x\n"a\nb",1\nc,2\n"a\nb",3\n', encoding="utf-8")
+        rows = read_keyed_rows(path, "attributes", "user", ("x",))
+        assert [(line, row["x"]) for line, row in (next(rows), next(rows))] == [(3, "1"), (4, "2")]
+        with pytest.raises(DataError) as err:
+            next(rows)
+        assert str(err.value) == f"{path} line 6: attributes file lists 'a\\nb' twice"
+
+    def test_missing_column_is_named(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("city,country\nA,B\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"cities file must have columns \['city', 'country', 'x'\]"):
+            list(read_keyed_rows(path, "cities", "city", ("country", "x")))
+
+    @pytest.mark.parametrize("text", ["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
+    def test_non_finite_number_names_file_and_line(self, tmp_path, text):
+        with pytest.raises(DataError, match=f"here line 7: b is not a finite number: '{text}'"):
+            row_floats("here", 7, {"a": "1.5", "b": text}, ("a", "b"))
+
+    def test_fields_beyond_the_header_are_ignored(self):
+        assert row_floats("here", 2, {"a": "-0.0", "b": "1e-300", None: ["x"]}, ("b", "a")) == (
+            1e-300, -0.0)
