@@ -10,7 +10,6 @@ from .errors import (
 )
 from .model import (
     Area,
-    AreaSignature,
     Taxonomy,
     UserProfile,
     class_slice,
@@ -22,7 +21,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Area",
-    "AreaSignature",
     "DataError",
     "EmptyAreaError",
     "ParseError",

@@ -31,7 +31,7 @@ from .ingest import (
     top_cells,
 )
 from .model import Area, load_taxonomy
-from .prefs import area_cubes, build_profiles, region_profile
+from .prefs import area_cubes, build_profiles, normalized_rows
 from .signatures import (
     DAY_GROUPS,
     class_period_indices,
@@ -114,11 +114,10 @@ def _level_cubes(args, corpus: Corpus) -> tuple[list[Area], np.ndarray, list[str
         grid = grid_partition(city, args.rows, args.cols)
         cubes = area_cubes(corpus, grid)
         totals = cubes.sum(axis=(1, 2, 3))
-        keep = (top_cells(grid, totals, args.top) if args.top
-                else [cell for cell, total in zip(grid, totals) if total])
-        row = {cell.area_id: i for i, cell in enumerate(grid)}
-        kept.append(cubes[[row[cell.area_id] for cell in keep]])
-        cells.extend(keep)
+        keep = (top_cells([cell.area_id for cell in grid], totals, args.top) if args.top
+                else np.flatnonzero(totals))
+        kept.append(cubes[keep])
+        cells.extend(grid[i] for i in keep)
     if not cells:
         raise DataError("no grid cell contains any check-in")
     return cells, np.concatenate(kept), []
@@ -226,11 +225,11 @@ def cmd_signatures(args) -> int:
         raise UndefinedMetric("fewer than two areas have check-ins; nothing to correlate")
     area_ids = [area.area_id for area in used]
     counts = cubes.sum(axis=(2, 3))
-    spatial = [region_profile(row, area_id) for row, area_id in zip(counts, area_ids)]
+    spatial = normalized_rows(counts, area_ids)
     out = _outdir(args)
 
     for scope in scopes:
-        matrix = correlation_matrix(spatial, taxonomy, scope)
+        matrix = correlation_matrix(area_ids, spatial, taxonomy, scope)
         write_matrix_csv(matrix, out / f"corr_{scope}.csv")
 
     header = ["area", *(f"h{h:02d}" for h in range(24))]
@@ -258,13 +257,11 @@ def cmd_cluster(args) -> int:
     used, cubes, empty = _level_cubes(args, corpus)
     if len(used) < 2:
         raise UndefinedMetric("fewer than two areas have check-ins; nothing to cluster")
-    rows = [region_profile(row, area.area_id).normalized
-            for row, area in zip(period_counts(cubes), used)]
-    scores = pca_scores(np.stack(rows), args.coverage)
+    area_ids = [area.area_id for area in used]
+    scores = pca_scores(normalized_rows(period_counts(cubes), area_ids), args.coverage)
     p = scores.shape[1]
     k = args.k if args.k is not None else DEFAULT_K[args.level]
-    report = kmeans_cosine(scores, k, args.seed, [a.area_id for a in used],
-                           n_restarts=args.restarts)
+    report = kmeans_cosine(scores, k, args.seed, area_ids, n_restarts=args.restarts)
     out = _outdir(args)
     doc = report.to_dict()
     doc["level"] = args.level
@@ -297,8 +294,7 @@ def cmd_survey(args) -> int:
         raise DataError(f"countries missing from the corpus: {missing}")
 
     areas = [Area(area_id=c, kind="country", country_code=c) for c in countries]
-    vectors = np.stack([region_profile(row, c).normalized
-                        for row, c in zip(period_counts(area_cubes(corpus, areas)), countries)])
+    vectors = normalized_rows(period_counts(area_cubes(corpus, areas)), countries)
     datasets = []
     if args.dataset in ("full", "both"):
         datasets.append(("dataset1", vectors))
@@ -427,6 +423,11 @@ def main(argv=None) -> int:
         return 3
     except DataError as exc:
         print(f"tastemap: data error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        # The codec's own position counts from the start of a read chunk.
+        print(f"tastemap: data error: an input file is not UTF-8 ({exc.reason}, byte "
+              f"0x{exc.object[exc.start]:02x})", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"tastemap: {exc}", file=sys.stderr)

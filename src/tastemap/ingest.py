@@ -11,8 +11,9 @@ The polygon file has one closed ring per line::
 
     AA<TAB>lon,lat;lon,lat;lon,lat;...
 
-A country may span several lines (several rings, unioned).  Geocoding is a
-plain point-in-polygon test with points on a ring edge counting as inside.
+Each vertex is exactly two finite numbers.  A country may span several lines
+(several rings, unioned).  Geocoding is a plain point-in-polygon test with
+points on a ring edge counting as inside.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import csv
 import io
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -284,6 +286,18 @@ class GeoIndex:
     ring_bbox: np.ndarray
 
 
+def _vertex(text: str, lineno: int) -> tuple[float, float]:
+    """One ``lon,lat`` vertex of a geo file ring: exactly two finite numbers."""
+    try:
+        lon, lat = map(float, text.split(","))
+        if math.isfinite(lon) and math.isfinite(lat):
+            return lon, lat
+    except ValueError:
+        pass
+    raise DataError(f"geo file line {lineno}: vertex {text.strip()!r} is not two finite "
+                    "numbers 'lon,lat'")
+
+
 def load_geo_index(path: str | Path) -> GeoIndex:
     """Load the one-ring-per-line polygon file; rings are closed on load."""
     countries: list[str] = []
@@ -300,10 +314,7 @@ def load_geo_index(path: str | Path) -> GeoIndex:
             code = code.strip()
             if not sep or not code:
                 raise DataError(f"geo file line {lineno}: expected 'country<TAB>ring'")
-            try:
-                pts = [tuple(float(v) for v in pair.split(",")) for pair in coords.split(";") if pair.strip()]
-            except ValueError as exc:
-                raise DataError(f"geo file line {lineno}: bad coordinate: {exc}") from exc
+            pts = [_vertex(pair, lineno) for pair in coords.split(";") if pair.strip()]
             if len(pts) < 3:
                 raise DataError(f"geo file line {lineno}: ring needs at least 3 vertices")
             if pts[0] != pts[-1]:
@@ -491,15 +502,16 @@ def area_mask(corpus: Corpus, area: Area) -> np.ndarray:
     return ok_lon & ok_lat
 
 
-def top_cells(cells: Sequence[Area], totals: Sequence[int], n: int) -> list[Area]:
-    """The n most popular cells, given each cell's check-in count.
+def top_cells(cell_ids: Sequence[str], totals: Sequence[int], n: int) -> list[int]:
+    """Positions of the n most popular cells, given each cell's id and
+    check-in count.
 
     Ties break toward the lexicographically smaller cell id; asking for more
     cells than have any check-ins is an error.
     """
-    nonempty = [(int(total), cell) for total, cell in zip(totals, cells, strict=True)
+    nonempty = [(-int(total), cell_id, i)
+                for i, (cell_id, total) in enumerate(zip(cell_ids, totals, strict=True))
                 if total > 0]
     if n > len(nonempty):
         raise DataError(f"asked for {n} cells but only {len(nonempty)} are nonempty")
-    nonempty.sort(key=lambda pair: (-pair[0], pair[1].area_id))
-    return [cell for _, cell in nonempty[:n]]
+    return [i for _, _, i in sorted(nonempty)[:n]]

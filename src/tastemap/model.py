@@ -160,19 +160,6 @@ class UserProfile:
     home_country: str | None = None
 
 
-@dataclass(frozen=True, eq=False)
-class AreaSignature:
-    """Normalized check-in count vector characterizing one area.
-
-    ``normalized[i] = raw_counts[i] / max(raw_counts)``, so the largest entry
-    is exactly 1 whenever the area has any check-ins.
-    """
-
-    area_id: str
-    raw_counts: np.ndarray
-    normalized: np.ndarray
-
-
 @dataclass(frozen=True)
 class Area:
     """A geographic unit: a country, a city bounding box, or one grid cell.

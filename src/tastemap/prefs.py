@@ -1,4 +1,4 @@
-"""Per-user binary preference vectors and per-area normalized signatures."""
+"""Per-user binary preference vectors and per-area normalized count rows."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import DataError, EmptyAreaError
 from .ingest import Corpus, area_mask
-from .model import Area, AreaSignature, UserProfile
+from .model import Area, UserProfile
 
 
 def build_profiles(corpus: Corpus) -> list[UserProfile]:
@@ -45,22 +45,20 @@ def area_cubes(corpus: Corpus, areas: Sequence[Area]) -> np.ndarray:
     return out
 
 
-def region_profile(counts: np.ndarray, area_id: str = "") -> AreaSignature:
-    """Normalize a count vector by its maximum entry.
+def normalized_rows(counts, area_ids: Sequence[str]) -> np.ndarray:
+    """Each row of an area x feature count matrix divided by its maximum, as
+    float64, so the largest entry of every row is exactly 1.
 
-    Raises EmptyAreaError on an all-zero vector: an area without check-ins
-    has no signature and must be excluded downstream, not imputed.
+    Raises EmptyAreaError naming the first all-zero row: an area without
+    check-ins has no signature and must be excluded downstream, not imputed.
     """
     counts = np.asarray(counts)
-    if counts.ndim != 1:
-        raise DataError("count vector must be one-dimensional")
+    if counts.ndim != 2 or len(counts) != len(area_ids):
+        raise DataError("counts must be a matrix with one row per area id")
     if (counts < 0).any():
         raise DataError("counts must be nonnegative")
-    peak = counts.max() if counts.size else 0
-    if peak == 0:
-        raise EmptyAreaError(f"area {area_id!r} has no check-ins")
-    return AreaSignature(
-        area_id=area_id,
-        raw_counts=counts.astype(np.int64),
-        normalized=counts / float(peak),
-    )
+    peak = counts.max(axis=1, initial=0, keepdims=True)
+    empty = np.flatnonzero(peak == 0)
+    if empty.size:
+        raise EmptyAreaError(f"area {area_ids[empty[0]]!r} has no check-ins")
+    return counts / peak.astype(np.float64)

@@ -22,8 +22,8 @@ import numpy as np
 from .csvtext import write_labelled_rows
 from .errors import DataError, UndefinedMetric
 from .ingest import Corpus
-from .model import Area, AreaSignature, Taxonomy, class_slice
-from .prefs import area_cubes, region_counts, region_profile
+from .model import Area, Taxonomy, class_slice
+from .prefs import area_cubes, normalized_rows, region_counts
 
 DAY_GROUPS = ("weekday", "weekend")
 PERIODS_PER_DAY = 4
@@ -58,24 +58,23 @@ class CorrelationMatrix:
 
 
 def correlation_matrix(
-    signatures: Sequence[AreaSignature], taxonomy: Taxonomy, scope: str = "all"
+    labels: Sequence[str], rows, taxonomy: Taxonomy, scope: str = "all"
 ) -> CorrelationMatrix:
-    """Pearson correlation between every pair of area signatures.
+    """Pearson correlation between every pair of rows of an area x
+    subcategory matrix, such as ``normalized_rows`` gives; ``labels`` names
+    the areas in row order.
 
     ``scope`` restricts the comparison to one class's feature block; "all"
-    uses the full vector.  Rows are centred and scaled to unit length, so one
+    uses the full rows.  Rows are centred and scaled to unit length, so one
     matrix product gives every pair.  A constant row (``np.ptp == 0``, the
     rule ``pearson`` uses) has no defined correlation: its row and column are
     NaN rather than dropped, so the matrix shape is stable.  The matrix is
     exactly symmetric, bit for bit and NaN included: the lower triangle is a
     copy of the upper one.
     """
-    if len(signatures) < 2:
-        raise DataError("need at least two signatures to correlate")
-    rows = [sig.normalized for sig in signatures]
-    if scope != "all":
-        rows = [class_slice(taxonomy, row, scope) for row in rows]
-    X = np.array(rows, np.float64)
+    if len(rows) < 2 or len(rows) != len(labels):
+        raise DataError("need at least two rows, one per label, to correlate")
+    X = np.array(rows if scope == "all" else class_slice(taxonomy, rows, scope), np.float64)
     varies = np.ptp(X, axis=1) > 0
     X -= X.mean(axis=1, keepdims=True)
     X[varies] /= np.linalg.norm(X[varies], axis=1, keepdims=True)
@@ -84,9 +83,7 @@ def correlation_matrix(
     values[lower] = values.T[lower]
     np.fill_diagonal(values, 1.0)
     values[~varies] = values[:, ~varies] = np.nan
-    return CorrelationMatrix(
-        labels=tuple(sig.area_id for sig in signatures), values=values, scope=scope
-    )
+    return CorrelationMatrix(labels=tuple(labels), values=values, scope=scope)
 
 
 def write_matrix_csv(matrix: CorrelationMatrix, path: str | Path) -> None:
@@ -126,10 +123,7 @@ def _block(taxonomy: Taxonomy, class_id: str, day_group: str) -> tuple[int, int,
     """Subcategory range and day-group index of one class x day-group block."""
     if day_group not in DAY_GROUPS:
         raise DataError(f"day_group must be one of {DAY_GROUPS}")
-    lo, hi = taxonomy.class_ranges.get(class_id, (None, None))
-    if lo is None:
-        raise DataError(f"unknown class id: {class_id!r}")
-    return lo, hi, DAY_GROUPS.index(day_group)
+    return (*taxonomy._range(class_id), DAY_GROUPS.index(day_group))
 
 
 def hourly_curves(
@@ -163,13 +157,13 @@ def period_counts(cubes: np.ndarray) -> np.ndarray:
     return periods.reshape(*cubes.shape[:-3], -1)
 
 
-def spatiotemporal_vector(corpus: Corpus, area: Area) -> AreaSignature:
+def spatiotemporal_vector(corpus: Corpus, area: Area) -> np.ndarray:
     """The 8*m-dimensional signature of an area (808 for the m=101 taxonomy).
 
     A single maximum normalizes the whole flattened vector, mirroring the
     spatial rule on the enlarged feature set.
     """
-    return region_profile(period_counts(region_counts(corpus, area)), area.area_id)
+    return normalized_rows(period_counts(region_counts(corpus, area))[None], [area.area_id])[0]
 
 
 def class_period_indices(taxonomy: Taxonomy, class_id: str, day_group: str) -> np.ndarray:

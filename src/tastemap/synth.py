@@ -52,6 +52,7 @@ draw is rejected.  ``geo.txt`` and ``cities.csv`` write coordinates with
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -100,6 +101,86 @@ def _usable_box(box) -> bool:
     return bool(lo_x < hi_x and lo_y < hi_y and np.isfinite([hi_x - lo_x, hi_y - lo_y]).all())
 
 
+_REQUIRED = object()
+
+
+def _field(entry, key: str, convert, where: str, default=_REQUIRED):
+    """``convert`` of one field of a spec object, with every way the field
+    can be missing or malformed reported as a DataError naming ``where``."""
+    if not isinstance(entry, Mapping):
+        raise DataError(f"{where}: expected a JSON object")
+    if key not in entry:
+        if default is _REQUIRED:
+            raise DataError(f"{where}: missing field {key!r}")
+        return default
+    try:
+        return convert(entry[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"{where}: bad field {key!r}: {exc}") from None
+
+
+def _count(value) -> int:
+    """A whole number: an integer, or a float without a fractional part."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected a whole number, got {value!r}")
+    return int(value) if isinstance(value, float) else operator.index(value)
+
+
+def _list(value) -> list | tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"expected a list, got {value!r}")
+    return value
+
+
+def _numbers(value) -> tuple[float, ...]:
+    return tuple(float(v) for v in _list(value))
+
+
+def _box(value) -> tuple[float, float, float, float]:
+    if len(_list(value)) != 4:
+        raise ValueError(f"expected [min_lon, min_lat, max_lon, max_lat], got {value!r}")
+    return _numbers(value)
+
+
+def _mapping(value, convert) -> dict:
+    """A JSON object with ``convert`` applied to each value."""
+    if not isinstance(value, Mapping):
+        raise ValueError(f"expected a JSON object, got {value!r}")
+    return {str(k): convert(v) for k, v in value.items()}
+
+
+def _count_range(value) -> tuple[int, int]:
+    """``checkins_per_user``: one count, or an inclusive [low, high] pair."""
+    if not isinstance(value, (list, tuple)):
+        return _count(value), _count(value)
+    if len(value) != 2:
+        raise ValueError(f"expected a count or a [low, high] pair, got {value!r}")
+    return _count(value[0]), _count(value[1])
+
+
+def _country_spec(entry, position: str) -> CountrySpec:
+    code = _field(entry, "code", str, f"country {position}")
+    where = f"country {code!r}"
+    low, high = _field(entry, "checkins_per_user", _count_range, where, (10, 10))
+    cities = []
+    for j, city in enumerate(_field(entry, "cities", _list, where, [])):
+        city_id = _field(city, "id", str, f"{where} city #{j + 1}")
+        cities.append(CitySpec(city_id, _field(city, "bbox", _box, f"{where} city {city_id!r}")))
+    return CountrySpec(
+        code=code,
+        bbox=_field(entry, "bbox", _box, where),
+        users=_field(entry, "users", _count, where),
+        checkins_low=low,
+        checkins_high=high,
+        preferences=_field(entry, "preferences", lambda v: _mapping(v, float), where),
+        weekend_fraction=_field(entry, "weekend_fraction", float, where, 2.0 / 7.0),
+        hourly=_field(entry, "hourly", lambda v: _mapping(v, lambda p: _mapping(p, _numbers)),
+                      where, {}),
+        cities=tuple(cities),
+        venues_per_subcategory=_field(entry, "venues_per_subcategory", _count, where, 3),
+    )
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     countries: tuple[CountrySpec, ...]
@@ -143,36 +224,14 @@ class SynthSpec:
 
     @staticmethod
     def from_dict(doc: Mapping) -> "SynthSpec":
-        countries = []
-        for entry in doc.get("countries", []):
-            per_user = entry.get("checkins_per_user", 10)
-            if isinstance(per_user, (list, tuple)):
-                low, high = int(per_user[0]), int(per_user[1])
-            else:
-                low = high = int(per_user)
-            hourly = {
-                key: {grp: tuple(float(w) for w in ws) for grp, ws in profiles.items()}
-                for key, profiles in entry.get("hourly", {}).items()
-            }
-            cities = tuple(
-                CitySpec(city_id=str(c["id"]), bbox=tuple(float(v) for v in c["bbox"]))
-                for c in entry.get("cities", [])
-            )
-            countries.append(
-                CountrySpec(
-                    code=str(entry["code"]),
-                    bbox=tuple(float(v) for v in entry["bbox"]),
-                    users=int(entry["users"]),
-                    checkins_low=low,
-                    checkins_high=high,
-                    preferences={str(k): float(v) for k, v in entry["preferences"].items()},
-                    weekend_fraction=float(entry.get("weekend_fraction", 2.0 / 7.0)),
-                    hourly=hourly,
-                    cities=cities,
-                    venues_per_subcategory=int(entry.get("venues_per_subcategory", 3)),
-                )
-            )
-        return SynthSpec(countries=tuple(countries))
+        """Parse a spec document.  A missing field, or a field of the wrong
+        type or shape, is a DataError naming the country and the field; a
+        count is never truncated, so ``"users": 2.7`` is an error."""
+        if not isinstance(doc, Mapping) or not isinstance(doc.get("countries", []), (list, tuple)):
+            raise DataError("spec must be a JSON object whose 'countries' is a list")
+        return SynthSpec(countries=tuple(
+            _country_spec(entry, f"#{i + 1}") for i, entry in enumerate(doc.get("countries", []))
+        ))
 
     @staticmethod
     def from_file(path: str | Path) -> "SynthSpec":

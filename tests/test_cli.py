@@ -595,17 +595,22 @@ class TestOverrideTaxonomy:
     """A --taxonomy that drops every subcategory one country's users checked
     in at leaves that country a candidate area without check-ins."""
 
-    @pytest.fixture
-    def narrow(self, pipeline, tmp_path):
+    @staticmethod
+    def without(pipeline, path, country):
+        """A copy of the store's taxonomy at ``path`` without any subcategory
+        that a user of ``country`` checked in at."""
         store = pipeline["store"]
         home = dict(read_csv(store / "home_countries.csv")[1:])
-        used = {row[5] for row in read_csv(store / "corpus.csv")[1:] if home[row[0]] == "C5"}
+        used = {row[5] for row in read_csv(store / "corpus.csv")[1:] if home[row[0]] == country}
         lines = Path(pipeline["taxonomy"]).read_text(encoding="utf-8").splitlines(keepends=True)
-        path = tmp_path / "narrow.txt"
         path.write_text("".join(line for line in lines
                                 if line.rstrip("\n").partition("\t")[2] not in used),
                         encoding="utf-8")
         return path
+
+    @pytest.fixture
+    def narrow(self, pipeline, tmp_path):
+        return self.without(pipeline, tmp_path / "narrow.txt", "C5")
 
     def test_signatures_and_cluster_list_the_country_as_empty(self, pipeline, tmp_path, narrow):
         common = ["--store", str(pipeline["store"]), "--taxonomy", str(narrow),
@@ -623,6 +628,16 @@ class TestOverrideTaxonomy:
         out = tmp_path / "survey_out"
         assert main(["survey", "--store", str(pipeline["store"]), "--taxonomy", str(narrow),
                      "--survey", str(survey), "--out-dir", str(out)]) == 2
+        assert not out.exists()
+
+    def test_survey_names_the_emptied_country(self, pipeline, tmp_path, capsys):
+        narrow = self.without(pipeline, tmp_path / "narrow.txt", "C2")
+        survey = tmp_path / "survey.csv"
+        TestSurvey().write_survey(survey, [f"C{i}" for i in range(6)], np.random.default_rng(44))
+        out = tmp_path / "survey_out"
+        assert main(["survey", "--store", str(pipeline["store"]), "--taxonomy", str(narrow),
+                     "--survey", str(survey), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == "tastemap: data error: area 'C2' has no check-ins\n"
         assert not out.exists()
 
 
@@ -699,6 +714,47 @@ class TestMalformedSideFiles:
                      "--cities", str(cities), "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"{cities} line 3: max_lon is not a finite number: '{edge}'" in err
+        assert not out.exists()
+
+
+class TestNonUtf8Input:
+    """Every text input is UTF-8; a file that is not is a data error."""
+
+    @pytest.mark.parametrize("bad", ["corpus", "geo", "taxonomy", "spec", "cities", "survey",
+                                     "attributes"])
+    def test_exits_2_with_one_line_and_writes_nothing(self, pipeline, tmp_path, capsys, bad):
+        generated, store = pipeline["generated"], str(pipeline["store"])
+        spec = json.dumps({"countries": [{"code": "AA", "bbox": [0, 0, 1, 1], "users": 1,
+                                          "preferences": {"Pub": 1.0}}]})
+        survey = tmp_path / "survey.csv"
+        TestSurvey().write_survey(survey, [f"C{i}" for i in range(6)], np.random.default_rng(45))
+        sources = {"corpus": generated.corpus_path.read_bytes(),
+                   "geo": generated.geo_path.read_bytes(),
+                   "taxonomy": Path(pipeline["taxonomy"]).read_bytes(),
+                   "spec": spec.encode(),
+                   "cities": generated.cities_path.read_bytes(),
+                   "survey": survey.read_bytes(),
+                   "attributes": b"user,continent\nu1,EU\n"}
+        paths = {}
+        for name, data in sources.items():
+            paths[name] = str(tmp_path / f"{name}.in")
+            # A Latin-1 "Caf\xe9" row after the valid text.
+            Path(paths[name]).write_bytes(data + b"Caf\xe9\n" * (name == bad))
+        out = tmp_path / "out"
+        argv = {
+            "corpus": ["ingest", "--corpus", paths["corpus"], "--geo", paths["geo"],
+                       "--taxonomy", paths["taxonomy"]],
+            "spec": ["synth", "--spec", paths["spec"], "--taxonomy", paths["taxonomy"]],
+            "cities": ["signatures", "--store", store, "--level", "city",
+                       "--cities", paths["cities"]],
+            "survey": ["survey", "--store", store, "--survey", paths["survey"]],
+            "attributes": ["simnet", "--store", store, "--attributes", paths["attributes"]],
+        }
+        argv["geo"] = argv["taxonomy"] = argv["corpus"]
+        assert main([*argv[bad], "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("tastemap: data error: an input file is not UTF-8 (")
+        assert err.endswith(", byte 0xe9)\n") and err.count("\n") == 1
         assert not out.exists()
 
 

@@ -17,7 +17,7 @@ from conftest import corpus_of, make_checkin, with_homes
 from tastemap.errors import EmptyAreaError, UndefinedMetric
 from tastemap.ingest import grid_partition
 from tastemap.model import Area, class_slice
-from tastemap.prefs import area_cubes, region_counts, region_profile
+from tastemap.prefs import area_cubes, normalized_rows, region_counts
 from tastemap.signatures import (
     DAY_GROUPS,
     correlation_matrix,
@@ -99,8 +99,7 @@ def products(toy_tax, corpus):
                 series = temporal_series(corpus, area, class_id, group)
                 out[area.area_id, class_id, group] = series.tolist()
         try:
-            sig = spatiotemporal_vector(corpus, area)
-            out[area.area_id, "st"] = sig.normalized.tolist()
+            out[area.area_id, "st"] = spatiotemporal_vector(corpus, area).tolist()
         except EmptyAreaError:
             out[area.area_id, "st"] = None
     for level in (AREAS, COUNTRIES):
@@ -141,8 +140,7 @@ def test_counts_and_curves_equal_check_in_loops(toy_tax, data):
                 spatiotemporal_vector(corpus, area)
         else:
             sig = spatiotemporal_vector(corpus, area)
-            assert sig.raw_counts.tolist() == slots
-            assert sig.normalized.tolist() == [c / max(slots) for c in slots]
+            assert sig.tolist() == [c / max(slots) for c in slots]
 
 
 @SETTINGS
@@ -210,19 +208,20 @@ count_vectors = st.lists(
 @SETTINGS
 @given(vectors=count_vectors)
 def test_correlation_matrix_equals_pairwise_pearson(toy_tax, vectors):
-    sigs = []
-    for i, (counts, constant, level) in enumerate(vectors):
+    counts_ = []
+    for counts, constant, level in vectors:
         counts = np.array(counts)
         if constant is not None:
             lo, hi = toy_tax.class_ranges[constant]
             counts[lo:hi] = level
         if counts.max() == 0:
             counts[0] = 1
-        sigs.append(region_profile(counts, f"a{i}"))
+        counts_.append(counts)
+    labels = [f"a{i}" for i in range(len(vectors))]
+    sigs = normalized_rows(np.array(counts_), labels)
     for scope in ("all", *toy_tax.class_ids):
-        matrix = correlation_matrix(sigs, toy_tax, scope).values
-        rows_ = [s.normalized if scope == "all" else class_slice(toy_tax, s.normalized, scope)
-                 for s in sigs]
+        matrix = correlation_matrix(labels, sigs, toy_tax, scope).values
+        rows_ = [s if scope == "all" else class_slice(toy_tax, s, scope) for s in sigs]
         for i, x in enumerate(rows_):
             for j, y in enumerate(rows_):
                 try:

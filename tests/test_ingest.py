@@ -337,6 +337,30 @@ class TestPointToCountry:
         assert country_at(3.0, 3.0, geo) is None
 
 
+class TestGeoVertices:
+    """Every vertex of a geo file ring is exactly two finite numbers; any
+    other vertex is a DataError naming the file line."""
+
+    @pytest.mark.parametrize("ring", [
+        "0,0;1,0;nan,1;0,1",
+        "0,0;1,0;1,inf;0,1",
+        "0,0;1,0;1,1,7;0,1",
+        "0;1;1;0",
+        "0,0;1,0;1;0,1",
+        "0,0;1,0;1,x;0,1",
+    ], ids=["nan", "inf", "three-numbers", "one-number-ring", "mixed-lengths", "not-a-number"])
+    def test_bad_vertex_names_the_line(self, tmp_path, ring):
+        path = tmp_path / "geo.txt"
+        path.write_text(f"AA\t0,0;1,0;1,1;0,1\nBB\t{ring}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"^geo file line 2: vertex '[^']*' is not two finite"):
+            load_geo_index(path)
+
+    def test_spaces_around_numbers_are_allowed(self, tmp_path):
+        path = tmp_path / "geo.txt"
+        path.write_text("AA\t 0, 0; 1 ,0;1,1 ;0,1\n", encoding="utf-8")
+        assert load_geo_index(path).ring_x.tolist() == [0.0, 1.0, 1.0, 0.0, 0.0]
+
+
 def ray_cast(x, y, ring):
     """Even-odd ray casting in exact arithmetic; a point on an edge is inside."""
     x, y = Fraction(x), Fraction(y)
@@ -569,6 +593,11 @@ def cell_totals(corpus, cells):
     return area_cubes(corpus, cells).sum(axis=(1, 2, 3))
 
 
+def top_ids(cells, totals, n):
+    """Ids of the cells whose positions top_cells returns, in its order."""
+    return [cells[i].area_id for i in top_cells([c.area_id for c in cells], totals, n)]
+
+
 class TestTopCells:
     def _fixture(self, toy_tax):
         city = Area("metro", "city", bbox=(0.0, 0.0, 1.0, 1.0))
@@ -583,13 +612,11 @@ class TestTopCells:
 
     def test_tie_broken_by_cell_id(self, toy_tax):
         cells, totals = self._fixture(toy_tax)
-        top = top_cells(cells, totals, 2)
-        assert [c.area_id for c in top] == ["metro:0:0", "metro:0:1"]
+        assert top_ids(cells, totals, 2) == ["metro:0:0", "metro:0:1"]
 
     def test_all_nonempty_is_permutation(self, toy_tax):
         cells, totals = self._fixture(toy_tax)
-        top = top_cells(cells, totals, 3)
-        assert {c.area_id for c in top} == {"metro:0:0", "metro:0:1", "metro:1:0"}
+        assert set(top_ids(cells, totals, 3)) == {"metro:0:0", "metro:0:1", "metro:1:0"}
 
     def test_uniform_counts_sorted_by_id(self, toy_tax):
         city = Area("metro", "city", bbox=(0.0, 0.0, 1.0, 1.0))
@@ -598,13 +625,13 @@ class TestTopCells:
             toy_tax,
             [make_checkin(user=f"u{i}", lat=0.5, lon=x) for i, x in enumerate((0.1, 0.5, 0.9))],
         )
-        top = top_cells(cells, cell_totals(corpus, cells), 3)
-        assert [c.area_id for c in top] == ["metro:0:0", "metro:0:1", "metro:0:2"]
+        top = top_ids(cells, cell_totals(corpus, cells), 3)
+        assert top == ["metro:0:0", "metro:0:1", "metro:0:2"]
 
     def test_too_many_requested(self, toy_tax):
         cells, totals = self._fixture(toy_tax)
         with pytest.raises(DataError):
-            top_cells(cells, totals, 4)
+            top_ids(cells, totals, 4)
 
     def test_tie_broken_by_id_string_not_row(self):
         # Rows 2 and 10 tie; "c:10:0" sorts before "c:2:0" although row 2
@@ -613,7 +640,8 @@ class TestTopCells:
         totals = [0] * 12
         totals[2] = totals[10] = 3
         totals[5] = 1
-        assert [c.area_id for c in top_cells(cells, totals, 2)] == ["c:10:0", "c:2:0"]
-        assert [c.area_id for c in top_cells(cells, totals, 3)] == ["c:10:0", "c:2:0", "c:5:0"]
+        assert top_ids(cells, totals, 2) == ["c:10:0", "c:2:0"]
+        assert top_ids(cells, totals, 3) == ["c:10:0", "c:2:0", "c:5:0"]
+        assert top_cells([c.area_id for c in cells], totals, 3) == [10, 2, 5]
         with pytest.raises(DataError, match="only 3 are nonempty"):
-            top_cells(cells, totals, 4)
+            top_ids(cells, totals, 4)

@@ -1,7 +1,9 @@
-"""Binary user profiles and normalized area signatures."""
+"""Binary user profiles and normalized area count rows."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import corpus_of, make_checkin, with_homes
 from tastemap.errors import DataError, EmptyAreaError
@@ -10,8 +12,8 @@ from tastemap.model import Area
 from tastemap.prefs import (
     area_cubes,
     build_profiles,
+    normalized_rows,
     region_counts,
-    region_profile,
 )
 
 
@@ -114,34 +116,38 @@ class TestRegionCounts:
             region_counts(homed, Area("CC", "country", country_code="CC"))
 
 
+def one_row(counts) -> list[float]:
+    """``normalized_rows`` of a single count vector."""
+    (row,) = normalized_rows(np.array([counts]), ["a"])
+    return row.tolist()
+
+
 class TestRegionProfile:
     def test_direct_formula(self):
-        sig = region_profile(np.array([4, 2, 0]), "a")
-        assert np.array_equal(sig.normalized, [1.0, 0.5, 0.0])
-        assert np.array_equal(sig.raw_counts, [4, 2, 0])
+        assert np.array_equal(one_row([4, 2, 0]), [1.0, 0.5, 0.0])
 
     def test_single_entry(self):
-        assert region_profile(np.array([7]), "a").normalized.tolist() == [1.0]
+        assert one_row([7]) == [1.0]
 
     def test_ties_share_the_max(self):
-        assert region_profile(np.array([3, 3]), "a").normalized.tolist() == [1.0, 1.0]
+        assert one_row([3, 3]) == [1.0, 1.0]
 
     def test_all_zero_is_empty_area(self):
         with pytest.raises(EmptyAreaError):
-            region_profile(np.zeros(5, int), "a")
+            one_row(np.zeros(5, int))
 
     def test_negative_counts_rejected(self):
         with pytest.raises(DataError):
-            region_profile(np.array([1, -1]), "a")
+            one_row([1, -1])
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
             counts = rng.integers(0, 50, size=12)
             counts[rng.integers(12)] = 17  # guarantee nonzero
-            base = region_profile(counts, "a").normalized
+            base = one_row(counts)
             for lam in (2, 10, 1000):
-                scaled = region_profile(counts * lam, "a").normalized
+                scaled = one_row(counts * lam)
                 assert np.array_equal(scaled, base)
 
     def test_max_is_exactly_one(self):
@@ -150,4 +156,41 @@ class TestRegionProfile:
             counts = rng.integers(0, 100, size=8)
             if counts.max() == 0:
                 counts[0] = 1
-            assert region_profile(counts, "a").normalized.max() == 1.0
+            assert max(one_row(counts)) == 1.0
+
+
+# Rows of one width; small values give ties, the large ones exceed 2**53.
+count_matrices = st.integers(1, 6).flatmap(
+    lambda width: st.lists(
+        st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2**63 - 1)),
+                 min_size=width, max_size=width),
+        min_size=1,
+        max_size=6,
+    )
+)
+
+
+class TestNormalizedRows:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=count_matrices)
+    def test_each_row_over_its_max_bit_for_bit(self, rows):
+        counts = np.array(rows, np.int64)
+        ids = [f"a{i}" for i in range(len(rows))]
+        empty = [i for i, row in enumerate(counts) if row.max() == 0]
+        if empty:
+            with pytest.raises(EmptyAreaError, match=f"^area 'a{empty[0]}' has no check-ins$"):
+                normalized_rows(counts, ids)
+            return
+        got = normalized_rows(counts, ids)
+        want = np.stack([row / float(row.max()) for row in counts])
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_first_empty_row_is_named(self):
+        counts = np.array([[1, 0], [0, 0], [2, 1], [0, 0]])
+        with pytest.raises(EmptyAreaError, match="^area 'DD' has no check-ins$"):
+            normalized_rows(counts, ["AA", "DD", "BB", "EE"])
+
+    def test_row_count_must_match_ids(self):
+        with pytest.raises(DataError):
+            normalized_rows(np.ones((2, 3), int), ["a"])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import corpus_of, make_checkin, with_homes
 from tastemap.errors import DataError, EmptyAreaError, UndefinedMetric
 from tastemap.model import Area
-from tastemap.prefs import region_profile
+from tastemap.prefs import normalized_rows
 from tastemap.signatures import (
     class_period_indices,
     correlation_matrix,
@@ -22,6 +22,12 @@ from tastemap.signatures import (
 )
 
 BOX = Area("box", "city", bbox=(0.0, 0.0, 2.0, 2.0))
+
+
+def signatures(counts):
+    """Labels a0, a1, ... and the normalized rows of area count vectors."""
+    labels = [f"a{i}" for i in range(len(counts))]
+    return labels, normalized_rows(np.array(counts), labels)
 
 
 def two_pass_pearson(x, y):
@@ -86,49 +92,44 @@ class TestPearson:
 class TestCorrelationMatrix:
     def test_identical_signatures_fully_correlated(self, toy_tax):
         counts = np.array([4, 2, 1, 0, 3, 2, 1])
-        sigs = [region_profile(counts, "a"), region_profile(counts * 3, "b")]
-        matrix = correlation_matrix(sigs, toy_tax)
+        matrix = correlation_matrix(*signatures([counts, counts * 3]), toy_tax)
         assert matrix.values[0, 1] == pytest.approx(1.0)
         assert matrix.values[0, 0] == 1.0
 
     def test_scope_restricts_to_class_block(self, ref_tax):
         rng = np.random.default_rng(23)
-        sigs = [
-            region_profile(rng.integers(1, 40, size=ref_tax.m), f"a{i}") for i in range(3)
-        ]
-        matrix = correlation_matrix(sigs, ref_tax, scope="Drink")
+        labels, sigs = signatures(rng.integers(1, 40, size=(3, ref_tax.m)))
+        matrix = correlation_matrix(labels, sigs, ref_tax, scope="Drink")
         lo, hi = ref_tax.class_ranges["Drink"]
         assert hi - lo == 21
-        expected = two_pass_pearson(
-            sigs[0].normalized[lo:hi].tolist(), sigs[1].normalized[lo:hi].tolist()
-        )
+        expected = two_pass_pearson(sigs[0, lo:hi].tolist(), sigs[1, lo:hi].tolist())
         assert matrix.values[0, 1] == pytest.approx(expected, abs=1e-12)
 
     def test_disjoint_support_anticorrelated(self, toy_tax):
-        a = region_profile(np.array([5, 5, 5, 0, 0, 0, 0]), "a")
-        b = region_profile(np.array([0, 0, 0, 5, 5, 5, 5]), "b")
-        matrix = correlation_matrix([a, b], toy_tax)
+        matrix = correlation_matrix(
+            *signatures([[5, 5, 5, 0, 0, 0, 0], [0, 0, 0, 5, 5, 5, 5]]), toy_tax
+        )
         assert matrix.values[0, 1] < 0
 
     def test_matches_brute_force_on_random_areas(self, toy_tax):
         rng = np.random.default_rng(24)
-        sigs = []
-        for i in range(8):
-            counts = rng.integers(0, 30, size=toy_tax.m)
-            counts[rng.integers(toy_tax.m)] += 5
-            sigs.append(region_profile(counts, f"a{i}"))
-        matrix = correlation_matrix(sigs, toy_tax)
+        counts = []
+        for _ in range(8):
+            counts.append(rng.integers(0, 30, size=toy_tax.m))
+            counts[-1][rng.integers(toy_tax.m)] += 5
+        labels, sigs = signatures(counts)
+        matrix = correlation_matrix(labels, sigs, toy_tax)
         for i in range(8):
             for j in range(8):
                 if i == j:
                     continue
-                expected = two_pass_pearson(sigs[i].normalized.tolist(), sigs[j].normalized.tolist())
+                expected = two_pass_pearson(sigs[i].tolist(), sigs[j].tolist())
                 assert matrix.values[i, j] == pytest.approx(expected, abs=1e-12)
 
     def test_constant_signature_marked_nan(self, toy_tax):
-        flat = region_profile(np.ones(7, int), "flat")
-        varied = region_profile(np.array([3, 1, 0, 0, 2, 0, 1]), "varied")
-        matrix = correlation_matrix([flat, varied], toy_tax)
+        labels = ["flat", "varied"]
+        rows = normalized_rows(np.array([[1] * 7, [3, 1, 0, 0, 2, 0, 1]]), labels)
+        matrix = correlation_matrix(labels, rows, toy_tax)
         assert np.isnan(matrix.values[0, 1])
         assert np.isnan(matrix.values[0, 0])
         assert matrix.values[1, 1] == 1.0
@@ -140,10 +141,8 @@ class TestCorrelationMatrix:
         flat = np.ones(ref_tax.m, int)
         flat[hi] = 10
         rng = np.random.default_rng(28)
-        sigs = [region_profile(flat, "flat")] + [
-            region_profile(rng.integers(1, 40, size=ref_tax.m), f"a{i}") for i in range(3)
-        ]
-        values = correlation_matrix(sigs, ref_tax, scope="Drink").values
+        counts = [flat, *rng.integers(1, 40, size=(3, ref_tax.m))]
+        values = correlation_matrix(*signatures(counts), ref_tax, scope="Drink").values
         assert np.isnan(values[0]).all() and np.isnan(values[:, 0]).all()
         assert not np.isnan(values[1:, 1:]).any()
 
@@ -154,10 +153,10 @@ class TestCorrelationMatrix:
         counts[3] = 7  # constant everywhere
         lo, hi = ref_tax.class_ranges["FastFood"]
         counts[5, lo:hi] = 3  # constant FastFood block
-        sigs = [region_profile(row, f"a{i}") for i, row in enumerate(counts)]
+        labels, sigs = signatures(counts)
         for scope in ("all", "FastFood"):
-            values = correlation_matrix(sigs, ref_tax, scope).values
-            vectors = [s.normalized if scope == "all" else s.normalized[lo:hi] for s in sigs]
+            values = correlation_matrix(labels, sigs, ref_tax, scope).values
+            vectors = [s if scope == "all" else s[lo:hi] for s in sigs]
             for i in range(12):
                 for j in range(12):
                     try:
@@ -182,12 +181,12 @@ class TestCorrelationMatrix:
         lo, hi = toy_tax.class_ranges["Drink"]
         for i in data.draw(st.lists(st.integers(0, n - 1), max_size=n)):
             counts[i, lo:hi] = 3  # constant Drink block
-        sigs = [region_profile(row, f"a{i}") for i, row in enumerate(counts)]
-        values = correlation_matrix(sigs, toy_tax, scope).values
+        labels, sigs = signatures(counts)
+        values = correlation_matrix(labels, sigs, toy_tax, scope).values
         # bit for bit: equal values, equal signs of zero, equal NaNs
         assert np.array_equal(values.view(np.uint64), values.T.view(np.uint64))
         block = slice(None) if scope == "all" else slice(*toy_tax.class_ranges[scope])
-        vectors = np.array([sig.normalized[block] for sig in sigs])
+        vectors = sigs[:, block]
         constant = np.ptp(vectors, axis=1) == 0
         assert np.array_equal(np.isnan(values).all(axis=1), constant)
         assert np.array_equal(np.isnan(values), constant[:, None] | constant[None, :])
@@ -255,7 +254,7 @@ class TestSpatiotemporalVector:
     def test_reference_taxonomy_gives_808(self, ref_tax):
         corpus = corpus_of(ref_tax, [make_checkin(subcat="Pub")])
         sig = spatiotemporal_vector(corpus, BOX)
-        assert sig.normalized.shape == (808,)
+        assert sig.shape == (808,)
 
     def test_one_subcategory_gives_8(self, tmp_path):
         from conftest import write_taxonomy
@@ -263,15 +262,15 @@ class TestSpatiotemporalVector:
 
         tax = load_taxonomy(write_taxonomy(tmp_path / "t.txt", "Drink\tPub\n"))
         corpus = corpus_of(tax, [make_checkin(subcat="Pub")])
-        assert spatiotemporal_vector(corpus, BOX).normalized.shape == (8,)
+        assert spatiotemporal_vector(corpus, BOX).shape == (8,)
 
     def test_single_checkin_lights_one_coordinate(self, toy_tax):
         # Tuesday 13:00 -> weekday block, period [12,18)
         corpus = corpus_of(toy_tax, [make_checkin(subcat="Pub", ts="2024-04-16T13:00:00")])
         sig = spatiotemporal_vector(corpus, BOX)
         expected = toy_tax.index_of("Pub") * 8 + 0 * 4 + 2
-        assert sig.normalized[expected] == 1.0
-        assert sig.normalized.sum() == 1.0
+        assert sig[expected] == 1.0
+        assert sig.sum() == 1.0
 
     def test_empty_area_raises(self, toy_tax):
         corpus = corpus_of(toy_tax, [make_checkin(lat=50.0, lon=50.0)])
@@ -290,7 +289,7 @@ class TestSpatiotemporalVector:
             corpus = corpus_of(toy_tax, [make_checkin(subcat=names[s], ts=ts)])
             sig = spatiotemporal_vector(corpus, BOX)
             hand = 8 * s + 4 * int(weekend) + hour // 6
-            assert sig.normalized[hand] == 1.0
+            assert sig[hand] == 1.0
 
     def test_class_period_indices_cover_block(self, ref_tax):
         idx = class_period_indices(ref_tax, "FastFood", "weekend")

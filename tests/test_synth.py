@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -19,7 +20,7 @@ from tastemap.cli import main
 from tastemap.errors import DataError
 from tastemap.ingest import assign_home_country, load_geo_index, parse_corpus
 from tastemap.model import Area, reference_taxonomy_path
-from tastemap.prefs import region_counts, region_profile
+from tastemap.prefs import normalized_rows, region_counts
 from tastemap.signatures import correlation_matrix
 from tastemap.synth import (
     SynthSpec,
@@ -111,11 +112,10 @@ class TestGenerateCorpus:
         corpus = parse_corpus(generated.corpus_path, ref_tax)
         geo = load_geo_index(generated.geo_path)
         located, _ = assign_home_country(corpus, geo)
-        sigs = []
-        for code in ("AA", "BB"):
-            area = Area(code, "country", country_code=code)
-            sigs.append(region_profile(region_counts(located, area).sum(axis=(1, 2)), code))
-        matrix = correlation_matrix(sigs, ref_tax)
+        codes = ["AA", "BB"]
+        counts = [region_counts(located, Area(code, "country", country_code=code)).sum(axis=(1, 2))
+                  for code in codes]
+        matrix = correlation_matrix(codes, normalized_rows(np.array(counts), codes), ref_tax)
         assert matrix.values[0, 1] <= 0.0
 
     def test_empirical_frequencies_match_weights(self, ref_tax, tmp_path):
@@ -365,6 +365,71 @@ class TestSpecValidation:
         doc["countries"][0]["venues_per_subcategory"] = 2**32
         doc["countries"][0]["checkins_per_user"] = [1, 2**32]
         SynthSpec.from_dict(doc)
+
+
+def _drop(key, city=False):
+    def edit(doc):
+        country = doc["countries"][1]
+        if city:
+            country["cities"] = [{"id": "BB-1"}]
+        else:
+            del country[key]
+    return edit
+
+
+def _set(key, value):
+    def edit(doc):
+        doc["countries"][1][key] = value
+    return edit
+
+
+class TestSpecShape:
+    """A missing field, or one of the wrong type or shape, is a DataError
+    that names the country and the field; the CLI exits 2 and writes
+    nothing."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (_drop("users"), "country 'BB': missing field 'users'"),
+        (_drop("code"), "country #2: missing field 'code'"),
+        (_drop("bbox"), "country 'BB': missing field 'bbox'"),
+        (_drop("bbox", city=True), "country 'BB' city 'BB-1': missing field 'bbox'"),
+        (_set("bbox", [20, 0, 30]), "country 'BB': bad field 'bbox'"),
+        (_set("cities", [{"id": "BB-1", "bbox": [20, 0, 25]}]),
+         "country 'BB' city 'BB-1': bad field 'bbox'"),
+        (_set("checkins_per_user", [4]), "country 'BB': bad field 'checkins_per_user'"),
+        (_set("preferences", ["Pub"]), "country 'BB': bad field 'preferences'"),
+        (_set("hourly", {"*": {"weekday": 5}}), "country 'BB': bad field 'hourly'"),
+        (_set("users", 2.7), "country 'BB': bad field 'users'"),
+        (lambda doc: doc.update(countries=[[]]), "country #1: expected a JSON object"),
+    ], ids=["no-users", "no-code", "no-bbox", "no-city-bbox", "three-number-bbox",
+            "three-number-city-bbox", "one-count", "preference-list", "numeric-hourly-group",
+            "fractional-users", "country-not-object"])
+    def test_bad_field_is_named(self, tmp_path, capsys, edit, message):
+        doc = spec_dict()
+        edit(doc)
+        with pytest.raises(DataError, match=f"^{re.escape(message)}"):
+            SynthSpec.from_dict(doc)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["synth", "--spec", str(spec_path), "--taxonomy", str(reference_taxonomy_path()),
+                     "--seed", "0", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"tastemap: data error: {message}")
+        assert not out.exists()
+
+    def test_top_level_list_exits_2(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps([spec_dict()]), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["synth", "--spec", str(spec_path), "--taxonomy", str(reference_taxonomy_path()),
+                     "--seed", "0", "--out-dir", str(out)]) == 2
+        assert "spec must be a JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_floats_and_tuples_parse_as_before(self):
+        doc = spec_dict()
+        doc["countries"][0].update(users=5.0, checkins_per_user=(4, 8.0))
+        assert SynthSpec.from_dict(doc) == SynthSpec.from_dict(spec_dict())
 
 
 class TestAdjustedRandIndex:
