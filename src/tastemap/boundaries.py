@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
@@ -224,7 +225,15 @@ def kmeans_cosine(
 
 def rank_by_cosine(target: str, vectors: Mapping[str, np.ndarray]) -> list[str]:
     """All other areas ordered by descending cosine similarity to the target;
-    exact ties order by area id."""
+    exact ties order by area id.
+
+    Exact means in the decimal values the floats print as (``repr``), so
+    survey coordinates 0.2,0.4 and 0.3,0.6 tie.  Cosines are compared in
+    floats first; a run of areas whose float cosines lie within the rounding
+    bound of their neighbours is then ordered exactly (Shewchuk's filtered
+    predicate), by sign(t.v) (t.v)^2 / |v|^2 in rationals, which orders like
+    cos(t, v).
+    """
     if target not in vectors:
         raise DataError(f"target {target!r} not among the vectors")
     arrs = {a: np.asarray(v, np.float64) for a, v in vectors.items()}
@@ -232,13 +241,95 @@ def rank_by_cosine(target: str, vectors: Mapping[str, np.ndarray]) -> list[str]:
     if len(dims) != 1:
         raise DataError("vectors must share one dimension")
     for a, v in arrs.items():
-        if np.linalg.norm(v) == 0:
+        if not np.isfinite(v).all():
+            raise DataError(f"vector for {a!r} has non-finite entries")
+        if not v.any():
             raise DataError(f"vector for {a!r} has zero length")
-    t = arrs[target] / np.linalg.norm(arrs[target])
-    cos = {
-        a: float(t @ (v / np.linalg.norm(v))) for a, v in arrs.items() if a != target
-    }
-    return sorted(cos, key=lambda a: (-cos[a], a))
+    others = sorted(a for a in arrs if a != target)
+    if not others:
+        return []
+    # Each vector divided by its largest magnitude: no square overflows, and
+    # what underflow loses is far below the rounding bound.
+    t = arrs[target] / np.abs(arrs[target]).max()
+    matrix = np.stack([arrs[a] for a in others])
+    matrix /= np.abs(matrix).max(axis=1, keepdims=True)
+    cos = ((matrix @ t) / (np.linalg.norm(matrix, axis=1) * np.linalg.norm(t))).tolist()
+    order = sorted(range(len(others)), key=lambda i: (-cos[i], i))
+
+    # A float cosine is within (2d + 4) u of the cosine of the scaled
+    # vectors (dot product, two norms, a product and a quotient); scaling
+    # moves it by at most 4u, and so does reading the inputs as decimals.
+    # Two cosines are compared, with a factor of two to spare.
+    tol = (4 * t.size + 24) * 2.0**-52
+    exact_t = [Fraction(repr(x)) for x in arrs[target].tolist()]
+
+    def exact_order(run: list[int]) -> list[int]:
+        if len(run) < 2:
+            return run
+        keys = {}
+        for i in run:
+            v = [Fraction(repr(x)) for x in arrs[others[i]].tolist()]
+            dot = sum(x * y for x, y in zip(exact_t, v))
+            keys[i] = dot * abs(dot) / sum(x * x for x in v)
+        return sorted(run, key=lambda i: (-keys[i], i))
+
+    ranked: list[int] = []
+    run: list[int] = []
+    for i in order:
+        if run and cos[run[-1]] - cos[i] > tol:
+            ranked += exact_order(run)
+            run = []
+        run.append(i)
+    ranked += exact_order(run)
+    return [others[i] for i in ranked]
+
+
+def _t_two_sided(t: float, nu: int) -> float:
+    """P(|T| >= |t|) for Student's t with ``nu`` (a whole number >= 1)
+    degrees of freedom: the regularized incomplete beta I_x(nu/2, 1/2) at
+    x = nu/(nu+t^2).
+
+    For |t| <= 2 it is 1 - A(t|nu) from the finite sums of Abramowitz &
+    Stegun 26.7.3 (odd nu) and 26.7.4 (even nu), the branch Cephes ``stdtr``
+    takes there; p >= 0.045, so the subtraction costs a few tens of ulps at
+    most.  Beyond, it is the power series
+    x^a / B(a, 1/2) * sum_k (1/2)_k x^k / (k! (a+k)), a = nu/2, whose terms
+    are all positive; 1/B(a, 1/2) = Gamma(a+1/2) / (Gamma(a) sqrt(pi)) comes
+    from its recurrence in a, starting at 1/pi (a = 1/2) or 1/2 (a = 1).
+    """
+    t2 = t * t
+    x = nu / (nu + t2)
+    odd = nu % 2 == 1
+    if t2 <= 4.0:
+        # sum_j c_j cos^2j(theta) by Horner, cos^2(theta) = x, with term ratios
+        # 2j/(2j+1) for odd nu and (2j-1)/(2j) for even nu.
+        s = 1.0
+        for j in range((nu - 3) // 2 if odd else (nu - 2) // 2, 0, -1):
+            s = 1.0 + s * x * ((2 * j) / (2 * j + 1) if odd else (2 * j - 1) / (2 * j))
+        sin = math.sqrt(t2 / (nu + t2))
+        if not odd:
+            return 1.0 - sin * s
+        theta = math.atan2(abs(t), math.sqrt(nu))
+        return 1.0 - 2.0 / math.pi * (theta + (sin * math.sqrt(x) * s if nu > 1 else 0.0))
+
+    a = 0.5 * nu
+    inv_beta, b = (1.0 / math.pi, 0.5) if odd else (0.5, 1.0)
+    while b < a:
+        inv_beta *= (b + 0.5) / b
+        b += 1.0
+    # The terms fall by a ratio below x, so once one is under
+    # total * eps * (1 - x) the rest cannot reach total * eps.
+    stop = 2.0**-53 * (1.0 - x)
+    total = 1.0 / a
+    coef = 1.0
+    k = 0
+    while True:
+        k += 1
+        coef *= x * (k - 0.5) / k
+        term = coef / (a + k)
+        total += term
+        if term <= total * stop:
+            return math.pow(x, a) * inv_beta * total
 
 
 def spearman(rank_a: Sequence[Hashable], rank_b: Sequence[Hashable]) -> tuple[float, float]:
@@ -267,12 +358,8 @@ def spearman(rank_a: Sequence[Hashable], rank_b: Sequence[Hashable]) -> tuple[fl
 
     if abs(rho) >= 1.0 - 1e-15:
         return rho, min(1.0, 2.0 / math.factorial(n))
-    # Imported here: scipy.special costs every other command a quarter second.
-    from scipy.special import stdtr
-
     t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-    p = 2.0 * float(stdtr(n - 2, -abs(t)))
-    return rho, min(1.0, p)
+    return rho, min(1.0, _t_two_sided(t, n - 2))
 
 
 @dataclass(frozen=True)

@@ -424,11 +424,6 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"tastemap: data error: {exc}", file=sys.stderr)
         return 2
-    except UnicodeDecodeError as exc:
-        # The codec's own position counts from the start of a read chunk.
-        print(f"tastemap: data error: an input file is not UTF-8 ({exc.reason}, byte "
-              f"0x{exc.object[exc.start]:02x})", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"tastemap: {exc}", file=sys.stderr)
         return 2

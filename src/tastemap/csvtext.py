@@ -28,7 +28,7 @@ import math
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DataError
+from .errors import DataError, utf8_input
 
 
 def read_keyed_rows(
@@ -38,7 +38,7 @@ def read_keyed_rows(
     fields keyed by the header.  The header must name ``key`` and every one
     of ``columns``; a ``key`` value seen on an earlier row is a DataError.
     A short row has ``None`` for its missing fields."""
-    with open(path, encoding="utf-8", newline="") as fh:
+    with utf8_input(path), open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         required = {key, *columns}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):

@@ -1,5 +1,8 @@
 """Exception types shared across the pipeline."""
 
+from contextlib import contextmanager
+from pathlib import Path
+
 
 class DataError(ValueError):
     """Input data violates a documented format or precondition."""
@@ -31,3 +34,15 @@ class UndefinedMetric(ArithmeticError):
 
 class UndefinedSimilarity(UndefinedMetric):
     """Jaccard similarity of two empty preference sets (0/0)."""
+
+
+@contextmanager
+def utf8_input(path: str | Path):
+    """Turn a UTF-8 decoding failure of the text file at ``path``, read in
+    the block, into a DataError that names the file."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        # The codec's own position counts from the start of a read chunk.
+        raise DataError(f"an input file is not UTF-8 ({path}: {exc.reason}, byte "
+                        f"0x{exc.object[exc.start]:02x})") from None

@@ -31,7 +31,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from . import _kernels
-from .errors import DataError, ParseError
+from .errors import DataError, ParseError, utf8_input
 from .model import Area, Taxonomy
 
 CORPUS_FIELDS = ("user", "venue", "lat", "lon", "ts", "subcat")
@@ -177,7 +177,7 @@ def parse_corpus(source, taxonomy: Taxonomy, error_budget: float = 0.001) -> Cor
         raise DataError(f"error budget must lie in [0, 1], got {error_budget:g}")
     if isinstance(source, (str, Path)):
         force_csv = Path(source).suffix.lower() == ".csv"
-        with open(source, encoding="utf-8") as fh:
+        with utf8_input(source), open(source, encoding="utf-8") as fh:
             return _parse_stream(fh, taxonomy, error_budget, force_csv)
     return _parse_stream(source, taxonomy, error_budget, force_csv=False)
 
@@ -305,7 +305,7 @@ def load_geo_index(path: str | Path) -> GeoIndex:
     xs: list[np.ndarray] = []
     ys: list[np.ndarray] = []
     ring_country: list[int] = []
-    with open(path, encoding="utf-8") as fh:
+    with utf8_input(path), open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -22,7 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DataError, TaxonomyError
+from .errors import DataError, TaxonomyError, utf8_input
 
 VALID_CLASS_IDS = ("Drink", "FastFood", "SlowFood", "Other")
 
@@ -92,7 +92,7 @@ def load_taxonomy(path: str | Path) -> Taxonomy:
     """
     entries: list[tuple[str, str]] = []
     excluded: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
+    with utf8_input(path), open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -38,7 +38,7 @@ from typing import Mapping
 import numpy as np
 
 from .csvtext import quote_fields, write_rows
-from .errors import DataError
+from .errors import DataError, utf8_input
 from .ingest import COLUMNS, CORPUS_FIELDS, Corpus
 from .model import Taxonomy, load_taxonomy
 
@@ -132,9 +132,12 @@ def write_store(store: Path, corpus: Corpus, taxonomy_path: Path) -> None:
 def _load_arrays(store: Path) -> dict[str, np.ndarray]:
     """The arrays of ``corpus.npz``, after the manifest has vouched for them."""
     try:
-        manifest = json.loads((store / MANIFEST_FILE).read_text(encoding="utf-8"))
+        with utf8_input(store / MANIFEST_FILE):
+            text = (store / MANIFEST_FILE).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise DataError(f"store has no {MANIFEST_FILE}: {store} (run ingest again)") from None
+    try:
+        manifest = json.loads(text)
     except ValueError as exc:
         raise DataError(f"unreadable {MANIFEST_FILE} in {store}: {exc}") from None
     if not isinstance(manifest, dict):

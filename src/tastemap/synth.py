@@ -59,7 +59,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, utf8_input
 from .model import Taxonomy
 
 REFERENCE_WEEK = ("2024-04-15", "2024-04-16", "2024-04-17", "2024-04-18",
@@ -235,7 +235,7 @@ class SynthSpec:
 
     @staticmethod
     def from_file(path: str | Path) -> "SynthSpec":
-        with open(path, encoding="utf-8") as fh:
+        with utf8_input(path), open(path, encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
             except json.JSONDecodeError as exc:

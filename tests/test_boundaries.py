@@ -2,15 +2,17 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy import stats
+from scipy import special, stats
 
 from tastemap.boundaries import (
+    _t_two_sided,
     compare_with_survey,
     fit_pca,
     kmeans_cosine,
@@ -49,6 +51,40 @@ def integer_matrix(data, wide):
     X = data.draw(arrays(np.float64, (n, d), elements=st.integers(-5, 5).map(float)))
     assume((X != X[0]).any())
     return X
+
+
+def exact_ranking(target, vectors):
+    """Oracle: the other ids by descending signed squared cosine to the
+    target, in exact rationals over the decimal values the floats print as;
+    ties by id."""
+    dec = {a: [Fraction(repr(float(x))) for x in v] for a, v in vectors.items()}
+    t = dec[target]
+
+    def signed_cos2(a):
+        dot = sum(x * y for x, y in zip(t, dec[a]))
+        return dot * abs(dot) / (sum(x * x for x in t) * sum(x * x for x in dec[a]))
+
+    return sorted((a for a in vectors if a != target), key=lambda a: (-signed_cos2(a), a))
+
+
+def planted_vectors(data, ids, dim):
+    """Nonzero vectors whose entries are two-decimal multiples c * m / 100 of
+    a few integer directions m, so many are exactly proportional (2m and 3m
+    tie at one cosine); a few are arbitrary floats instead."""
+    directions = data.draw(st.lists(
+        st.lists(st.integers(-60, 60), min_size=dim, max_size=dim).filter(any),
+        min_size=1, max_size=3))
+    out = {}
+    for name in ids:
+        if data.draw(st.integers(0, 5)) == 0:
+            out[name] = np.array(data.draw(st.lists(
+                st.floats(-100, 100).filter(lambda x: abs(x) > 1e-6),
+                min_size=dim, max_size=dim)))
+        else:
+            m = data.draw(st.sampled_from(directions))
+            c = data.draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+            out[name] = np.array([c * k / 100 for k in m])
+    return out
 
 
 class TestFitPca:
@@ -111,6 +147,13 @@ class TestFitPca:
     def test_single_row_rejected(self):
         with pytest.raises(DataError):
             fit_pca(np.ones((1, 4)))
+
+    def test_extreme_magnitudes(self):
+        for scale in (1e-170, 1e200):
+            vectors = {"t": [scale, scale], "a": [1.0, 0.0], "b": [3.0, 3.0], "c": [0.0, 2.0]}
+            assert rank_by_cosine("t", vectors) == ["b", "a", "c"]
+            vectors = {"t": [1.0, 2.0], "a": [-scale, 0.0], "b": [scale, 2 * scale]}
+            assert rank_by_cosine("t", vectors) == ["b", "a"]
 
     def test_nonfinite_rejected(self):
         bad = np.ones((3, 3))
@@ -308,6 +351,31 @@ class TestRankByCosine:
         with pytest.raises(DataError):
             rank_by_cosine("nope", {"t": [1.0]})
 
+    def test_decimal_multiples_tie_and_order_by_id(self):
+        # 0.3,0.6 is 1.5 times 0.2,0.4 in decimals but not in binary.
+        vectors = {"t": [0.7, 0.1], "b": [0.2, 0.4], "a": [0.3, 0.6], "d": [0.1, -0.9]}
+        assert rank_by_cosine("t", vectors) == ["a", "b", "d"]
+
+    def test_extreme_magnitudes(self):
+        for scale in (1e-170, 1e200):
+            vectors = {"t": [scale, scale], "a": [1.0, 0.0], "b": [3.0, 3.0], "c": [0.0, 2.0]}
+            assert rank_by_cosine("t", vectors) == ["b", "a", "c"]
+            vectors = {"t": [1.0, 2.0], "a": [-scale, 0.0], "b": [scale, 2 * scale]}
+            assert rank_by_cosine("t", vectors) == ["b", "a"]
+
+    def test_nonfinite_rejected(self):
+        with pytest.raises(DataError):
+            rank_by_cosine("t", {"t": [1.0, 0.0], "n": [np.nan, 1.0]})
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_equals_exact_rational_ranking(self, data):
+        dim = data.draw(st.integers(1, 6))
+        ids = data.draw(st.permutations([f"a{i}" for i in range(data.draw(st.integers(2, 9)))]))
+        vectors = planted_vectors(data, ids, dim)
+        target = data.draw(st.sampled_from(ids))
+        assert rank_by_cosine(target, vectors) == exact_ranking(target, vectors)
+
 
 class TestSpearman:
     def test_identical_ranks(self):
@@ -370,6 +438,33 @@ class TestSpearman:
         else:
             assert p == pytest.approx(want_p, rel=1e-12)
 
+    @pytest.mark.parametrize("n", range(3, 40))
+    def test_tail_matches_stdtr_at_every_rank_sum(self, n):
+        # Every even sum of squared rank differences strictly between 0 and
+        # its maximum (n^3 - n)/3: a superset of the achievable |rho| < 1.
+        nu = n - 2
+        d2 = np.arange(2, (n**3 - n) // 3 - 1, 2)
+        rho = 1.0 - 6.0 * d2 / (n * (n * n - 1))
+        t = rho * np.sqrt(nu / (1.0 - rho * rho))
+        want = 2.0 * special.stdtr(nu, -np.abs(t))
+        got = np.array([_t_two_sided(float(v), nu) for v in t])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("nu", [1, 2, 3, 4, 7, 20, 37])
+    def test_tail_at_the_branch_edge(self, nu):
+        for t in (2.0, math.nextafter(2.0, 0.0), math.nextafter(2.0, 3.0), 1.5, 2.5, 40.0):
+            for sign in (1.0, -1.0):
+                want = 2.0 * float(special.stdtr(nu, -t))
+                assert _t_two_sided(sign * t, nu) == pytest.approx(want, rel=1e-12)
+
+    def test_tail_closed_forms_for_one_and_two_degrees(self):
+        # nu = 1 is Cauchy: p = 1 - 2 atan|t| / pi; nu = 2: p = 1 - |t| / sqrt(2 + t^2).
+        for t in (0.1, 0.5, 1.0, 2.0, 2.01, 3.0, 10.0, 1e3):
+            assert _t_two_sided(t, 1) == pytest.approx(1.0 - 2.0 * math.atan(t) / math.pi,
+                                                       rel=1e-12)
+            assert _t_two_sided(t, 2) == pytest.approx(1.0 - t / math.sqrt(2.0 + t * t),
+                                                       rel=1e-12)
+
 
 class TestCompareWithSurvey:
     def coords(self, n=8, seed=13):
@@ -409,3 +504,26 @@ class TestCompareWithSurvey:
         rows = compare_with_survey(survey, survey, sorted(survey))
         for r in rows:
             assert r.significant == (r.p_value < 0.05)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_equals_exact_rankings_and_scipy_spearmanr(self, data):
+        countries = [f"c{i}" for i in range(data.draw(st.integers(4, 12)))]
+        survey = planted_vectors(data, countries, 2)
+        ours = planted_vectors(data, countries, data.draw(st.integers(1, 6)))
+        rows = compare_with_survey(ours, survey, countries)
+        assert [r.country for r in rows] == countries
+        for r in rows:
+            want_survey = exact_ranking(r.country, survey)
+            want_ours = exact_ranking(r.country, ours)
+            assert r.rank_survey == tuple(want_survey)
+            assert r.rank_ours == tuple(want_ours)
+            m = len(want_ours)
+            if want_survey in (want_ours, want_ours[::-1]):
+                rho, p = (1.0 if want_survey == want_ours else -1.0), 2.0 / math.factorial(m)
+            else:
+                pos = {c: i for i, c in enumerate(want_ours)}
+                rho, p = stats.spearmanr(np.arange(m), [pos[c] for c in want_survey])
+            assert r.rho == pytest.approx(rho, rel=1e-12, abs=1e-15)
+            assert r.p_value == pytest.approx(p, rel=1e-12)
+            assert r.significant == (p < 0.05)

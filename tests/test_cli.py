@@ -338,6 +338,20 @@ def test_cli_import_leaves_scipy_stats_out():
     assert out.stdout.strip() == "[]"
 
 
+def test_survey_run_loads_no_scipy(pipeline, tmp_path):
+    survey = tmp_path / "survey.csv"
+    TestSurvey().write_survey(survey, [f"C{i}" for i in range(6)], np.random.default_rng(40))
+    argv = ["survey", "--store", str(pipeline["store"]), "--survey", str(survey),
+            "--out-dir", str(tmp_path / "out")]
+    code = ("import sys; from tastemap.cli import main; "
+            f"assert main({argv!r}) == 0; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "out" / "survey_comparison.csv").exists()
+
+
 def _edit_npz(store):
     path = store / "corpus.npz"
     with np.load(path, allow_pickle=False) as npz:
@@ -755,6 +769,23 @@ class TestNonUtf8Input:
         err = capsys.readouterr().err
         assert err.startswith("tastemap: data error: an input file is not UTF-8 (")
         assert err.endswith(", byte 0xe9)\n") and err.count("\n") == 1
+        assert f"({paths[bad]}: " in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["taxonomy.txt", "manifest.json"])
+    def test_store_file_is_named(self, pipeline, tmp_path, capsys, name):
+        store = tmp_path / "store"
+        shutil.copytree(pipeline["store"], store)
+        with open(store / name, "ab") as fh:
+            fh.write(b"Caf\xe9\n")
+        survey = tmp_path / "survey.csv"
+        TestSurvey().write_survey(survey, [f"C{i}" for i in range(6)], np.random.default_rng(45))
+        out = tmp_path / "out"
+        assert main(["survey", "--store", str(store), "--survey", str(survey),
+                     "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"tastemap: data error: an input file is not UTF-8 ({store / name}: "
+                       "invalid continuation byte, byte 0xe9)\n")
         assert not out.exists()
 
 
