@@ -55,38 +55,70 @@ def jaccard_edges(bits: np.ndarray, threshold: float):
 # Rings are stored closed (last vertex == first) and concatenated into flat
 # arrays.  A point on a ring edge counts as inside.  Rings are tried in file
 # order; the first containing ring wins.
+#
+# A horizontal ray from (x, y) can cross an edge only if the edge straddles y
+# (min(y1, y2) <= y < max(y1, y2)), and the point can lie on the edge only if
+# y is in the edge's closed y-range.  Every other (point, edge) pair adds
+# nothing to either test, so only the pairs whose y lies in the edge's closed
+# y-range are evaluated: the points are sorted by y, each edge's candidates
+# are one run of that order (two searchsorted calls), and the runs are
+# walked as one flat pair index.  Each pair is scored with the same float
+# expressions as if every (point, edge) pair were, so the result is the same,
+# at a cost of points x the edges their ray meets instead of points x edges.
 # ---------------------------------------------------------------------------
 
 
-# Point x edge elements in one ray-cast temporary (8 MB as float64).
-RAY_BLOCK_ELEMENTS = 1 << 20
+# (point, edge) pairs evaluated at once; the temporaries of one block take
+# about 100 bytes per pair.
+RAY_BLOCK_ELEMENTS = 1 << 18
 
 
 def _ring_contains(px, py, rx, ry):
-    x1, y1 = rx[:-1][None, :], ry[:-1][None, :]
-    x2, y2 = rx[1:][None, :], ry[1:][None, :]
-    x, y = px[:, None], py[:, None]
-    cross = (x2 - x1) * (y - y1) - (x - x1) * (y2 - y1)
-    on_edge = (
-        (cross == 0.0)
-        & (x >= np.minimum(x1, x2))
-        & (x <= np.maximum(x1, x2))
-        & (y >= np.minimum(y1, y2))
-        & (y <= np.maximum(y1, y2))
-    )
-    straddles = (y1 > y) != (y2 > y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x_hit = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-    crossings = (straddles & (x < x_hit)).sum(axis=1)
-    return on_edge.any(axis=1) | ((crossings % 2) == 1)
+    order = np.argsort(py)
+    xs, ys = px[order], py[order]
+    ex1, ey1, ex2, ey2 = rx[:-1], ry[:-1], rx[1:], ry[1:]
+    # Edge e's candidates are sorted positions first[e] .. last[e] - 1.
+    first = np.searchsorted(ys, np.minimum(ey1, ey2), side="left")
+    last = np.searchsorted(ys, np.maximum(ey1, ey2), side="right")
+    ends = np.cumsum(last - first)
+    # Flat pair k of edge e is the point at sorted position k + shift[e].
+    shift = last - ends
+    crossings = np.zeros(xs.size, np.int64)
+    touches = np.zeros(xs.size, np.bool_)
+    total = int(ends[-1])
+    for lo in range(0, total, RAY_BLOCK_ELEMENTS):
+        pos = np.arange(lo, min(lo + RAY_BLOCK_ELEMENTS, total))
+        edge = np.searchsorted(ends, pos, side="right")
+        pos += shift[edge]
+        x, y = xs[pos], ys[pos]
+        x1, y1, x2, y2 = ex1[edge], ey1[edge], ex2[edge], ey2[edge]
+        del edge
+        cross = (x2 - x1) * (y - y1) - (x - x1) * (y2 - y1)
+        on_edge = (
+            (cross == 0.0)
+            & (x >= np.minimum(x1, x2))
+            & (x <= np.maximum(x1, x2))
+            & (y >= np.minimum(y1, y2))
+            & (y <= np.maximum(y1, y2))
+        )
+        del cross
+        touches[pos[on_edge]] = True
+        straddles = (y1 > y) != (y2 > y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_hit = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+        np.add.at(crossings, pos[straddles & (x < x_hit)], 1)
+    inside = np.empty(xs.size, np.bool_)
+    inside[order] = touches | ((crossings % 2) == 1)
+    return inside
 
 
 def assign_countries(px, py, ring_x, ring_y, ring_indptr, ring_country, ring_bbox):
     """Country index per point (-1 where no ring contains the point).
 
-    Each ring tests the still-unassigned points inside its bbox, in chunks
-    of about ``RAY_BLOCK_ELEMENTS`` point x edge pairs, so memory does not
-    grow with the point count.
+    Each ring tests the still-unassigned points inside its bbox, against
+    only the edges whose closed y-range holds the point's y, in blocks of at
+    most ``RAY_BLOCK_ELEMENTS`` (point, edge) pairs, so memory does not grow
+    with the point count or the ring size.
     """
     out = np.full(px.shape[0], -1, np.int64)
     for r in range(ring_country.shape[0]):
@@ -104,10 +136,6 @@ def assign_countries(px, py, ring_x, ring_y, ring_indptr, ring_country, ring_bbo
             continue
         idx = np.nonzero(in_box)[0]
         lo, hi = ring_indptr[r], ring_indptr[r + 1]
-        rx, ry = ring_x[lo:hi], ring_y[lo:hi]
-        step = max(1, RAY_BLOCK_ELEMENTS // (hi - lo - 1))
-        for start in range(0, idx.size, step):
-            chunk = idx[start:start + step]
-            hit = _ring_contains(px[chunk], py[chunk], rx, ry)
-            out[chunk[hit]] = ring_country[r]
+        hit = _ring_contains(px[idx], py[idx], ring_x[lo:hi], ring_y[lo:hi])
+        out[idx[hit]] = ring_country[r]
     return out

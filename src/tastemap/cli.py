@@ -141,7 +141,10 @@ def cmd_ingest(args) -> int:
     geo = load_geo_index(args.geo)
     corpus = parse_corpus(args.corpus, taxonomy, args.error_budget)
     located, report = assign_home_country(corpus, geo)
+    # Each step copies the rows it keeps; drop the previous copy at once.
+    del corpus
     active = filter_active_users(located, args.min_checkins)
+    del located
     out = _outdir(args)
     write_store(out, active, Path(args.taxonomy))
     doc = dataclasses.asdict(report)

@@ -3,9 +3,12 @@
 Corpus files are JSON Lines (``{"user":..,"venue":..,"lat":..,"lon":..,
 "ts":..,"subcat":..}``) or CSV with the same header names.  Timestamps are
 ISO-8601 with no UTC offset (``datetime.fromisoformat``) and are kept as
-venue-local wall-clock times.  Parsing validates each record and writes it
-straight into the numpy columns of a :class:`Corpus`, the one in-memory form
-of a check-in table.
+venue-local wall-clock times.  Parsing decodes each JSON line on its own,
+then validates ``CHUNK_LINES`` records at a time on columns (coercion, the
+subcategory lookup, coordinate ranges, UTC offsets) and appends the records
+that pass to the numpy columns of a :class:`Corpus`, the one in-memory form
+of a check-in table.  Only those columns and the distinct user and venue ids
+outlive a chunk; no Python object per record does.
 
 The polygon file has one closed ring per line::
 
@@ -22,7 +25,9 @@ import csv
 import io
 import itertools
 import json
+import json.scanner
 import math
+import operator
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -132,39 +137,6 @@ def _encode(ids: Sequence[str]) -> tuple[np.ndarray, list[str]]:
     return np.fromiter(map(position.__getitem__, ids), np.int64, len(ids)), table
 
 
-class _UnknownSubcategory(Exception):
-    pass
-
-
-def _row(rec: Mapping[str, object], taxonomy: Taxonomy) -> tuple:
-    """``(user, venue, lat, lon, micros, subcat_idx)`` of one record, where
-    ``micros`` counts whole microseconds since 1970.
-
-    A field that does not coerce makes the record malformed; a record that
-    coerces but names an unknown subcategory is skipped; only then is an
-    out-of-range coordinate (NaN and inf included) or a timestamp with a
-    UTC offset malformed.
-    """
-    try:
-        user = str(rec["user"])
-        venue = str(rec["venue"])
-        lat = float(rec["lat"])  # type: ignore[arg-type]
-        lon = float(rec["lon"])  # type: ignore[arg-type]
-        ts = datetime.fromisoformat(str(rec["ts"]))
-        subcat = str(rec["subcat"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"bad record: {exc}") from exc
-    if subcat not in taxonomy:
-        raise _UnknownSubcategory(subcat)
-    if not -90.0 <= lat <= 90.0:
-        raise DataError(f"latitude out of range: {lat!r}")
-    if not -180.0 <= lon <= 180.0:
-        raise DataError(f"longitude out of range: {lon!r}")
-    if ts.tzinfo is not None:
-        raise DataError("timestamps must be naive venue-local times (no UTC offset)")
-    return user, venue, lat, lon, (ts - _EPOCH) // _MICROSECOND, taxonomy.index_of(subcat)
-
-
 def parse_corpus(source, taxonomy: Taxonomy, error_budget: float = 0.001) -> Corpus:
     """Parse a JSONL or CSV check-in stream into a validated Corpus.
 
@@ -182,9 +154,34 @@ def parse_corpus(source, taxonomy: Taxonomy, error_budget: float = 0.001) -> Cor
     return _parse_stream(source, taxonomy, error_budget, force_csv=False)
 
 
-def _records(source, force_csv: bool) -> Iterator[tuple[int, object]]:
+# The C scanner behind json.loads, and the JSON whitespace json.loads skips
+# around a value.
+_scan_json = json.scanner.make_scanner(json.JSONDecoder())
+_JSON_SPACE = " \t\n\r"
+# What a line that holds no record reads as: a record lacking every field.
+_NO_RECORD: Mapping[str, object] = {}
+
+
+def _json_object(line: str) -> Mapping[str, object]:
+    """The object ``json.loads(line)`` returns, or ``_NO_RECORD`` where that
+    raises or returns anything but an object.
+
+    The line is decoded on its own, never joined to another, by the scanner
+    and decoder settings of ``json.loads``: the value must start at the
+    first character that is not JSON whitespace (so a byte-order mark is an
+    error) and end at the last.
+    """
+    text = line.strip(_JSON_SPACE)
+    try:
+        value, end = _scan_json(text, 0)
+    except (StopIteration, ValueError, RecursionError):
+        return _NO_RECORD
+    return value if end == len(text) and type(value) is dict else _NO_RECORD
+
+
+def _records(source, force_csv: bool) -> Iterator[tuple[int, Mapping[str, object]]]:
     """``(line number, record)`` for each data line of a corpus stream, with
-    a DataError in place of a line that holds no one record.
+    ``_NO_RECORD`` for a line that holds no one record.
 
     The first non-blank line decides the format: the CSV header, or else the
     first JSON line.  Line numbers are physical lines of the stream, blank
@@ -198,14 +195,8 @@ def _records(source, force_csv: bool) -> Iterator[tuple[int, object]]:
     header = next(csv.reader(io.StringIO(first)), [])
     if not force_csv and set(header) != set(CORPUS_FIELDS):
         for lineno, raw in itertools.chain([(first_no, first)], lines):
-            if not raw.strip():
-                continue
-            try:
-                rec = json.loads(raw)
-            except (ValueError, RecursionError) as exc:
-                yield lineno, DataError(f"bad JSON: {exc}")
-                continue
-            yield lineno, rec if isinstance(rec, dict) else DataError("expected a JSON object")
+            if raw.strip():
+                yield lineno, _json_object(raw)
         return
     if set(header) != set(CORPUS_FIELDS):
         raise ParseError(f"line {first_no}: CSV header must name exactly {CORPUS_FIELDS}",
@@ -221,29 +212,100 @@ def _records(source, force_csv: bool) -> Iterator[tuple[int, object]]:
         if len(row) != width:
             if len(row) < width and not any(row[i] for i in position.values() if i < len(row)):
                 continue
-            yield lineno, DataError("wrong number of fields")
+            yield lineno, _NO_RECORD
         elif any(row[i] for i in position.values()):
             yield lineno, {name: row[i] for name, i in position.items()}
 
 
-def _parse_stream(source, taxonomy: Taxonomy, error_budget: float, force_csv: bool) -> Corpus:
-    rows: list[tuple] = []
-    skipped_unknown = 0
-    malformed = 0
-    first_bad: int | None = None
-    total = 0
-    for lineno, rec in _records(source, force_csv):
-        total += 1
+# Records validated at a time: every per-record object lives for one chunk,
+# and only numpy columns and the distinct ids outlive it.
+CHUNK_LINES = 4096
+# What a field that does not coerce raises.
+_COERCION_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
+
+
+def _timestamp(value: object) -> datetime:
+    return datetime.fromisoformat(str(value))
+
+
+def _field(recs: Sequence[Mapping[str, object]], name: str, convert, fill):
+    """``convert(rec[name])`` for each record, with ``fill`` where that
+    raises a coercion error, and the mask of those records."""
+    failed = np.zeros(len(recs), np.bool_)
+    try:
+        return list(map(convert, map(operator.itemgetter(name), recs))), failed
+    except _COERCION_ERRORS:
+        pass
+    values = []
+    for i, rec in enumerate(recs):
         try:
-            if isinstance(rec, DataError):
-                raise rec
-            rows.append(_row(rec, taxonomy))
-        except _UnknownSubcategory:
-            skipped_unknown += 1
-        except DataError:
-            malformed += 1
-            if first_bad is None:
-                first_bad = lineno
+            values.append(convert(rec[name]))
+        except _COERCION_ERRORS:
+            values.append(fill)
+            failed[i] = True
+    return values, failed
+
+
+def _number(ids: list[str], numbers: dict[str, int]) -> np.ndarray:
+    """Each id's number in ``numbers``, where a new id gets the next number."""
+    for new in dict.fromkeys(ids):
+        numbers.setdefault(new, len(numbers))
+    return np.fromiter(map(numbers.__getitem__, ids), np.int64, len(ids))
+
+
+def _parse_stream(source, taxonomy: Taxonomy, error_budget: float, force_csv: bool) -> Corpus:
+    """Validate the records of a stream chunk by chunk, on columns.
+
+    A field that does not coerce makes its record malformed; a record that
+    coerces but names an unknown subcategory is skipped; only then is an
+    out-of-range coordinate (NaN and inf included) or a timestamp with a
+    UTC offset malformed.
+    """
+    subcat_index = {name: i for i, name in enumerate(taxonomy.subcategories)}
+    user_codes: dict[str, int] = {}
+    venue_codes: dict[str, int] = {}
+    parts: list[tuple[np.ndarray, ...]] = []
+    skipped_unknown = malformed = total = 0
+    first_bad: int | None = None
+    records = _records(source, force_csv)
+    while True:
+        # Two lists rather than one of (line, record) pairs: pairs that live
+        # for a whole chunk cost the garbage collector more than they save.
+        linenos, recs = [], []
+        for lineno, rec in itertools.islice(records, CHUNK_LINES):
+            linenos.append(lineno)
+            recs.append(rec)
+        if not recs:
+            break
+        total += len(recs)
+        users, bad_user = _field(recs, "user", str, "")
+        venues, bad_venue = _field(recs, "venue", str, "")
+        lat, bad_lat = _field(recs, "lat", float, 0.0)
+        lon, bad_lon = _field(recs, "lon", float, 0.0)
+        stamps, bad_ts = _field(recs, "ts", _timestamp, _EPOCH)
+        subcats, bad_subcat = _field(recs, "subcat", str, "")
+        del recs
+        uncoerced = bad_user | bad_venue | bad_lat | bad_lon | bad_ts | bad_subcat
+        subcat_idx = np.fromiter(map(subcat_index.get, subcats, itertools.repeat(-1)),
+                                 np.int64, len(subcats))
+        unknown = ~uncoerced & (subcat_idx < 0)
+        lat = np.fromiter(lat, np.float64, len(lat))
+        lon = np.fromiter(lon, np.float64, len(lon))
+        invalid = ~((lat >= -90.0) & (lat <= 90.0) & (lon >= -180.0) & (lon <= 180.0))
+        invalid |= np.fromiter((ts.tzinfo is not None for ts in stamps), np.bool_, len(stamps))
+        bad = uncoerced | (invalid & ~unknown)
+        keep = ~(bad | unknown)
+        skipped_unknown += int(unknown.sum())
+        malformed += int(bad.sum())
+        if first_bad is None and bad.any():
+            first_bad = linenos[int(bad.argmax())]
+        kept = keep.tolist()
+        micros = [(ts - _EPOCH) // _MICROSECOND for ts in itertools.compress(stamps, kept)]
+        parts.append((
+            lat[keep], lon[keep], np.fromiter(micros, np.int64, len(micros)), subcat_idx[keep],
+            _number(list(itertools.compress(users, kept)), user_codes),
+            _number(list(itertools.compress(venues, kept)), venue_codes),
+        ))
 
     if malformed > error_budget * total:
         raise ParseError(
@@ -251,18 +313,21 @@ def _parse_stream(source, taxonomy: Taxonomy, error_budget: float, force_csv: bo
             f"budget ({error_budget:g}); first bad line: {first_bad}",
             line_number=first_bad,
         )
-    users, venues, lat, lon, micros, subcat_idx = zip(*rows) if rows else ((),) * 6
-    user_idx, user_ids = _encode(users)
-    venue_idx, venue_ids = _encode(venues)
+    lat, lon, micros, subcat_idx, user_code, venue_code = (
+        [np.concatenate(col) for col in zip(*parts)] if parts else [np.empty(0, np.int64)] * 6
+    )
+    # Codes number the ids in order of first use; a Corpus indexes them sorted.
+    user_rank, user_ids = _encode(list(user_codes))
+    venue_rank, venue_ids = _encode(list(venue_codes))
     return Corpus(
         taxonomy,
-        lat=np.array(lat, np.float64),
-        lon=np.array(lon, np.float64),
-        ts=np.array(micros, np.int64).view("datetime64[us]"),
-        subcat_idx=np.array(subcat_idx, np.int64),
-        user_idx=user_idx,
+        lat=lat,
+        lon=lon,
+        ts=micros.view("datetime64[us]"),
+        subcat_idx=subcat_idx,
+        user_idx=user_rank[user_code],
         user_ids=user_ids,
-        venue_idx=venue_idx,
+        venue_idx=venue_rank[venue_code],
         venue_ids=venue_ids,
         skipped_unknown=skipped_unknown,
         malformed_lines=malformed,

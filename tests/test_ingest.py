@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+from collections import Counter
 from datetime import datetime, timedelta
 from fractions import Fraction
 
@@ -13,10 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import corpus_of, home_map, jsonl_text, make_checkin, write_jsonl
-from tastemap import _kernels
+from tastemap import _kernels, ingest
 from tastemap.errors import DataError, ParseError
 from tastemap.ingest import (
     CORPUS_FIELDS,
+    ClassStats,
     area_mask,
     assign_home_country,
     filter_active_users,
@@ -226,6 +228,7 @@ def oracle_columns(checkins, taxonomy):
     }
 
 
+SUBCATS = ("Pub", "Wine Bar", "Bakery", "Steakhouse", "Sushi Restaurant")
 BAD_NUMBERS = [95.0, -91.0, 181.0, -180.5, math.nan, math.inf, -math.inf, "abc", "", "1.5"]
 field_values = {
     "user": st.sampled_from(["u1", "u2", "\u00fc", "u 3", 7]),
@@ -304,6 +307,76 @@ class TestParseEquivalence:
                 assert got == want, name
             else:
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+def assert_parse_equals_oracle(text, taxonomy, budget):
+    """parse_corpus and oracle_parse agree on the columns, both counts and
+    the line an over-budget ParseError cites."""
+    try:
+        checkins, skipped, malformed = oracle_parse(text, taxonomy, budget)
+    except ParseError as want:
+        with pytest.raises(ParseError) as got:
+            parse_corpus(io.StringIO(text), taxonomy, budget)
+        assert got.value.line_number == want.line_number
+        return
+    corpus = parse_corpus(io.StringIO(text), taxonomy, budget)
+    assert (corpus.skipped_unknown, corpus.malformed_lines) == (skipped, malformed)
+    for name, want in oracle_columns(checkins, taxonomy).items():
+        got = getattr(corpus, name)
+        if isinstance(want, tuple):
+            assert got == want, name
+        else:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+# Three lines that are each malformed alone, but that decode to three
+# objects once joined into one JSON array with commas.
+JOINABLE = ['{"a":[{"b":1}', '{"c":2}]}', '{"x":1},{"y":2}']
+good_lines = records.map(json.dumps)
+
+
+@st.composite
+def chunk_edge_stream(draw):
+    """JSON lines where each kind of line the parser must judge on its own
+    can fall at either edge of a chunk."""
+    lines = draw(st.lists(st.one_of(
+        good_lines, good_lines,
+        st.just("\n".join(JOINABLE)),
+        st.sampled_from(["1,2", "", "   ", "\x0b", "[1, 2]", "null", "{}", '"text"']),
+        good_lines.map(lambda line: " \t" + line),  # json.loads skips JSON whitespace
+        good_lines.map(lambda line: line + "\r"),
+        good_lines.map(lambda line: line + "\x0b"),  # ... but no other whitespace
+        good_lines.map(lambda line: line + "\xa0"),
+        good_lines.map(lambda line: "\ufeff" + line),
+    ), max_size=16))
+    return "".join(line + "\n" for line in lines)
+
+
+class TestParseAcrossChunks:
+    """Chunked parsing equals the record parser wherever chunks cut the stream."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.one_of(chunk_edge_stream(), csv_stream()),
+           leading=st.sampled_from(["", "\n", "  \n\n"]),
+           budget=st.sampled_from([0.0, 0.25, 0.5, 1.0]), chunk=st.integers(1, 7))
+    def test_columns_and_counts_equal_the_record_parser(self, toy_tax, text, leading, budget,
+                                                        chunk):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "CHUNK_LINES", chunk)
+            assert_parse_equals_oracle(leading + text, toy_tax, budget)
+
+    @pytest.mark.parametrize("chunk", range(1, 8))
+    def test_lines_that_only_decode_joined_are_malformed(self, toy_tax, chunk):
+        good = [json.dumps(make_checkin(user=f"u{i}")) for i in range(4)]
+        text = "".join(line + "\n" for line in [good[0], *JOINABLE, *good[1:], "1,2"])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "CHUNK_LINES", chunk)
+            corpus = parse_corpus(io.StringIO(text), toy_tax, error_budget=1.0)
+            assert (len(corpus), corpus.malformed_lines) == (4, 4)
+            assert_parse_equals_oracle(text, toy_tax, 1.0)
+            with pytest.raises(ParseError) as err:
+                parse_corpus(io.StringIO(text), toy_tax, error_budget=0.25)
+            assert err.value.line_number == 2
 
 
 def country_at(lat, lon, geo):
@@ -421,6 +494,63 @@ class TestGeocodeOracle:
         assert got == want
 
 
+@st.composite
+def general_ring(draw):
+    """A closed ring of 3-12 integer or quarter vertices: often non-convex
+    or self-crossing, with horizontal edges and repeated vertices."""
+    coord = st.one_of(st.integers(0, 8).map(float), st.integers(0, 32).map(lambda q: q / 4))
+    ring = [(draw(coord), draw(coord))]
+    for _ in range(draw(st.integers(2, 11))):
+        x, y = ring[-1]
+        step = draw(st.sampled_from(["free", "free", "horizontal", "repeat"]))
+        ring.append((x, y) if step == "repeat" else (draw(coord), y if step == "horizontal"
+                                                     else draw(coord)))
+    return ring + [ring[0]]
+
+
+@st.composite
+def points_on_ring(draw, ring):
+    """Points where the ray cast is decided by an equality: vertices, points
+    on horizontal edges, and points level with an edge's lowest or highest y."""
+    (ax, ay), (bx, by) = draw(st.sampled_from(list(zip(ring, ring[1:]))))
+    kind = draw(st.sampled_from(["vertex", "level_min", "level_max", "on_horizontal"]))
+    if kind == "vertex":
+        return ax, ay
+    if kind == "on_horizontal" and ay == by:
+        lo, hi = sorted((ax, bx))
+        return draw(st.integers(int(lo * 4), int(hi * 4))) / 4, ay
+    x = draw(st.one_of(st.sampled_from([ax, bx]), st.integers(-1, 33).map(lambda q: q / 4)))
+    return x, (min(ay, by) if kind == "level_min" else max(ay, by))
+
+
+class TestGeocodeGeneralRings:
+    """The ray cast over candidate edges equals the exact even-odd rule on
+    general rings, with blocks small enough to split one edge's points.
+
+    Every coordinate is a multiple of 1/4 below 10, so the float ray cast is
+    exact on slanted edges too: where the exact crossing equals a point's x,
+    it is a representable quotient."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rings=st.lists(st.tuples(st.sampled_from(["AA", "BB"]), general_ring()),
+                          min_size=1, max_size=3),
+           free=st.lists(st.tuples(quarters, quarters), max_size=10),
+           block=st.integers(1, 16), data=st.data())
+    def test_geocode_equals_ray_cast(self, tmp_path_factory, rings, free, block, data):
+        points = free + [data.draw(points_on_ring(ring)) for _, ring in rings for _ in range(8)]
+        path = tmp_path_factory.mktemp("geo") / "geo.txt"
+        path.write_text("".join(f"{code}\t" + ";".join(f"{x!r},{y!r}" for x, y in ring) + "\n"
+                                for code, ring in rings), encoding="utf-8")
+        geo = load_geo_index(path)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "RAY_BLOCK_ELEMENTS", block)
+            codes = geocode(geo, np.array([y for _, y in points]), np.array([x for x, _ in points]))
+        got = [geo.countries[i] if i >= 0 else None for i in codes.tolist()]
+        want = [next((code for code, ring in rings if ray_cast(x, y, ring)), None)
+                for x, y in points]
+        assert got == want
+
+
 class TestAssignHomeCountry:
     def test_all_checkins_one_country(self, toy_tax, two_country_geo):
         corpus = corpus_of(
@@ -505,6 +635,38 @@ class TestAssignHomeCountry:
         assert report.per_class["FastFood"].users == 1
         assert report.per_class["SlowFood"].checkins == 0
 
+    # Spots inside AA (0..10 x 0..10, edges included), inside BB (20..30),
+    # and in no country.
+    SPOTS = {"AA": [(5.0, 5.0), (0.0, 3.0), (10.0, 10.0)], "BB": [(5.0, 25.0), (0.0, 20.0)],
+             None: [(5.0, 15.0), (11.0, 5.0), (-0.5, 25.0)]}
+
+    @settings(max_examples=80, deadline=None)
+    @given(visits=st.lists(st.tuples(st.sampled_from(["a", "b", "c", "d", "e"]),
+                                     st.sampled_from(["AA", "AA", "BB", None]),
+                                     st.integers(0, 4), st.sampled_from(SUBCATS)),
+                           max_size=30),
+           data=st.data())
+    def test_equals_a_per_user_country_set_loop(self, toy_tax, two_country_geo, visits, data):
+        checkins = [make_checkin(user=user, venue=f"v{venue}", lat=lat, lon=lon, subcat=subcat)
+                    for user, country, venue, subcat in visits
+                    for lat, lon in [data.draw(st.sampled_from(self.SPOTS[country]))]]
+        located, report = assign_home_country(corpus_of(toy_tax, checkins), two_country_geo)
+        seen = {}
+        for (user, country, _, _) in visits:
+            seen.setdefault(user, set()).add(country)
+        home = {u: next(iter(c)) for u, c in seen.items() if len(c) == 1 and None not in c}
+        assert home_map(located) == home
+        assert located.countries == tuple(sorted(set(home.values())))
+        kept = [c for c in checkins if c["user"] in home]
+        assert [located.user_ids[i] for i in located.user_idx] == [c["user"] for c in kept]
+        assert located.lon.tolist() == [c["lon"] for c in kept]
+        assert (report.total_checkins, report.users_total) == (len(checkins), len(seen))
+        assert report.users_discarded_mixed_country == len(seen) - len(home)
+        for class_id in toy_tax.class_ids:
+            hits = [c for c in checkins if toy_tax.class_of(c["subcat"]) == class_id]
+            assert report.per_class[class_id] == ClassStats(
+                len(hits), len({c["venue"] for c in hits}), len({c["user"] for c in hits}))
+
 
 class TestFilterActiveUsers:
     def _corpus(self, toy_tax, counts):
@@ -529,6 +691,17 @@ class TestFilterActiveUsers:
     def test_threshold_below_one_rejected(self, toy_tax):
         with pytest.raises(DataError):
             filter_active_users(self._corpus(toy_tax, {"u1": 1}), 0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(users=st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=40),
+           min_checkins=st.integers(1, 12))
+    def test_equals_a_counter_loop(self, toy_tax, users, min_checkins):
+        checkins = [make_checkin(user=u, venue=f"v{i}") for i, u in enumerate(users)]
+        counts = Counter(users)
+        kept = [c for c in checkins if counts[c["user"]] >= min_checkins]
+        out = filter_active_users(corpus_of(toy_tax, checkins), min_checkins)
+        assert out.user_ids == tuple(sorted({c["user"] for c in kept}))
+        assert [out.venue_ids[i] for i in out.venue_idx] == [c["venue"] for c in kept]
 
 
 class TestGridPartition:
@@ -645,3 +818,17 @@ class TestTopCells:
         assert top_cells([c.area_id for c in cells], totals, 3) == [10, 2, 5]
         with pytest.raises(DataError, match="only 3 are nonempty"):
             top_ids(cells, totals, 4)
+
+    @settings(max_examples=150, deadline=None)
+    @given(cells=st.dictionaries(st.text("ab:0129", min_size=1, max_size=4),
+                                 st.integers(0, 3), max_size=12),
+           n=st.integers(0, 13))
+    def test_equals_a_sort_over_total_then_id(self, cells, n):
+        ids, totals = list(cells), list(cells.values())
+        ranked = sorted((i for i, t in enumerate(totals) if t > 0),
+                        key=lambda i: (-totals[i], ids[i]))
+        if n > len(ranked):
+            with pytest.raises(DataError, match=f"only {len(ranked)} are nonempty"):
+                top_cells(ids, totals, n)
+        else:
+            assert top_cells(ids, totals, n) == ranked[:n]

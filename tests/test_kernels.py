@@ -98,3 +98,50 @@ def test_geocoding_memory_is_bounded_by_the_ray_cast_block():
     r2 = px * px + py * py
     assert (got[r2 < 0.999] == 0).all() and (got[r2 > 1.0] == -1).all()
     assert peak < 64 * 2**20
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of its traced allocations, in bytes."""
+    tracemalloc.start()
+    try:
+        got = fn(*args)
+        return got, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_geocoding_memory_stays_bounded_at_200k_points():
+    # The ring above against 50 times the points: an unchunked temporary
+    # would be 3.2 GB.
+    ang = np.linspace(0.0, 2 * np.pi, 2048, endpoint=False)
+    rx, ry = np.append(np.cos(ang), 1.0), np.append(np.sin(ang), 0.0)
+    rng = np.random.default_rng(34)
+    px, py = rng.uniform(-1.0, 1.0, 200_000), rng.uniform(-1.0, 1.0, 200_000)
+    ring = (rx, ry, np.array([0, rx.size]), np.array([0]), np.array([[-1.0, -1.0, 1.0, 1.0]]))
+    got, peak = traced_peak(_kernels.assign_countries, px, py, *ring)
+    r2 = px * px + py * py
+    assert (got[r2 < 0.999] == 0).all() and (got[r2 > 1.0] == -1).all()
+    assert peak < 64 * 2**20
+
+
+def test_geocoding_memory_is_bounded_when_every_edge_meets_every_ray():
+    # A zigzag comb: vertex k is (k, -1) for even k and (k, 2) for odd k, and
+    # the closing edge runs from (2m - 1, 2) back to (0, -1).  Every edge
+    # spans y in [-1, 2], so each of the points (y in [0.25, 0.75]) is a
+    # candidate for all 2m edges: 4.1M pairs, over 400 MB if evaluated at once.
+    m = 1024
+    k = np.arange(2 * m)
+    rx, ry = np.append(k, 0).astype(float), np.append(np.where(k % 2, 2.0, -1.0), -1.0)
+    rng = np.random.default_rng(36)
+    j = rng.integers(1, 2 * m - 1, 2000)
+    py = rng.choice([0.25, 0.5, 0.75], j.size)
+    px = j + 0.125
+    ring = (rx, ry, np.array([0, rx.size]), np.array([7]),
+            np.array([[0.0, -1.0, 2.0 * m - 1.0, 2.0]]))
+    got, peak = traced_peak(_kernels.assign_countries, px, py, *ring)
+    # Edge k crosses the level y between x = k + 1/3 and k + 2/3, so the ray
+    # from x = j + 1/8 crosses the 2m - 1 - j zigzag edges k >= j, plus the
+    # closing edge where it crosses right of the point, at (2m - 1)(y + 1)/3.
+    crossings = (2 * m - 1 - j) + (3 * px < (2 * m - 1) * (py + 1))
+    assert got.tolist() == np.where(crossings % 2 == 1, 7, -1).tolist()
+    assert peak < 64 * 2**20
