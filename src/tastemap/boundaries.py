@@ -223,16 +223,30 @@ def kmeans_cosine(
     )
 
 
-def rank_by_cosine(target: str, vectors: Mapping[str, np.ndarray]) -> list[str]:
+def centered_rows(data) -> list[list[int]]:
+    """The rows of ``data`` less their mean, exactly, scaled by one positive
+    factor to integers: n x_i - sum_j x_j over the floats' exact values,
+    times the power of two that clears every denominator.  Full-coverage
+    ``pca_scores`` only rotates the centered rows, so cosines between these
+    are the cosines between PCA scores without their rounding: two rows
+    that mirror each other keep their exact tie."""
+    ratios = [[x.as_integer_ratio() for x in row] for row in np.asarray(data, np.float64).tolist()]
+    shift = max(q.bit_length() for row in ratios for _, q in row) - 1
+    ints = [[p << (shift - q.bit_length() + 1) for p, q in row] for row in ratios]
+    sums = [sum(col) for col in zip(*ints)]
+    return [[len(ints) * x - s for x, s in zip(row, sums)] for row in ints]
+
+
+def rank_by_cosine(target: str, vectors: Mapping[str, Sequence]) -> list[str]:
     """All other areas ordered by descending cosine similarity to the target;
     exact ties order by area id.
 
-    Exact means in the decimal values the floats print as (``repr``), so
-    survey coordinates 0.2,0.4 and 0.3,0.6 tie.  Cosines are compared in
-    floats first; a run of areas whose float cosines lie within the rounding
-    bound of their neighbours is then ordered exactly (Shewchuk's filtered
-    predicate), by sign(t.v) (t.v)^2 / |v|^2 in rationals, which orders like
-    cos(t, v).
+    Exact means in the entries' exact values: an integer is itself, and a
+    float is the decimal it prints as (``repr``), so survey coordinates
+    0.2,0.4 and 0.3,0.6 tie.  Cosines are compared in floats first; a run
+    of areas whose float cosines lie within the rounding bound of their
+    neighbours is then ordered exactly (Shewchuk's filtered predicate), by
+    sign(t.v) (t.v)^2 / |v|^2 in rationals, which orders like cos(t, v).
     """
     if target not in vectors:
         raise DataError(f"target {target!r} not among the vectors")
@@ -258,19 +272,23 @@ def rank_by_cosine(target: str, vectors: Mapping[str, np.ndarray]) -> list[str]:
 
     # A float cosine is within (2d + 4) u of the cosine of the scaled
     # vectors (dot product, two norms, a product and a quotient); scaling
-    # moves it by at most 4u, and so does reading the inputs as decimals.
-    # Two cosines are compared, with a factor of two to spare.
+    # moves it by at most 4u, and so does rounding the exact inputs to
+    # floats.  Two cosines are compared, with a factor of two to spare.
     tol = (4 * t.size + 24) * 2.0**-52
-    exact_t = [Fraction(repr(x)) for x in arrs[target].tolist()]
+
+    def exact_values(a: str) -> list[Fraction | int]:
+        return [x if isinstance(x, int) else Fraction(repr(x))
+                for x in np.asarray(vectors[a]).tolist()]
 
     def exact_order(run: list[int]) -> list[int]:
         if len(run) < 2:
             return run
+        exact_t = exact_values(target)
         keys = {}
         for i in run:
-            v = [Fraction(repr(x)) for x in arrs[others[i]].tolist()]
+            v = exact_values(others[i])
             dot = sum(x * y for x, y in zip(exact_t, v))
-            keys[i] = dot * abs(dot) / sum(x * x for x in v)
+            keys[i] = Fraction(dot * abs(dot)) / sum(x * x for x in v)
         return sorted(run, key=lambda i: (-keys[i], i))
 
     ranked: list[int] = []
@@ -376,8 +394,8 @@ class RankComparison:
 
 
 def compare_with_survey(
-    our_vectors: Mapping[str, np.ndarray],
-    survey_coords: Mapping[str, np.ndarray],
+    our_vectors: Mapping[str, Sequence],
+    survey_coords: Mapping[str, Sequence],
     countries: Sequence[str],
 ) -> list[RankComparison]:
     """For each country, rank all others by cosine similarity in both spaces
@@ -389,8 +407,8 @@ def compare_with_survey(
             raise DataError(f"country {c!r} missing from the check-in vectors")
         if c not in survey_coords:
             raise DataError(f"country {c!r} missing from the survey coordinates")
-    ours = {c: np.asarray(our_vectors[c], np.float64) for c in countries}
-    survey = {c: np.asarray(survey_coords[c], np.float64) for c in countries}
+    ours = {c: our_vectors[c] for c in countries}
+    survey = {c: survey_coords[c] for c in countries}
     out = []
     for c in countries:
         rank_ours = rank_by_cosine(c, ours)

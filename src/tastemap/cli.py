@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .boundaries import compare_with_survey, kmeans_cosine, pca_scores
+from .boundaries import centered_rows, compare_with_survey, kmeans_cosine, pca_scores
 from .csvtext import read_keyed_rows, row_floats, write_labelled_rows, write_rows
 from .errors import DataError, UndefinedMetric
 from .ingest import (
@@ -307,8 +307,9 @@ def cmd_survey(args) -> int:
 
     results = {}
     for name, matrix in datasets:
-        scores = dict(zip(countries, pca_scores(matrix)))
-        results[name] = {r.country: r for r in compare_with_survey(scores, survey, countries)}
+        # Ranked in the centered space that full-coverage PCA scores span.
+        ours = dict(zip(countries, centered_rows(matrix)))
+        results[name] = {r.country: r for r in compare_with_survey(ours, survey, countries)}
 
     names = [name for name, _ in datasets]
     out = _outdir(args)

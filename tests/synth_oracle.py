@@ -1,96 +1,110 @@
-"""Reference generator: the per-check-in loop ``synth.generate_corpus`` used
-to run, one scalar ``Generator`` call per draw and one ``json.dumps`` per
-record.
+"""Reference generator: the word layout of ``synth`` read one raw Philox
+word at a time, one ``json.dumps`` per record.
 
-``generate_corpus`` now decodes each user's raw Philox words in bulk and
-must write the same bytes; ``test_synth`` compares the two.  The loop is
-kept as it was, except that ``geo.txt`` and ``cities.csv`` write
-coordinates with ``repr`` as the generator now does.  Spec validation is
-left to the caller: give it only specs ``generate_corpus`` accepts.
+Each user's stream is ``Philox(key=seed)`` at counter ``[0, 0, user, 0]``;
+its first word gives the check-in count, then every check-in takes one word
+per draw, in the order subcategory, weekend flag, date, hour, minute,
+second, longitude, latitude, venue.  A double is ``(w >> 11) * 2**-53``, an
+integer below ``n`` is ``((w >> 32) * n) >> 32``.  Everything is Python ints
+and floats; no ``Generator`` method is called.  ``generate_corpus`` decodes
+blocks of users in numpy and must write the same bytes; ``test_synth``
+compares the two.  Spec validation is left to the caller: give it only specs
+``generate_corpus`` accepts.
 """
 
 from __future__ import annotations
 
+import bisect
+import csv
+import itertools
 import json
 from pathlib import Path
 
 import numpy as np
 
 from tastemap.model import Taxonomy
-from tastemap.synth import REFERENCE_WEEK, CountrySpec, SynthSpec, _user_stream
-
-WEEKDAY_DATES = REFERENCE_WEEK[:5]
-WEEKEND_DATES = REFERENCE_WEEK[5:]
+from tastemap.synth import REFERENCE_WEEK, CountrySpec, SynthSpec
 
 
-def _hour_weights(spec: CountrySpec, class_id: str, day_group: str) -> np.ndarray:
+def _double(bits: np.random.Philox) -> float:
+    return (bits.random_raw() >> 11) * 2.0**-53
+
+
+def _below(bits: np.random.Philox, n: int) -> int:
+    return ((bits.random_raw() >> 32) * n) >> 32
+
+
+def _cumulative(weights) -> list[float]:
+    """Running sums over the total, added left to right."""
+    sums = list(itertools.accumulate(weights))
+    return [s / sums[-1] for s in sums]
+
+
+def _pick(bits: np.random.Philox, cumulative: list[float]) -> int:
+    """The first entry above the next double."""
+    return bisect.bisect_right(cumulative, _double(bits))
+
+
+def _hour_weights(spec: CountrySpec, class_id: str, day_group: str):
     profile = spec.hourly.get(class_id) or spec.hourly.get("*")
     if profile and day_group in profile:
-        w = np.asarray(profile[day_group], np.float64)
-        return w / w.sum()
-    return np.full(24, 1.0 / 24.0)
+        return profile[day_group]
+    return [1.0] * 24
+
+
+def _write_csv(path: Path, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def generate_corpus_loop(spec: SynthSpec, seed: int, out_dir: str | Path,
                          taxonomy: Taxonomy) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    labels = [("user", "country", "city")]
     user_index = 0
-    with open(out_dir / "corpus.jsonl", "w", encoding="utf-8") as corpus_fh, open(
-        out_dir / "labels.csv", "w", encoding="utf-8"
-    ) as labels_fh:
-        labels_fh.write("user,country,city\n")
+    with open(out_dir / "corpus.jsonl", "w", encoding="utf-8") as corpus_fh:
         for country in spec.countries:
             names = sorted(country.preferences)
-            weights = np.asarray([country.preferences[n] for n in names], np.float64)
-            probs = weights / weights.sum()
-            subcat_classes = [taxonomy.class_of(n) for n in names]
-            hour_probs = {
-                (cls, grp): _hour_weights(country, cls, grp)
-                for cls in set(subcat_classes)
-                for grp in ("weekday", "weekend")
+            subcats = _cumulative([country.preferences[n] for n in names])
+            hours = {
+                (taxonomy.class_of(n), weekend): _cumulative(_hour_weights(
+                    country, taxonomy.class_of(n), "weekend" if weekend else "weekday"))
+                for n in names for weekend in (False, True)
             }
             for local_idx in range(country.users):
                 user_id = f"u{user_index:06d}"
-                rng = _user_stream(seed, user_index)
+                bits = np.random.Philox(counter=[0, 0, user_index, 0], key=seed)
                 user_index += 1
                 if country.cities:
                     city = country.cities[local_idx % len(country.cities)]
                     box = city.bbox
-                    city_id = city.city_id
+                    labels.append((user_id, country.code, city.city_id))
                 else:
                     box = country.bbox
-                    city_id = ""
-                labels_fh.write(f"{user_id},{country.code},{city_id}\n")
-                n_checkins = int(
-                    rng.integers(country.checkins_low, country.checkins_high + 1)
-                )
-                for _ in range(n_checkins):
-                    choice = int(rng.choice(len(names), p=probs))
-                    subcat = names[choice]
-                    class_id = subcat_classes[choice]
-                    weekend = bool(rng.random() < country.weekend_fraction)
-                    dates = WEEKEND_DATES if weekend else WEEKDAY_DATES
-                    date = dates[int(rng.integers(len(dates)))]
-                    group = "weekend" if weekend else "weekday"
-                    hour = int(rng.choice(24, p=hour_probs[(class_id, group)]))
-                    minute = int(rng.integers(60))
-                    second = int(rng.integers(60))
-                    lon = float(rng.uniform(box[0], box[2]))
-                    lat = float(rng.uniform(box[1], box[3]))
-                    venue = (
-                        f"v-{country.code}-{taxonomy.index_of(subcat)}-"
-                        f"{int(rng.integers(country.venues_per_subcategory))}"
-                    )
+                    labels.append((user_id, country.code, ""))
+                span = country.checkins_high - country.checkins_low + 1
+                for _ in range(country.checkins_low + _below(bits, span)):
+                    subcat = names[_pick(bits, subcats)]
+                    weekend = _double(bits) < country.weekend_fraction
+                    date = REFERENCE_WEEK[5 + _below(bits, 2)] if weekend else \
+                        REFERENCE_WEEK[_below(bits, 5)]
+                    hour = _pick(bits, hours[taxonomy.class_of(subcat), weekend])
+                    minute = _below(bits, 60)
+                    second = _below(bits, 60)
+                    lon = box[0] + (box[2] - box[0]) * _double(bits)
+                    lat = box[1] + (box[3] - box[1]) * _double(bits)
+                    venue = _below(bits, country.venues_per_subcategory)
                     record = {
                         "user": user_id,
-                        "venue": venue,
+                        "venue": f"v-{country.code}-{taxonomy.index_of(subcat)}-{venue}",
                         "lat": lat,
                         "lon": lon,
                         "ts": f"{date}T{hour:02d}:{minute:02d}:{second:02d}",
                         "subcat": subcat,
                     }
                     corpus_fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+    _write_csv(out_dir / "labels.csv", labels)
 
     with open(out_dir / "geo.txt", "w", encoding="utf-8") as fh:
         for country in spec.countries:
@@ -108,9 +122,8 @@ def generate_corpus_loop(spec: SynthSpec, seed: int, out_dir: str | Path,
             fh.write(f"{country.code}\t{ring}\n")
 
     if any(c.cities for c in spec.countries):
-        with open(out_dir / "cities.csv", "w", encoding="utf-8") as fh:
-            fh.write("city,country,min_lon,min_lat,max_lon,max_lat\n")
-            for country in spec.countries:
-                for city in country.cities:
-                    b = city.bbox
-                    fh.write(f"{city.city_id},{country.code},{b[0]!r},{b[1]!r},{b[2]!r},{b[3]!r}\n")
+        _write_csv(out_dir / "cities.csv", [
+            ("city", "country", "min_lon", "min_lat", "max_lon", "max_lat"),
+            *((city.city_id, country.code, *city.bbox)
+              for country in spec.countries for city in country.cities),
+        ])

@@ -13,6 +13,7 @@ from scipy import special, stats
 
 from tastemap.boundaries import (
     _t_two_sided,
+    centered_rows,
     compare_with_survey,
     fit_pca,
     kmeans_cosine,
@@ -375,6 +376,27 @@ class TestRankByCosine:
         vectors = planted_vectors(data, ids, dim)
         target = data.draw(st.sampled_from(ids))
         assert rank_by_cosine(target, vectors) == exact_ranking(target, vectors)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_centered_rows_rank_like_exactly_centered_rationals(self, data):
+        """Integer entries are exact: ``centered_rows`` ranks like the rows
+        less their mean in rationals, planted ties included."""
+        dim = data.draw(st.integers(1, 6))
+        ids = [f"a{i}" for i in range(data.draw(st.integers(3, 9)))]
+        vectors = planted_vectors(data, ids, dim)
+        rows = [[Fraction(float(x)) for x in vectors[a]] for a in ids]
+        mean = [sum(col) / len(rows) for col in zip(*rows)]
+        exact = {a: [x - m for x, m in zip(row, mean)] for a, row in zip(ids, rows)}
+        assume(all(any(v) for v in exact.values()))
+        target = data.draw(st.sampled_from(ids))
+
+        def key(a):
+            dot = sum(x * y for x, y in zip(exact[target], exact[a]))
+            return -dot * abs(dot) / sum(x * x for x in exact[a]), a
+
+        want = sorted((a for a in ids if a != target), key=key)
+        assert rank_by_cosine(target, dict(zip(ids, centered_rows(list(vectors.values()))))) == want
 
 
 class TestSpearman:

@@ -5,10 +5,14 @@ import json
 import shutil
 import subprocess
 import sys
+import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tastemap.cli import main
 from tastemap.model import load_taxonomy, reference_taxonomy_path
@@ -603,6 +607,86 @@ class TestSurvey:
                      "--dataset", "ffood_weekend", "--out-dir", str(out)]) == 0
         rows = read_csv(out / "survey_comparison.csv")
         assert rows[0] == ["country", "rho_dataset2", "p_dataset2", "significant_dataset2"]
+
+
+# Two FastFood weekend slots a mirrored pair of countries swaps, and two
+# slots every country fills in its own way (one outside dataset2's block).
+MIRRORED = (("Burger Joint", "2024-04-20T08:00:00"), ("Burger Joint", "2024-04-21T20:00:00"))
+SHARED = (("Pizza Place", "2024-04-20T13:00:00"), ("Pub", "2024-04-16T21:00:00"))
+
+
+def survey_ranking(target, vectors):
+    """Oracle: the other countries by descending signed squared cosine to
+    the target, in exact rationals; ties by country code."""
+    t = vectors[target]
+
+    def key(c):
+        dot = sum(x * y for x, y in zip(t, vectors[c]))
+        return -dot * abs(dot) / sum(x * x for x in vectors[c]), c
+
+    return sorted((c for c in vectors if c != target), key=key)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_survey_ties_mirrored_countries_by_code(data):
+    """Countries whose check-ins are each other's mirror image over two
+    slots tie for every country that is symmetric in those slots; the tie
+    must order by country code in both datasets, however rounding in the
+    centering or a rotation of the rows falls."""
+    counts = st.integers(0, 60)
+    pairs = data.draw(st.integers(1, 3))
+    rows = []
+    for _ in range(data.draw(st.integers(max(0, 4 - 2 * pairs), 4))):
+        a = data.draw(counts)
+        rows.append((a, a, data.draw(counts), data.draw(counts)))
+    for _ in range(pairs):
+        a, b, z, w = (data.draw(counts) for _ in range(4))
+        rows += [(a, b, z, w), (b, a, z, w)]
+    assume(all(any(row) for row in rows))
+    codes = data.draw(st.permutations([f"C{i}" for i in range(len(rows))]))
+    survey = {c: [data.draw(st.integers(-9, 9)) / 10 for _ in range(2)] for c in codes}
+    assume(all(any(v) for v in survey.values()))
+
+    # Each row divided by its largest count, as floats; then centered exactly.
+    floats = [[x / max(row) for x in row] for row in rows]
+    expected = {}
+    for name, cols in (("dataset1", range(4)), ("dataset2", range(3))):
+        exact = [[Fraction(row[k]) for k in cols] for row in floats]
+        sums = [sum(col) for col in zip(*exact)]
+        centered = {c: [len(rows) * x - s for x, s in zip(row, sums)]
+                    for c, row in zip(codes, exact)}
+        assume(all(any(v) for v in centered.values()))
+        decimal = {c: [Fraction(repr(x)) for x in v] for c, v in survey.items()}
+        expected[name] = {}
+        for c in codes:
+            ours = survey_ranking(c, centered)
+            pos = {x: i for i, x in enumerate(ours)}
+            ranks = [pos[x] for x in survey_ranking(c, decimal)]
+            expected[name][c] = 1 - 6 * sum((i - r) ** 2 for i, r in enumerate(ranks)) / (
+                len(ranks) * (len(ranks) ** 2 - 1))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        with open(tmp / "corpus.jsonl", "w", encoding="utf-8") as fh:
+            for i, (code, row) in enumerate(zip(codes, rows)):
+                for (subcat, ts), n in zip(MIRRORED + SHARED, row):
+                    fh.writelines(json.dumps({"user": code, "venue": f"v{i}", "lat": 1.0,
+                                              "lon": 10.0 * i + 1.0, "ts": ts,
+                                              "subcat": subcat}) + "\n" for _ in range(n))
+        (tmp / "geo.txt").write_text("".join(
+            f"{code}\t{10 * i},0;{10 * i + 5},0;{10 * i + 5},5;{10 * i},5;{10 * i},0\n"
+            for i, code in enumerate(codes)), encoding="utf-8")
+        (tmp / "survey.csv").write_text(SURVEY_HEADER + "".join(
+            f"{c},{x!r},{y!r}\n" for c, (x, y) in survey.items()), encoding="utf-8")
+        assert main(["ingest", "--corpus", str(tmp / "corpus.jsonl"), "--geo",
+                     str(tmp / "geo.txt"), "--taxonomy", str(reference_taxonomy_path()),
+                     "--min-checkins", "1", "--out-dir", str(tmp / "store")]) == 0
+        assert main(["survey", "--store", str(tmp / "store"), "--survey",
+                     str(tmp / "survey.csv"), "--out-dir", str(tmp / "out")]) == 0
+        got = json.loads((tmp / "out" / "survey_comparison.json").read_text(encoding="utf-8"))
+    for name, rhos in expected.items():
+        assert {c: r["rho"] for c, r in got[name].items()} == pytest.approx(rhos, rel=1e-12)
 
 
 class TestOverrideTaxonomy:

@@ -22,14 +22,7 @@ from tastemap.ingest import assign_home_country, load_geo_index, parse_corpus
 from tastemap.model import Area, reference_taxonomy_path
 from tastemap.prefs import normalized_rows, region_counts
 from tastemap.signatures import correlation_matrix
-from tastemap.synth import (
-    SynthSpec,
-    _first_draw,
-    _Streams,
-    _user_stream,
-    adjusted_rand_index,
-    generate_corpus,
-)
+from tastemap.synth import SynthSpec, _below, adjusted_rand_index, generate_corpus
 
 
 def spec_dict(**overrides):
@@ -216,11 +209,10 @@ def oracle_specs(draw, class_ids):
 @given(data=st.data(), seed=st.integers(0, 2**32),
        block_rows=st.sampled_from([synth._BLOCK_ROWS, 1, 7]))
 def test_generator_writes_what_the_scalar_loop_wrote(ref_tax, data, seed, block_rows):
-    """Every output file is the per-check-in loop's, byte for byte: counts
-    fixed and ranged, one venue and 2**31 + 1 venues (numpy rejects about
-    half of those draws), weekend fractions 0 and 1, zero weights, cities,
-    country codes that JSON must escape, and countries decoded in several
-    blocks of users."""
+    """Every output file is the scalar reference's, byte for byte: counts
+    fixed and ranged, one venue and 2**31 + 1 venues, weekend fractions 0
+    and 1, zero weights, cities, country codes that JSON and CSV must
+    escape, and countries decoded in several blocks of users."""
     doc = data.draw(oracle_specs(ref_tax.class_ids))
     spec = SynthSpec.from_dict(doc)
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(synth, "_BLOCK_ROWS", block_rows):
@@ -233,19 +225,31 @@ def test_generator_writes_what_the_scalar_loop_wrote(ref_tax, data, seed, block_
                 assert (new / name).read_bytes() == (old / name).read_bytes(), name
 
 
-def test_first_draw_matches_integers_through_rejections():
-    """The count draw never meets a rejection at realistic ranges, so check
-    its decoding on its own: at n = 2**31 + 1 numpy rejects about half of
-    the halves, and the next double must come from the next unused word."""
-    n = 2**31 + 1
-    streams = _Streams(3, 0, 300)
-    value, halves = _first_draw(streams, n)
-    assert (halves > 1).sum() > 100
-    for i in range(300):
-        rng = _user_stream(3, i)
-        assert value[i] == rng.integers(n)
-        streams.draw(np.array([i]), np.array([(halves[i] + 1) // 2 + 1]))
-        assert rng.random() == (streams.words[i][(halves[i] + 1) // 2] >> 11) * 2.0**-53
+def test_bounded_draws_take_one_word_and_stay_below_n():
+    """Multiply-shift maps every word into [0, n) without overflowing
+    uint64, the extreme words included, and agrees with Python ints; the
+    check-in count takes word 0, also from a one-value range, and each
+    check-in the next 9 words."""
+    words = np.random.Philox(key=3).random_raw(4096)
+    words[:4] = [0, 2**32 - 1, 2**32, 2**64 - 1]
+    for n in (1, 2, 5, 60, 2**31 + 1, 2**32):
+        got = _below(words, n)
+        assert got.dtype == np.uint64
+        assert got.max() < n and got[3] == n - 1
+        assert got.tolist() == [((w >> 32) * n) >> 32 for w in words.tolist()]
+
+    for high in (1, 2, 5, 60):
+        country = SynthSpec.from_dict({"countries": [{
+            "code": "AA", "bbox": [0, 0, 1, 1], "users": 3, "checkins_per_user": [1, high],
+            "preferences": {"Pub": 1.0}}]}).countries[0]
+        counts, drawn = synth._draw_users(country, 5, 0, 3)
+        first = 0
+        for u, count in enumerate(counts.tolist()):
+            stream = np.random.Philox(counter=[0, 0, u, 0], key=5).random_raw(1 + 9 * count)
+            assert count == 1 + _below(stream[0], high)
+            assert drawn[first:first + count].ravel().tolist() == stream[1:].tolist()
+            first += count
+        assert first == len(drawn)
 
 
 GOLDEN_SPEC = {
@@ -262,14 +266,14 @@ GOLDEN_SPEC = {
 
 
 def test_corpus_digest_is_pinned(ref_tax, tmp_path):
-    """The corpus depends only on Philox words (stable under NEP 19) and our
-    own decoding; the scalar-loop oracle above also rests on ``Generator``
-    internals, which numpy may change.  Digest taken from that loop."""
+    """The corpus depends only on Philox's specified raw words and the
+    fixed word layout, so its bytes do not depend on the numpy version.
+    Digest taken from the word-by-word reference above."""
     generated = generate_corpus(SynthSpec.from_dict(GOLDEN_SPEC), 5, tmp_path, ref_tax)
     data = generated.corpus_path.read_bytes()
-    assert data.count(b"\n") == 53
+    assert data.count(b"\n") == 61
     assert hashlib.sha256(data).hexdigest() == (
-        "74965b996b45179bd43769ad5562384e02f893ef334bf7f1dd740456c8904a29"
+        "f9fb5498761c991bb88138ec77bb72e695077deaed4157e16fa91cdff54f0089"
     )
 
 
@@ -312,6 +316,39 @@ def test_coordinates_are_written_exactly(ref_tax, tmp_path):
     corpus = parse_corpus(generated.corpus_path, ref_tax)
     _, report = assign_home_country(corpus, load_geo_index(generated.geo_path))
     assert report.users_discarded_mixed_country == 0
+
+
+def test_ids_with_commas_and_quotes_are_quoted(ref_tax, tmp_path):
+    """labels.csv and cities.csv are CSV tables: a city id holding a comma
+    or a quote is one quoted field, and ``signatures --cities`` reads it."""
+    ids = ['A-x,1', 'A-"y"']
+    doc = {"countries": [{"code": "AA", "bbox": [0, 0, 10, 10], "users": 4,
+                          "checkins_per_user": 8, "preferences": {"Pub": 1.0, "Bakery": 1.0},
+                          "cities": [{"id": ids[0], "bbox": [0, 0, 5, 10]},
+                                     {"id": ids[1], "bbox": [5, 0, 10, 10]}]}]}
+    generated = generate_corpus(SynthSpec.from_dict(doc), 2, tmp_path / "raw", ref_tax)
+    with open(generated.labels_path, encoding="utf-8", newline="") as fh:
+        labels = list(csv.reader(fh))
+    assert labels[1:] == [[f"u{i:06d}", "AA", ids[i % 2]] for i in range(4)]
+    assert generated.cities_path.read_text(encoding="utf-8").splitlines()[1:] == [
+        '"A-x,1",AA,0.0,0.0,5.0,10.0', '"A-""y""",AA,5.0,0.0,10.0,10.0']
+    taxonomy = str(reference_taxonomy_path())
+    assert main(["ingest", "--corpus", str(generated.corpus_path), "--geo", str(generated.geo_path),
+                 "--taxonomy", taxonomy, "--out-dir", str(tmp_path / "store")]) == 0
+    assert main(["signatures", "--store", str(tmp_path / "store"), "--level", "city",
+                 "--cities", str(generated.cities_path), "--out-dir", str(tmp_path / "sig")]) == 0
+    areas = json.loads((tmp_path / "sig" / "areas_used.json").read_text(encoding="utf-8"))
+    assert areas["areas_used"] == sorted(ids)
+
+
+def test_ordinary_label_and_city_rows_keep_their_bytes(ref_tax, tmp_path):
+    generated = generate_corpus(SynthSpec.from_dict(GOLDEN_SPEC), 5, tmp_path, ref_tax)
+    assert generated.labels_path.read_text(encoding="utf-8").splitlines()[:3] == [
+        "user,country,city", "u000000,AA,AA-1", "u000001,AA,AA-2"]
+    assert generated.labels_path.read_text(encoding="utf-8").splitlines()[-1] == "u000009,BB,"
+    assert generated.cities_path.read_text(encoding="utf-8") == (
+        "city,country,min_lon,min_lat,max_lon,max_lat\n"
+        "AA-1,AA,0.0,0.0,5.0,10.0\nAA-2,AA,5.0,0.0,10.0,10.0\n")
 
 
 class TestSpecValidation:
