@@ -208,7 +208,7 @@ def kmeans_cosine(
         if best is None or objective < best[0]:
             best = (objective, labels, centroids, iterations, history)
     objective, labels, centroids, iterations, history = best
-    if len(np.unique(labels)) < k:
+    if np.count_nonzero(np.bincount(labels)) < k:  # np.unique would import numpy.ma
         raise UndefinedMetric(f"the rows have too few distinct directions for k={k} clusters")
     return ClusterReport(
         k=k,

@@ -24,7 +24,9 @@ Spec files are JSON::
 range.  ``hourly`` keys are class ids or "*" for all classes, its groups
 are "weekday" and "weekend", and each profile holds 24 nonnegative weights
 with a positive sum; omitted profiles are uniform.  A bad profile is a
-``DataError`` before any file is opened.
+``DataError`` before any file is opened, and so is a country code that
+``geo.txt`` cannot carry: empty, with edge whitespace, with a tab or a line
+break, or starting with ``#``.
 
 Each user's stream is a fixed layout of raw 64-bit Philox words: word 0
 gives the check-in count, then each check-in takes 9 words, for its
@@ -36,7 +38,8 @@ integer in [0, n) as ``((w >> 32) * n) >> 32`` (count, date, minute,
 second, venue): multiply-shift without rejection, so each value has
 probability (1 +- n / 2**32) / n.  A one-value range still takes its word.
 Philox's words are fully specified (Salmon et al., SC 2011), so the corpus
-does not depend on how numpy's ``Generator`` would consume them.
+does not depend on how numpy's ``Generator`` would consume them; Philox is
+counter-based, so one generator moved to each user's counter yields them.
 ``geo.txt`` and ``cities.csv`` write coordinates with ``repr``, so they
 parse back to the spec's floats exactly; ``labels.csv`` and ``cities.csv``
 are ``csvtext`` tables.
@@ -44,6 +47,7 @@ are ``csvtext`` tables.
 
 from __future__ import annotations
 
+import itertools
 import json
 import operator
 from dataclasses import dataclass, field
@@ -56,8 +60,8 @@ from .csvtext import write_rows
 from .errors import DataError, utf8_input
 from .model import Taxonomy
 
-REFERENCE_WEEK = ("2024-04-15", "2024-04-16", "2024-04-17", "2024-04-18",
-                  "2024-04-19", "2024-04-20", "2024-04-21")
+# Seven consecutive days, Monday first; _records offsets the first in seconds.
+REFERENCE_WEEK = tuple(str(np.datetime64("2024-04-15") + day) for day in range(7))
 
 
 @dataclass(frozen=True)
@@ -186,6 +190,9 @@ class SynthSpec:
         if len(set(codes)) != len(codes):
             raise DataError("country codes must be unique")
         for c in self.countries:
+            if c.code != c.code.strip() or c.code[:1] in ("", "#") or set(c.code) & set("\t\n\r"):
+                raise DataError(f"country {c.code!r}: geo.txt cannot carry a code that is empty, "
+                                "has edge whitespace, a tab or line break, or starts with '#'")
             if c.users < 1:
                 raise DataError(f"country {c.code!r} needs at least one user")
             # A bounded draw scales the high 32 bits of a word, so a range
@@ -285,20 +292,24 @@ def _draw_users(country: CountrySpec, seed: int, first_user: int, n_users: int):
     """Check-in counts and raw words of a run of a country's users: one row
     of ``len(_DRAWS)`` words per check-in, users in order.  User ``u``'s
     stream is ``Philox(key=seed).jumped(u)``: a jump adds ``u`` to the third
-    counter word, so the stream is built at that counter directly."""
+    counter word, so one generator is moved to each user's counter instead."""
     span = country.checkins_high - country.checkins_low + 1
+    bits = np.random.Philox(key=seed)
+    state = bits.state  # counter [0, 0, 0, 0], buffer_pos 4: nothing buffered
     counts, words = [], []
     for u in range(first_user, first_user + n_users):
-        bits = np.random.Philox(counter=[0, 0, u, 0], key=seed)
-        counts.append(country.checkins_low + int(_below(np.uint64(bits.random_raw()), span)))
+        state["state"]["counter"][2] = u
+        bits.state = state
+        counts.append(country.checkins_low + ((bits.random_raw() >> 32) * span >> 32))
         words.append(bits.random_raw(len(_DRAWS) * counts[-1]))
     return np.array(counts), np.concatenate(words).reshape(-1, len(_DRAWS))
 
 
 def _records(country: CountrySpec, seed: int, first_user: int, local: range,
-             taxonomy: Taxonomy) -> list[str]:
-    """The corpus.jsonl records of the country's users ``local`` (indices
-    within the country); its first user is ``first_user``."""
+             taxonomy: Taxonomy) -> str:
+    """The corpus.jsonl text of the country's users ``local`` (indices
+    within the country), whose first user is ``first_user``, built column
+    by column: each record's constant pieces come from small tables."""
     counts, words = _draw_users(country, seed, first_user + local.start, len(local))
     col = dict(zip(_DRAWS, words.T))
     homes = [city.bbox for city in country.cities] or [country.bbox]
@@ -317,22 +328,24 @@ def _records(country: CountrySpec, seed: int, first_user: int, local: range,
     box = boxes[row_user]
     lon = box[:, 0] + (box[:, 2] - box[:, 0]) * _unit(col["lon"])
     lat = box[:, 1] + (box[:, 3] - box[:, 1]) * _unit(col["lat"])
-    # Weekend dates follow the five weekdays.
-    day = np.where(weekend, 5 + _below(col["date"], 2), _below(col["date"], 5))
+    # Weekend dates follow the five weekdays.  _below gives uint64, which
+    # numpy would turn into float64 next to int64.
+    day, minute, second = (a.astype(np.int64) for a in (
+        np.where(weekend, 5 + _below(col["date"], 2), _below(col["date"], 5)),
+        _below(col["minute"], 60), _below(col["second"], 60)))
+    ts = np.datetime64(REFERENCE_WEEK[0], "s") + ((day * 24 + hour) * 60 + minute) * 60 + second
 
-    user_ids = [f"u{first_user + i:06d}" for i in local]
-    subcat_json = [json.dumps(n) for n in names]
-    venue_json = [json.dumps(f"v-{country.code}-{taxonomy.index_of(n)}-")[:-1] for n in names]
-    return [
-        f'{{"user":"{user_ids[u]}","venue":{venue_json[s]}{v}","lat":{y!r},"lon":{x!r},'
-        f'"ts":"{REFERENCE_WEEK[d]}T{h:02d}:{mi:02d}:{se:02d}","subcat":{subcat_json[s]}}}\n'
-        for u, s, v, y, x, d, h, mi, se in zip(
-            row_user.tolist(), subcat.tolist(),
-            _below(col["venue"], country.venues_per_subcategory).tolist(),
-            lat.tolist(), lon.tolist(), day.tolist(), hour.tolist(),
-            _below(col["minute"], 60).tolist(), _below(col["second"], 60).tolist(),
-        )
-    ]
+    user_head = np.array([f'{{"user":"u{first_user + i:06d}","venue":' for i in local], object)
+    venue_head = np.array([json.dumps(f"v-{country.code}-{taxonomy.index_of(n)}-")[:-1]
+                           for n in names], object)
+    tail = np.array([f'","subcat":{json.dumps(n)}}}\n' for n in names], object)
+    return "".join(itertools.chain.from_iterable(zip(
+        user_head[row_user].tolist(), venue_head[subcat].tolist(),
+        map(str, _below(col["venue"], country.venues_per_subcategory).tolist()),
+        itertools.repeat('","lat":'), map(repr, lat.tolist()),
+        itertools.repeat(',"lon":'), map(repr, lon.tolist()),
+        itertools.repeat(',"ts":"'), np.datetime_as_string(ts).tolist(), tail[subcat].tolist(),
+    )))
 
 
 def _label_rows(spec: SynthSpec):
@@ -380,7 +393,7 @@ def generate_corpus(
             block = max(1, _BLOCK_ROWS // country.checkins_high)
             for start in range(0, country.users, block):
                 local = range(start, min(start + block, country.users))
-                corpus_fh.write("".join(_records(country, seed, user_index, local, taxonomy)))
+                corpus_fh.write(_records(country, seed, user_index, local, taxonomy))
             user_index += country.users
     write_rows(labels_path, ["user", "country", "city"], _label_rows(spec))
 

@@ -356,6 +356,25 @@ def test_survey_run_loads_no_scipy(pipeline, tmp_path):
     assert (tmp_path / "out" / "survey_comparison.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["ingest", "cluster"])
+def test_ingest_and_cluster_runs_load_no_numpy_ma(pipeline, tmp_path, command):
+    """Counting distinct values with ``np.unique`` would import ``numpy.ma``
+    (about 10 ms) in every ingest and cluster run."""
+    out = tmp_path / "out"
+    argv = {"ingest": ["ingest", "--corpus", str(pipeline["generated"].corpus_path),
+                       "--geo", str(pipeline["generated"].geo_path),
+                       "--taxonomy", pipeline["taxonomy"], "--out-dir", str(out)],
+            "cluster": ["cluster", "--store", str(pipeline["store"]), "--k", "2",
+                        "--out-dir", str(out)]}[command]
+    code = ("import sys; from tastemap.cli import main; "
+            f"assert main({argv!r}) == 0; "
+            "print('numpy.ma' in sys.modules)")
+    out_text = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True).stdout
+    assert out_text.splitlines()[-1] == "False"
+    assert any(out.iterdir())
+
+
 def _edit_npz(store):
     path = store / "corpus.npz"
     with np.load(path, allow_pickle=False) as npz:

@@ -229,7 +229,9 @@ def test_bounded_draws_take_one_word_and_stay_below_n():
     """Multiply-shift maps every word into [0, n) without overflowing
     uint64, the extreme words included, and agrees with Python ints; the
     check-in count takes word 0, also from a one-value range, and each
-    check-in the next 9 words."""
+    check-in the next 9 words.  One generator is moved from user to user,
+    so a user whose predecessor's 1 + 9 * count words ended inside a 4-word
+    block (count 1 or 2, say) must still get a fresh stream's words."""
     words = np.random.Philox(key=3).random_raw(4096)
     words[:4] = [0, 2**32 - 1, 2**32, 2**64 - 1]
     for n in (1, 2, 5, 60, 2**31 + 1, 2**32):
@@ -242,14 +244,29 @@ def test_bounded_draws_take_one_word_and_stay_below_n():
         country = SynthSpec.from_dict({"countries": [{
             "code": "AA", "bbox": [0, 0, 1, 1], "users": 3, "checkins_per_user": [1, high],
             "preferences": {"Pub": 1.0}}]}).countries[0]
-        counts, drawn = synth._draw_users(country, 5, 0, 3)
+        counts, drawn = synth._draw_users(country, 5, 40, 3)
         first = 0
-        for u, count in enumerate(counts.tolist()):
+        for u, count in enumerate(counts.tolist(), 40):
             stream = np.random.Philox(counter=[0, 0, u, 0], key=5).random_raw(1 + 9 * count)
             assert count == 1 + _below(stream[0], high)
             assert drawn[first:first + count].ravel().tolist() == stream[1:].tolist()
             first += count
         assert first == len(drawn)
+
+
+def test_2_32_venues_match_the_scalar_loop(ref_tax, tmp_path):
+    """The widest venue range the spec accepts is written as the reference
+    writes it, with venue numbers past 2**31 in the corpus."""
+    doc = spec_dict()
+    doc["countries"][0]["venues_per_subcategory"] = 2**32
+    spec = SynthSpec.from_dict(doc)
+    generate_corpus(spec, 9, tmp_path / "new", ref_tax)
+    generate_corpus_loop(spec, 9, tmp_path / "old", ref_tax)
+    for name in ("corpus.jsonl", "labels.csv", "geo.txt"):
+        assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "old" / name).read_bytes()
+    venues = [json.loads(line)["venue"] for line in
+              (tmp_path / "new" / "corpus.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert max(int(v.rsplit("-", 1)[1]) for v in venues if v.startswith("v-AA-")) >= 2**31
 
 
 GOLDEN_SPEC = {
@@ -404,6 +421,50 @@ class TestSpecValidation:
         SynthSpec.from_dict(doc)
 
 
+# Whitespace that str.strip() removes but that breaks no line of geo.txt,
+# the comment mark, and characters JSON or CSV must escape; then line breaks.
+INNER_CODE_CHARS = 'A #,"\x0b\x0c\x1c\x85\xa0\u2028\u00e9'
+CODE_CHARS = INNER_CODE_CHARS + "\t\n\r"
+# Mostly codes that geo.txt can carry: no edge whitespace, no leading '#'.
+CARRIED_CODE = st.tuples(st.sampled_from('A,"\u00e9'), st.text(INNER_CODE_CHARS, max_size=2),
+                         st.sampled_from(['', 'A', '"'])).map("".join)
+
+
+def _read_csv(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(codes=st.lists(CARRIED_CODE, min_size=1, max_size=3, unique=True)
+       | st.lists(st.text(CODE_CHARS, max_size=3), min_size=1, max_size=3, unique=True))
+def test_accepted_codes_come_back_from_geo_txt_and_ingest(ref_tax, codes):
+    """A code synth accepts is read back unchanged by ``load_geo_index`` of
+    its own geo.txt, and ingest makes it the home of that country's users,
+    as labels.csv says; any other code is a DataError naming it."""
+    doc = {"countries": [
+        {"code": code, "bbox": [20 * i, 0, 20 * i + 10, 10], "users": 2,
+         "checkins_per_user": [1, 3], "preferences": {"Pub": 1.0}}
+        for i, code in enumerate(codes)]}
+    carried = [code.strip() == code != "" and code[0] != "#" and not set("\t\n\r") & set(code)
+               for code in codes]
+    if not all(carried):
+        with pytest.raises(DataError, match=re.escape(repr(codes[carried.index(False)]))):
+            SynthSpec.from_dict(doc)
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        generated = generate_corpus(SynthSpec.from_dict(doc), 1, Path(tmp, "raw"), ref_tax)
+        assert load_geo_index(generated.geo_path).countries == tuple(codes)
+        store = Path(tmp, "store")
+        assert main(["ingest", "--corpus", str(generated.corpus_path),
+                     "--geo", str(generated.geo_path), "--taxonomy", str(reference_taxonomy_path()),
+                     "--min-checkins", "1", "--out-dir", str(store)]) == 0
+        labels = {row["user"]: row["country"] for row in _read_csv(generated.labels_path)}
+        homes = {row["user"]: row["country"] for row in _read_csv(store / "home_countries.csv")}
+    assert sorted(labels.values()) == sorted(code for code in codes for _ in range(2))
+    assert homes == labels
+
+
 def _drop(key, city=False):
     def edit(doc):
         country = doc["countries"][1]
@@ -461,6 +522,23 @@ class TestSpecShape:
         assert main(["synth", "--spec", str(spec_path), "--taxonomy", str(reference_taxonomy_path()),
                      "--seed", "0", "--out-dir", str(out)]) == 2
         assert "spec must be a JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("code", ["A\tB", "A\rB", "A\nB", " A", "A ", "#A", ""],
+                             ids=["tab", "carriage-return", "newline", "leading-space",
+                                  "trailing-space", "comment", "empty"])
+    def test_code_geo_txt_cannot_carry_exits_2(self, tmp_path, capsys, code):
+        """geo.txt is tab-separated, read line by line, stripped, with '#'
+        comment lines: such a code would make ingest fail, drop the
+        country's users, or give them a home other than their label."""
+        doc = spec_dict()
+        doc["countries"][1]["code"] = code
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["synth", "--spec", str(spec_path), "--taxonomy", str(reference_taxonomy_path()),
+                     "--seed", "0", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"tastemap: data error: country {code!r}: ")
         assert not out.exists()
 
     def test_integral_floats_and_tuples_parse_as_before(self):
