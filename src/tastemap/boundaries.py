@@ -150,7 +150,7 @@ def _kmeans_once(unit: np.ndarray, k: int, rng: np.random.Generator):
                 labels[far] = c
                 assigned_dist[far] = -1.0
 
-        history.append(float((1.0 - (unit @ centroids.T)[np.arange(n), labels]).sum()))
+        history.append(float((1.0 - sims[np.arange(n), labels]).sum()))
         if prev is not None and np.array_equal(labels, prev):
             break
         prev = labels.copy()

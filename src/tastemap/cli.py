@@ -45,6 +45,7 @@ from .signatures import (
 from .simnet import (
     build_networks,
     categorical_assortativity,
+    check_edge_list_ids,
     component_sizes,
     degree_assortativity,
     largest_component_fractions,
@@ -175,6 +176,7 @@ def cmd_simnet(args) -> int:
         if tag in tags[:i]:
             raise DataError(f"bad threshold list: two thresholds share the file tag {tag!r}")
     corpus, _ = read_store(args.store, args.taxonomy)
+    check_edge_list_ids(corpus.user_ids)
     profiles = build_profiles(corpus)
     attributes = _parse_attributes(args.attributes) if args.attributes else None
     networks = build_networks(profiles, thresholds, attributes)

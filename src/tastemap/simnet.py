@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -12,11 +13,13 @@ from . import _kernels
 from .csvtext import write_rows
 from .errors import DataError, UndefinedMetric, UndefinedSimilarity
 from .model import UserProfile
-from .signatures import pearson
 
 # Bytes of edge lines assembled at once by ``write_edge_list``: about 1M
 # edges for short ids, and bounded whatever their length.
 EDGE_CHUNK_BYTES = 1 << 24
+# The edge list's field separator and every character ``str.splitlines``
+# breaks a line on: an id holding one cannot be read back from its lines.
+_EDGE_LIST_BREAKS = re.compile("[\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 def _bits(profile) -> np.ndarray:
@@ -98,8 +101,8 @@ def build_networks(
     networks = []
     for threshold in thresholds:
         ok = 100.0 * inter >= float(threshold) * union
-        t_us, t_vs = us[ok], vs[ok]
-        keep = np.bincount(np.concatenate([t_us, t_vs]), minlength=len(ids)) > 0
+        edges = np.column_stack([us[ok], vs[ok]])
+        keep = np.bincount(edges.ravel(), minlength=len(ids)) > 0
         remap = np.cumsum(keep) - 1
         kept = [ordered[idx] for idx in np.flatnonzero(keep).tolist()]
         attrs: dict[str, dict[str, str]] = {}
@@ -114,7 +117,7 @@ def build_networks(
             SimilarityNetwork(
                 threshold=float(threshold),
                 nodes=tuple(p.user_id for p in kept),
-                edges=np.column_stack([remap[t_us], remap[t_vs]]),
+                edges=remap[edges],
                 attributes=attrs,
                 isolated_removed=int((~keep).sum()),
             )
@@ -172,12 +175,11 @@ def largest_component_fractions(sizes: Sequence[int]) -> tuple[float, float]:
 
 
 def categorical_assortativity(net: SimilarityNetwork, attribute_key: str) -> float:
-    """Newman's discrete assortativity over one node attribute.
-
-    r = (sum_i e_ii - sum_i a_i b_i) / (1 - sum_i a_i b_i), with e the edge
-    mixing matrix (each undirected edge counted once in each direction) and
-    a, b its marginals.  A network whose nodes all share one value has no
-    defined coefficient, and neither does an edgeless network.
+    """Newman's discrete assortativity over one node attribute: with m the
+    integer mixing matrix of the 2E edge ends (each edge counted both ways)
+    and R its row sums, r = (2E trace m - sum R^2) / ((2E)^2 - sum R^2).  A
+    network whose nodes all share one value has no defined coefficient, and
+    neither does an edgeless network.
     """
     if net.n_edges == 0:
         raise UndefinedMetric("assortativity needs at least one edge")
@@ -188,31 +190,42 @@ def categorical_assortativity(net: SimilarityNetwork, attribute_key: str) -> flo
     levels = sorted(set(values))
     level_of = {v: i for i, v in enumerate(levels)}
     coded = np.array([level_of[v] for v in values], np.int64)
+    k, ends = len(levels), 2 * net.n_edges
     cu, cv = coded[net.edges].T
-    e = np.zeros((len(levels), len(levels)), np.float64)
-    np.add.at(e, (np.concatenate([cu, cv]), np.concatenate([cv, cu])), 1.0)
-    e /= 2.0 * net.n_edges
-    a = e.sum(axis=1)
-    b = e.sum(axis=0)
-    sab = float(a @ b)
-    if 1.0 - sab <= 0.0:
+    mixing = np.bincount(cu * k + cv, minlength=k * k).reshape(k, k)
+    mixing += mixing.T
+    spread = sum(r * r for r in mixing.sum(axis=1).tolist())
+    if spread == ends * ends:
         raise UndefinedMetric("all nodes share one attribute value")
-    return float((np.trace(e) - sab) / (1.0 - sab))
+    return (ends * int(np.trace(mixing)) - spread) / (ends * ends - spread)
 
 
 def degree_assortativity(net: SimilarityNetwork) -> float:
-    """Pearson correlation of the degrees at the two ends of each edge.
-
-    Both orientations of every edge are included.  Degree-regular networks
-    (cliques, cycles) have zero variance and no defined coefficient.
+    """Pearson correlation of the degrees at the two ends of each edge, both
+    orientations included: an end takes the value d_v d_v times, so sum x =
+    sum d^2, sum x^2 = sum d^3 and sum xy = sum d_v s_v, s_v the degree sum
+    of v's neighbours (an exact float64 sum, at most 2E).  Degree-regular
+    networks (cliques, cycles) have zero variance and no defined r.
     """
     if net.n_edges == 0:
         raise UndefinedMetric("degree assortativity needs at least one edge")
     deg = net.degrees()
-    us, vs = net.edges.T
-    x = np.concatenate([deg[us], deg[vs]]).astype(np.float64)
-    y = np.concatenate([deg[vs], deg[us]]).astype(np.float64)
-    return pearson(x, y)
+    nbr = np.bincount(net.edges.ravel(), deg[net.edges[:, ::-1]].ravel(), net.n_nodes)
+    ends, degs = 2 * net.n_edges, deg.tolist()
+    sx = sum(d * d for d in degs)
+    var = ends * sum(d * d * d for d in degs) - sx * sx
+    if var == 0:
+        raise UndefinedMetric("degree-regular network has no degree variance")
+    return (ends * sum(d * int(s) for d, s in zip(degs, nbr.tolist())) - sx * sx) / var
+
+
+def check_edge_list_ids(ids: Iterable[str]) -> None:
+    """Raise DataError naming the first id that holds a tab or a line break,
+    which an edge list line cannot carry."""
+    for u in ids:
+        if _EDGE_LIST_BREAKS.search(u):
+            raise DataError(f"user id {u!r} holds a tab or a line break, "
+                            "which the edge list cannot carry")
 
 
 def write_edge_list(net: SimilarityNetwork, path: str | Path) -> None:
@@ -222,8 +235,10 @@ def write_edge_list(net: SimilarityNetwork, path: str | Path) -> None:
     node ids are encoded once into a table padded with 0xFF (a byte UTF-8
     never uses), each chunk of edges becomes a byte matrix of rows
     ``[u | TAB | v | LF]`` by indexing that table, and the padding is
-    dropped before writing.
+    dropped before writing.  An id holding a tab or a line break is a
+    DataError, raised before the file is opened.
     """
+    check_edge_list_ids(net.nodes)
     encoded = [u.encode("utf-8") for u in net.nodes]
     width = max(map(len, encoded), default=0)
     table = np.frombuffer(b"".join(e.ljust(width, b"\xff") for e in encoded), np.uint8)

@@ -305,47 +305,50 @@ def _draw_users(country: CountrySpec, seed: int, first_user: int, n_users: int):
     return np.array(counts), np.concatenate(words).reshape(-1, len(_DRAWS))
 
 
-def _records(country: CountrySpec, seed: int, first_user: int, local: range,
-             taxonomy: Taxonomy) -> str:
-    """The corpus.jsonl text of the country's users ``local`` (indices
-    within the country), whose first user is ``first_user``, built column
-    by column: each record's constant pieces come from small tables."""
-    counts, words = _draw_users(country, seed, first_user + local.start, len(local))
-    col = dict(zip(_DRAWS, words.T))
-    homes = [city.bbox for city in country.cities] or [country.bbox]
-    boxes = np.array([homes[i % len(homes)] for i in local], np.float64)
-
+def _records(country: CountrySpec, seed: int, first_user: int, taxonomy: Taxonomy):
+    """The corpus.jsonl text of the country's users, whose first user is
+    ``first_user``, in blocks of users with at most ``_BLOCK_ROWS``
+    check-ins (or one user), each built column by column: a record's
+    constant pieces come from small tables, made once per country."""
     names = sorted(country.preferences)
-    subcat = np.searchsorted(_cdf([country.preferences[n] for n in names]),
-                             _unit(col["subcat"]), side="right")
-    weekend = _unit(col["weekend"]) < country.weekend_fraction
+    subcat_cdf = _cdf([country.preferences[n] for n in names])
     hour_cdfs = np.array([_cdf(_hour_weights(country, taxonomy.class_of(n), grp))
                           for n in names for grp in ("weekday", "weekend")])
-    # searchsorted(side="right") of each row's own profile
-    hour_cdf = hour_cdfs[2 * subcat + weekend]
-    hour = (hour_cdf <= _unit(col["hour"][:, None])).sum(1)
-    row_user = np.repeat(np.arange(len(local)), counts)
-    box = boxes[row_user]
-    lon = box[:, 0] + (box[:, 2] - box[:, 0]) * _unit(col["lon"])
-    lat = box[:, 1] + (box[:, 3] - box[:, 1]) * _unit(col["lat"])
-    # Weekend dates follow the five weekdays.  _below gives uint64, which
-    # numpy would turn into float64 next to int64.
-    day, minute, second = (a.astype(np.int64) for a in (
-        np.where(weekend, 5 + _below(col["date"], 2), _below(col["date"], 5)),
-        _below(col["minute"], 60), _below(col["second"], 60)))
-    ts = np.datetime64(REFERENCE_WEEK[0], "s") + ((day * 24 + hour) * 60 + minute) * 60 + second
-
-    user_head = np.array([f'{{"user":"u{first_user + i:06d}","venue":' for i in local], object)
+    homes = [city.bbox for city in country.cities] or [country.bbox]
     venue_head = np.array([json.dumps(f"v-{country.code}-{taxonomy.index_of(n)}-")[:-1]
                            for n in names], object)
     tail = np.array([f'","subcat":{json.dumps(n)}}}\n' for n in names], object)
-    return "".join(itertools.chain.from_iterable(zip(
-        user_head[row_user].tolist(), venue_head[subcat].tolist(),
-        map(str, _below(col["venue"], country.venues_per_subcategory).tolist()),
-        itertools.repeat('","lat":'), map(repr, lat.tolist()),
-        itertools.repeat(',"lon":'), map(repr, lon.tolist()),
-        itertools.repeat(',"ts":"'), np.datetime_as_string(ts).tolist(), tail[subcat].tolist(),
-    )))
+    block = max(1, _BLOCK_ROWS // country.checkins_high)
+    for start in range(0, country.users, block):
+        local = range(start, min(start + block, country.users))
+        counts, words = _draw_users(country, seed, first_user + start, len(local))
+        col = dict(zip(_DRAWS, words.T))
+        boxes = np.array([homes[i % len(homes)] for i in local], np.float64)
+        subcat = np.searchsorted(subcat_cdf, _unit(col["subcat"]), side="right")
+        weekend = _unit(col["weekend"]) < country.weekend_fraction
+        # searchsorted(side="right") of each row's own profile
+        hour_cdf = hour_cdfs[2 * subcat + weekend]
+        hour = (hour_cdf <= _unit(col["hour"][:, None])).sum(1)
+        row_user = np.repeat(np.arange(len(local)), counts)
+        box = boxes[row_user]
+        lon = box[:, 0] + (box[:, 2] - box[:, 0]) * _unit(col["lon"])
+        lat = box[:, 1] + (box[:, 3] - box[:, 1]) * _unit(col["lat"])
+        # Weekend dates follow the five weekdays.  _below gives uint64, which
+        # numpy would turn into float64 next to int64.
+        day, minute, second = (a.astype(np.int64) for a in (
+            np.where(weekend, 5 + _below(col["date"], 2), _below(col["date"], 5)),
+            _below(col["minute"], 60), _below(col["second"], 60)))
+        ts = (np.datetime64(REFERENCE_WEEK[0], "s")
+              + ((day * 24 + hour) * 60 + minute) * 60 + second)
+        user_head = np.array([f'{{"user":"u{first_user + i:06d}","venue":' for i in local],
+                             object)
+        yield "".join(itertools.chain.from_iterable(zip(
+            user_head[row_user].tolist(), venue_head[subcat].tolist(),
+            map(str, _below(col["venue"], country.venues_per_subcategory).tolist()),
+            itertools.repeat('","lat":'), map(repr, lat.tolist()),
+            itertools.repeat(',"lon":'), map(repr, lon.tolist()),
+            itertools.repeat(',"ts":"'), np.datetime_as_string(ts).tolist(), tail[subcat].tolist(),
+        )))
 
 
 def _label_rows(spec: SynthSpec):
@@ -389,11 +392,7 @@ def generate_corpus(
     user_index = 0
     with open(corpus_path, "w", encoding="utf-8") as corpus_fh:
         for country in spec.countries:
-            # Blocks of users with at most _BLOCK_ROWS check-ins, or one user.
-            block = max(1, _BLOCK_ROWS // country.checkins_high)
-            for start in range(0, country.users, block):
-                local = range(start, min(start + block, country.users))
-                corpus_fh.write(_records(country, seed, user_index, local, taxonomy))
+            corpus_fh.writelines(_records(country, seed, user_index, taxonomy))
             user_index += country.users
     write_rows(labels_path, ["user", "country", "city"], _label_rows(spec))
 

@@ -238,6 +238,23 @@ class TestSimnet:
         edges = (out / "edges_s100.tsv").read_text().splitlines()
         assert len(edges) == 3
 
+    def test_id_with_a_tab_or_line_break_exits_2_and_writes_nothing(self, pipeline, tmp_path,
+                                                                    capsys):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text("".join(
+            json.dumps({"user": user, "venue": f"v{i}", "lat": 1.0, "lon": 1.0,
+                        "ts": "2024-04-16T12:00:00", "subcat": "Pub"}) + "\n"
+            for user in ("a\tb", "c", "d\ne") for i in range(7)), encoding="utf-8")
+        geo = tmp_path / "geo.txt"
+        geo.write_text("AA\t0,0;10,0;10,10;0,10;0,0\n", encoding="utf-8")
+        store = tmp_path / "store"
+        assert main(["ingest", "--corpus", str(corpus), "--geo", str(geo),
+                     "--taxonomy", pipeline["taxonomy"], "--out-dir", str(store)]) == 0
+        out = tmp_path / "net"
+        assert main(["simnet", "--store", str(store), "--out-dir", str(out)]) == 2
+        assert "user id 'a\\tb' holds a tab or a line break" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_attributes_file_feeds_assortativity(self, pipeline, tmp_path):
         store = pipeline["store"]
         users = [row[0] for row in read_csv(store / "home_countries.csv")[1:]]

@@ -282,6 +282,14 @@ class TestDegreeAssortativity:
         with pytest.raises(UndefinedMetric):
             degree_assortativity(net)
 
+    def test_star_past_int64_cubes_is_exactly_minus_one(self):
+        # sum of cubed degrees is 2**63 + 2**21; node ids play no part
+        leaves = 1 << 21
+        edges = np.zeros((leaves, 2), np.int64)
+        edges[:, 1] = np.arange(1, leaves + 1)
+        net = SimilarityNetwork(0.0, ("",) * (leaves + 1), edges)
+        assert degree_assortativity(net) == -1.0
+
 
 # ---------------------------------------------------------------------------
 # Properties against loop oracles
@@ -415,4 +423,36 @@ def test_graph_metrics_match_loop_oracles(net):
         got, want = metric_or_none(fn, net), oracle(net)
         assert (got is None) == (want is None)
         if want is not None:
-            assert got == pytest.approx(float(want), abs=1e-12)
+            assert got == float(want)
+
+
+@st.composite
+def clique_graphs(draw):
+    """Hundreds of nodes in cliques of users with one profile, as the
+    synthetic corpora give, mostly of one country each, joined by random
+    edges."""
+    sizes = draw(st.lists(st.integers(1, 20), min_size=15, max_size=25))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    starts = np.cumsum([0, *sizes])
+    edges = {pair for lo, hi in zip(starts, starts[1:]) for pair in combinations(range(lo, hi), 2)}
+    cross = np.sort(rng.integers(0, starts[-1], (draw(st.integers(0, 300)), 2)), axis=1)
+    edges |= {(i, j) for i, j in cross.tolist() if i < j}
+    countries = np.repeat(rng.choice(list("xyz"), len(sizes)), sizes)
+    strays = rng.random(starts[-1]) < draw(st.sampled_from([0.0, 0.05, 0.3]))
+    countries[strays] = rng.choice(list("xyz"), strays.sum())
+    nodes = tuple(f"u{i:03d}" for i in range(starts[-1]))
+    attrs = {u: {"country": str(c)} for u, c in zip(nodes, countries)}
+    return SimilarityNetwork(0.0, nodes, tuple(sorted(edges)), attrs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(net=clique_graphs())
+def test_assortativities_on_clique_graphs_equal_rounded_fractions(net):
+    for fn, oracle in ((lambda g: categorical_assortativity(g, "country"), loop_categorical),
+                       (degree_assortativity, loop_degree)):
+        want = oracle(net)
+        if want is None:
+            with pytest.raises(UndefinedMetric):
+                fn(net)
+        else:
+            assert fn(net) == float(want)

@@ -284,6 +284,15 @@ class TestEdgeList:
         old_write_edge_list(net, tmp / "old.tsv")
         assert (tmp / "new.tsv").read_bytes() == (tmp / "old.tsv").read_bytes()
 
+    # The field separator and every character str.splitlines breaks a line on.
+    @pytest.mark.parametrize("char", ["\t", *(c for c in map(chr, range(0x110000))
+                                               if len(f"a{c}b".splitlines()) > 1)])
+    def test_id_with_a_tab_or_line_break_is_refused(self, tmp_path, char):
+        net = SimilarityNetwork(65.0, ("a", f"b{char}c"), [(0, 1)])
+        with pytest.raises(DataError, match="holds a tab or a line break"):
+            write_edge_list(net, tmp_path / "e.tsv")
+        assert not (tmp_path / "e.tsv").exists()
+
 
 # Report fields: signed zeros, NaN, infinities, subnormal and tiny floats,
 # as Python floats and as numpy float64, ints, None and labels.
