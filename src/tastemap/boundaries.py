@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Mapping, Sequence
@@ -237,69 +238,56 @@ def centered_rows(data) -> list[list[int]]:
     return [[len(ints) * x - s for x, s in zip(row, sums)] for row in ints]
 
 
-def rank_by_cosine(target: str, vectors: Mapping[str, Sequence]) -> list[str]:
-    """All other areas ordered by descending cosine similarity to the target;
-    exact ties order by area id.
+def _exact_values(area: str, vector: Sequence) -> list[int | Fraction]:
+    """The entries' exact values: an integer entry is itself
+    (``operator.index``), any other the decimal its float prints as
+    (``repr``), so 0.2,0.4 and 0.3,0.6 are proportional.  No entry passes
+    through a numpy dtype, which would round 64-bit integers."""
+    values: list[int | Fraction] = []
+    for x in vector:
+        try:
+            values.append(operator.index(x))
+        except TypeError:
+            f = float(x)
+            if not math.isfinite(f):
+                raise DataError(f"vector for {area!r} has non-finite entries") from None
+            values.append(Fraction(repr(f)))
+    if not any(values):
+        raise DataError(f"vector for {area!r} has zero length")
+    return values
 
-    Exact means in the entries' exact values: an integer is itself, and a
-    float is the decimal it prints as (``repr``), so survey coordinates
-    0.2,0.4 and 0.3,0.6 tie.  Cosines are compared in floats first; a run
-    of areas whose float cosines lie within the rounding bound of their
-    neighbours is then ordered exactly (Shewchuk's filtered predicate), by
-    sign(t.v) (t.v)^2 / |v|^2 in rationals, which orders like cos(t, v).
+
+def cosine_rankings(vectors: Mapping[str, Sequence]) -> dict[str, list[str]]:
+    """For each area, all other areas ordered by descending cosine similarity
+    to it; exact ties order by area id.
+
+    Every comparison is exact: each dot product of the space is computed
+    once over the values of ``_exact_values``, and the others of target t
+    are ordered by sign(t.v) (t.v)^2 / |v|^2 in rationals, which orders
+    like cos(t, v) and does not change when a vector is scaled.
     """
+    ids = list(vectors)
+    rows = [_exact_values(a, vectors[a]) for a in ids]
+    if len({len(row) for row in rows}) > 1:
+        raise DataError("vectors must share one dimension")
+    gram = [[0] * len(rows) for _ in rows]
+    for i, u in enumerate(rows):
+        for j in range(i, len(rows)):
+            gram[i][j] = gram[j][i] = sum(map(operator.mul, u, rows[j]))
+    out = {}
+    for i, target in enumerate(ids):
+        keys = {a: Fraction(-g * abs(g), gram[j][j])
+                for j, (a, g) in enumerate(zip(ids, gram[i])) if j != i}
+        out[target] = sorted(keys, key=lambda a: (keys[a], a))
+    return out
+
+
+def rank_by_cosine(target: str, vectors: Mapping[str, Sequence]) -> list[str]:
+    """The target's entry of ``cosine_rankings``: all other areas by
+    descending cosine similarity to it, exact ties by area id."""
     if target not in vectors:
         raise DataError(f"target {target!r} not among the vectors")
-    arrs = {a: np.asarray(v, np.float64) for a, v in vectors.items()}
-    dims = {v.shape for v in arrs.values()}
-    if len(dims) != 1:
-        raise DataError("vectors must share one dimension")
-    for a, v in arrs.items():
-        if not np.isfinite(v).all():
-            raise DataError(f"vector for {a!r} has non-finite entries")
-        if not v.any():
-            raise DataError(f"vector for {a!r} has zero length")
-    others = sorted(a for a in arrs if a != target)
-    if not others:
-        return []
-    # Each vector divided by its largest magnitude: no square overflows, and
-    # what underflow loses is far below the rounding bound.
-    t = arrs[target] / np.abs(arrs[target]).max()
-    matrix = np.stack([arrs[a] for a in others])
-    matrix /= np.abs(matrix).max(axis=1, keepdims=True)
-    cos = ((matrix @ t) / (np.linalg.norm(matrix, axis=1) * np.linalg.norm(t))).tolist()
-    order = sorted(range(len(others)), key=lambda i: (-cos[i], i))
-
-    # A float cosine is within (2d + 4) u of the cosine of the scaled
-    # vectors (dot product, two norms, a product and a quotient); scaling
-    # moves it by at most 4u, and so does rounding the exact inputs to
-    # floats.  Two cosines are compared, with a factor of two to spare.
-    tol = (4 * t.size + 24) * 2.0**-52
-
-    def exact_values(a: str) -> list[Fraction | int]:
-        return [x if isinstance(x, int) else Fraction(repr(x))
-                for x in np.asarray(vectors[a]).tolist()]
-
-    def exact_order(run: list[int]) -> list[int]:
-        if len(run) < 2:
-            return run
-        exact_t = exact_values(target)
-        keys = {}
-        for i in run:
-            v = exact_values(others[i])
-            dot = sum(x * y for x, y in zip(exact_t, v))
-            keys[i] = Fraction(dot * abs(dot)) / sum(x * x for x in v)
-        return sorted(run, key=lambda i: (-keys[i], i))
-
-    ranked: list[int] = []
-    run: list[int] = []
-    for i in order:
-        if run and cos[run[-1]] - cos[i] > tol:
-            ranked += exact_order(run)
-            run = []
-        run.append(i)
-    ranked += exact_order(run)
-    return [others[i] for i in ranked]
+    return cosine_rankings(vectors)[target]
 
 
 def _t_two_sided(t: float, nu: int) -> float:
@@ -354,10 +342,12 @@ def spearman(rank_a: Sequence[Hashable], rank_b: Sequence[Hashable]) -> tuple[fl
     """Rank correlation of two orderings of the same items, with a two-sided
     p-value.
 
-    rho is the Pearson correlation of rank positions (the inputs are tie-free
-    orderings).  The p-value uses the t approximation
-    t = rho * sqrt((n-2)/(1-rho^2)) with n-2 degrees of freedom; |rho| = 1 is
-    reported with the exact permutation bound 2/n!.
+    rho is 1 - 6 sum(d^2) / (n^3 - n) over the rank-position differences d
+    (the inputs are tie-free orderings), rounded once.  The p-value uses the
+    t approximation t = rho * sqrt((n-2)/(1-rho^2)) with n-2 degrees of
+    freedom; |rho| = 1 (below n = 600,000, only equal or reversed orderings)
+    is reported with the exact permutation bound 2/n!, as 2.0 / n! while n!
+    fits a float (n <= 170) and rounded once beyond (0.0 from n = 200 on).
     """
     a = list(rank_a)
     b = list(rank_b)
@@ -367,15 +357,11 @@ def spearman(rank_a: Sequence[Hashable], rank_b: Sequence[Hashable]) -> tuple[fl
     if len(set(a)) != n or len(set(b)) != n or set(a) != set(b):
         raise DataError("inputs must be orderings of one common item set")
     pos_b = {item: i for i, item in enumerate(b)}
-    x = np.arange(n, dtype=np.float64)
-    y = np.fromiter((pos_b[item] for item in a), np.float64, n)
-    xc = x - x.mean()
-    yc = y - y.mean()
-    rho = float((xc @ yc) / np.sqrt((xc @ xc) * (yc @ yc)))
-    rho = min(1.0, max(-1.0, rho))
-
-    if abs(rho) >= 1.0 - 1e-15:
-        return rho, min(1.0, 2.0 / math.factorial(n))
+    d2 = sum((i - pos_b[item]) ** 2 for i, item in enumerate(a))
+    rho = float(1 - Fraction(6 * d2, n**3 - n))
+    if abs(rho) == 1.0:
+        fact = math.factorial(n)
+        return rho, 2.0 / fact if n <= 170 else float(Fraction(2, fact))
     t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
     return rho, min(1.0, _t_two_sided(t, n - 2))
 
@@ -407,18 +393,16 @@ def compare_with_survey(
             raise DataError(f"country {c!r} missing from the check-in vectors")
         if c not in survey_coords:
             raise DataError(f"country {c!r} missing from the survey coordinates")
-    ours = {c: our_vectors[c] for c in countries}
-    survey = {c: survey_coords[c] for c in countries}
+    ours = cosine_rankings({c: our_vectors[c] for c in countries})
+    survey = cosine_rankings({c: survey_coords[c] for c in countries})
     out = []
     for c in countries:
-        rank_ours = rank_by_cosine(c, ours)
-        rank_survey = rank_by_cosine(c, survey)
-        rho, p = spearman(rank_survey, rank_ours)
+        rho, p = spearman(survey[c], ours[c])
         out.append(
             RankComparison(
                 country=c,
-                rank_survey=tuple(rank_survey),
-                rank_ours=tuple(rank_ours),
+                rank_survey=tuple(survey[c]),
+                rank_ours=tuple(ours[c]),
                 rho=rho,
                 p_value=p,
                 significant=p < 0.05,

@@ -374,34 +374,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_simnet)
 
-    p = sub.add_parser("signatures", help="correlation matrices, temporal curves, entropy")
-    p.add_argument("--store", required=True)
-    p.add_argument("--taxonomy")
-    p.add_argument("--level", choices=("country", "city", "grid"), default="country")
+    areas = argparse.ArgumentParser(add_help=False)
+    areas.add_argument("--store", required=True)
+    areas.add_argument("--taxonomy")
+    areas.add_argument("--level", choices=("country", "city", "grid"), default="country")
+    areas.add_argument("--cities", help="city bounding boxes CSV (city/grid levels)")
+    areas.add_argument("--rows", type=int, default=10)
+    areas.add_argument("--cols", type=int, default=10)
+    areas.add_argument("--top", type=int, default=0,
+                       help="keep only the N most popular cells per city (0 = all nonempty)")
+    areas.add_argument("--out-dir", required=True)
+
+    p = sub.add_parser("signatures", parents=[areas],
+                       help="correlation matrices, temporal curves, entropy")
     p.add_argument("--scope", default="all,Drink,FastFood,SlowFood",
                    help="comma list of correlation scopes")
-    p.add_argument("--cities", help="city bounding boxes CSV (city/grid levels)")
-    p.add_argument("--rows", type=int, default=10)
-    p.add_argument("--cols", type=int, default=10)
-    p.add_argument("--top", type=int, default=0,
-                   help="keep only the N most popular cells per city (0 = all nonempty)")
-    p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_signatures)
 
-    p = sub.add_parser("cluster", help="PCA + cosine k-means over area signatures")
-    p.add_argument("--store", required=True)
-    p.add_argument("--taxonomy")
-    p.add_argument("--level", choices=("country", "city", "grid"), default="country")
+    p = sub.add_parser("cluster", parents=[areas], help="PCA + cosine k-means over area signatures")
     p.add_argument("--k", type=int, default=None,
                    help="cluster count (default 7/4/3 by level)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--coverage", type=float, default=1.0)
     p.add_argument("--restarts", type=int, default=10)
-    p.add_argument("--cities")
-    p.add_argument("--rows", type=int, default=10)
-    p.add_argument("--cols", type=int, default=10)
-    p.add_argument("--top", type=int, default=0)
-    p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("survey", help="rank-correlate country similarities against survey axes")

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import special, stats
@@ -56,9 +56,10 @@ def integer_matrix(data, wide):
 
 def exact_ranking(target, vectors):
     """Oracle: the other ids by descending signed squared cosine to the
-    target, in exact rationals over the decimal values the floats print as;
-    ties by id."""
-    dec = {a: [Fraction(repr(float(x))) for x in v] for a, v in vectors.items()}
+    target, in exact rationals over the integers and the decimal values the
+    floats print as; ties by id."""
+    dec = {a: [Fraction(x) if isinstance(x, (int, np.integer)) else Fraction(repr(float(x)))
+               for x in v] for a, v in vectors.items()}
     t = dec[target]
 
     def signed_cos2(a):
@@ -86,6 +87,24 @@ def planted_vectors(data, ids, dim):
             c = data.draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
             out[name] = np.array([c * k / 100 for k in m])
     return out
+
+
+@st.composite
+def tied_big_integer_vectors(draw, min_others=0):
+    """Five-dimensional integer vectors whose entries reach from 2^62 to
+    2^66 in magnitude, with an exact cosine tie that is not a proportion:
+    a = (3k, 4k, 0, 0, 0) and b = (3k, 2k, 2k, 2k, 2k) both lie at cosine
+    3/5 from t = (m, 0, 0, 0, 0).  The axes are permuted and the ids drawn,
+    so the tie orders either way."""
+    k = draw(st.integers(2**61, 2**64 - 1))
+    m = draw(st.integers(2**62, 2**66 - 1))
+    size = st.integers(2**62, 2**66 - 1)
+    rest = draw(st.lists(st.lists(size | size.map(lambda x: -x), min_size=5, max_size=5),
+                         min_size=min_others, max_size=4))
+    rows = [[m, 0, 0, 0, 0], [3 * k, 4 * k, 0, 0, 0], [3 * k, 2 * k, 2 * k, 2 * k, 2 * k], *rest]
+    axes = draw(st.permutations(range(5)))
+    ids = draw(st.permutations("abcdefg"))
+    return {a: [row[j] for j in axes] for a, row in zip(ids, rows)}
 
 
 class TestFitPca:
@@ -398,6 +417,17 @@ class TestRankByCosine:
         want = sorted((a for a in ids if a != target), key=key)
         assert rank_by_cosine(target, dict(zip(ids, centered_rows(list(vectors.values()))))) == want
 
+    @settings(max_examples=200, deadline=None)
+    @given(vectors=tied_big_integer_vectors())
+    @example(vectors={"t": [2**62, 0, 0, 0, 0],
+                      "b": [3 * (2**61 + 2**9 + 1), 4 * (2**61 + 2**9 + 1), 0, 0, 0],
+                      "a": [3 * (2**61 + 2**9 + 1), *[2 * (2**61 + 2**9 + 1)] * 4]})
+    def test_big_integer_rows_rank_exactly(self, vectors):
+        """Entries past 2^63 stay exact integers: no float rounding breaks a
+        tie or orders two near cosines."""
+        for target in vectors:
+            assert rank_by_cosine(target, vectors) == exact_ranking(target, vectors)
+
 
 class TestSpearman:
     def test_identical_ranks(self):
@@ -416,7 +446,7 @@ class TestSpearman:
     def test_closed_form_on_random_permutations(self):
         rng = np.random.default_rng(12)
         for _ in range(200):
-            n = int(rng.integers(3, 25))
+            n = int(rng.integers(3, 400))
             items = [f"i{k}" for k in range(n)]
             a = [items[k] for k in rng.permutation(n)]
             b = [items[k] for k in rng.permutation(n)]
@@ -424,12 +454,16 @@ class TestSpearman:
             pos_a = {item: i for i, item in enumerate(a)}
             pos_b = {item: i for i, item in enumerate(b)}
             d2 = sum((pos_a[i] - pos_b[i]) ** 2 for i in items)
-            closed = 1.0 - 6.0 * d2 / (n * (n * n - 1))
-            assert rho == pytest.approx(closed, abs=1e-12)
+            assert rho == float(1 - Fraction(6 * d2, n**3 - n))
 
     def test_perfect_rank_p_value_tiny(self):
         _, p = spearman(list(range(16)), list(range(16)))
         assert p < 1e-10
+
+    def test_perfect_rank_p_value_past_float_factorials(self):
+        # n! overflows a float from n = 171 on; 2/n! is rounded once there.
+        assert spearman(list(range(171)), list(range(171))) == (1.0, 1.61158007928862e-309)
+        assert spearman(list(range(200)), list(range(200))[::-1]) == (-1.0, 0.0)
 
     def test_permutation_invariance_of_its_sign(self):
         rho_fwd, _ = spearman([1, 2, 3, 4, 5], [2, 1, 3, 5, 4])
@@ -549,3 +583,16 @@ class TestCompareWithSurvey:
             assert r.rho == pytest.approx(rho, rel=1e-12, abs=1e-15)
             assert r.p_value == pytest.approx(p, rel=1e-12)
             assert r.significant == (p < 0.05)
+
+    @settings(max_examples=100, deadline=None)
+    @given(ours=tied_big_integer_vectors(min_others=1), data=st.data())
+    def test_big_integer_rows_rank_exactly(self, ours, data):
+        countries = sorted(ours)
+        survey = planted_vectors(data, countries, 2)
+        for r in compare_with_survey(ours, survey, countries):
+            assert r.rank_ours == tuple(exact_ranking(r.country, ours))
+            assert r.rank_survey == tuple(exact_ranking(r.country, survey))
+            pos = {c: i for i, c in enumerate(r.rank_ours)}
+            n = len(pos)
+            d2 = sum((i - pos[c]) ** 2 for i, c in enumerate(r.rank_survey))
+            assert r.rho == float(1 - Fraction(6 * d2, n**3 - n))

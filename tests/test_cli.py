@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tastemap.cli import main
+from tastemap.cli import build_parser, main
 from tastemap.model import load_taxonomy, reference_taxonomy_path
 from tastemap.synth import SynthSpec, generate_corpus
 
@@ -189,6 +189,14 @@ class TestUsageErrors:
 
     def test_help_exits_0(self):
         assert main(["--help"]) == 0
+
+    def test_signatures_and_cluster_share_the_area_flags(self):
+        parser = build_parser()
+        defaults = {"store": "s", "taxonomy": None, "level": "country", "cities": None,
+                    "rows": 10, "cols": 10, "top": 0, "out_dir": "o"}
+        for command in ("signatures", "cluster"):
+            args = vars(parser.parse_args([command, "--store", "s", "--out-dir", "o"]))
+            assert {k: args[k] for k in defaults} == defaults
 
 
 class TestSimnet:
