@@ -346,8 +346,8 @@ def spearman(rank_a: Sequence[Hashable], rank_b: Sequence[Hashable]) -> tuple[fl
     (the inputs are tie-free orderings), rounded once.  The p-value uses the
     t approximation t = rho * sqrt((n-2)/(1-rho^2)) with n-2 degrees of
     freedom; |rho| = 1 (below n = 600,000, only equal or reversed orderings)
-    is reported with the exact permutation bound 2/n!, as 2.0 / n! while n!
-    fits a float (n <= 170) and rounded once beyond (0.0 from n = 200 on).
+    is reported with the exact permutation bound 2/n!, rounded once (0.0
+    from n = 200 on).
     """
     a = list(rank_a)
     b = list(rank_b)
@@ -360,8 +360,7 @@ def spearman(rank_a: Sequence[Hashable], rank_b: Sequence[Hashable]) -> tuple[fl
     d2 = sum((i - pos_b[item]) ** 2 for i, item in enumerate(a))
     rho = float(1 - Fraction(6 * d2, n**3 - n))
     if abs(rho) == 1.0:
-        fact = math.factorial(n)
-        return rho, 2.0 / fact if n <= 170 else float(Fraction(2, fact))
+        return rho, float(Fraction(2, math.factorial(n)))
     t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
     return rho, min(1.0, _t_two_sided(t, n - 2))
 

@@ -43,14 +43,14 @@ from .signatures import (
     write_matrix_csv,
 )
 from .simnet import (
-    build_networks,
-    categorical_assortativity,
-    check_edge_list_ids,
-    component_sizes,
-    degree_assortativity,
+    NodeColumns,
+    ProfileClasses,
+    check_thresholds,
+    edge_id_table,
     largest_component_fractions,
-    write_edge_list,
-    write_node_attributes,
+    ordered_profiles,
+    pairs_per_chunk,
+    write_pairs,
 )
 from .store import read_store, write_store
 from .synth import SynthSpec, generate_corpus
@@ -175,27 +175,30 @@ def cmd_simnet(args) -> int:
     for i, tag in enumerate(tags):
         if tag in tags[:i]:
             raise DataError(f"bad threshold list: two thresholds share the file tag {tag!r}")
+    check_thresholds(thresholds)
     corpus, _ = read_store(args.store, args.taxonomy)
-    check_edge_list_ids(corpus.user_ids)
-    profiles = build_profiles(corpus)
-    attributes = _parse_attributes(args.attributes) if args.attributes else None
-    networks = build_networks(profiles, thresholds, attributes)
+    profiles = ordered_profiles(build_profiles(corpus))
+    ids = [p.user_id for p in profiles]
+    id_table = edge_id_table(ids)
+    attributes = _parse_attributes(args.attributes) if args.attributes else {}
+    classes = ProfileClasses(np.stack([p.bits for p in profiles]), min(thresholds))
+    nodes = NodeColumns(ids, [p.home_country for p in profiles], attributes)
     out = _outdir(args)
     metrics: dict[str, dict] = {}
-    for threshold, tag, net in zip(thresholds, tags, networks):
-        write_edge_list(net, out / f"edges_s{tag}.tsv")
-        write_node_attributes(net, out / f"nodes_s{tag}.csv")
-        sizes = component_sizes(net)
+    for threshold, tag in zip(thresholds, tags):
+        net = classes.network(threshold)
+        write_pairs(out / f"edges_s{tag}.tsv", id_table, net.user_pairs(pairs_per_chunk(id_table)))
+        nodes.write(out / f"nodes_s{tag}.csv", net.kept)
+        sizes = net.component_sizes()
         frac1, frac2 = largest_component_fractions(sizes)
-        attr_keys = sorted({k for a in net.attributes.values() for k in a})
         assort: dict[str, float | None] = {}
-        for key in attr_keys:
+        for key in nodes.keys_of(net.kept):
             try:
-                assort[key] = categorical_assortativity(net, key)
+                assort[key] = net.categorical_assortativity(nodes.codes[key])
             except (DataError, UndefinedMetric):  # missing on some node, or undefined
                 assort[key] = None
         try:
-            deg_assort = degree_assortativity(net)
+            deg_assort = net.degree_assortativity()
         except UndefinedMetric:
             deg_assort = None
         metrics[tag] = {

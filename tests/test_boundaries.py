@@ -460,6 +460,13 @@ class TestSpearman:
         _, p = spearman(list(range(16)), list(range(16)))
         assert p < 1e-10
 
+    def test_perfect_rank_p_value_is_rounded_once(self):
+        # 2.0 / n! rounds n! first: one ulp off at n = 23, 26, 29, 31, ...
+        for n in range(3, 171):
+            want = float(Fraction(2, math.factorial(n)))
+            assert spearman(list(range(n)), list(range(n))) == (1.0, want)
+            assert spearman(list(range(n)), list(range(n))[::-1]) == (-1.0, want)
+
     def test_perfect_rank_p_value_past_float_factorials(self):
         # n! overflows a float from n = 171 on; 2/n! is rounded once there.
         assert spearman(list(range(171)), list(range(171))) == (1.0, 1.61158007928862e-309)
@@ -489,8 +496,9 @@ class TestSpearman:
         want_rho, want_p = stats.spearmanr(np.arange(n), [pos_b[item] for item in a])
         assert rho == pytest.approx(want_rho, rel=1e-12)
         if abs(rho) == 1.0:
-            # scipy reports p = 0 here; the exact permutation bound is 2/n!.
-            assert p == 2.0 / math.factorial(n)
+            # scipy reports p = 0 here; the exact permutation bound is 2/n!,
+            # rounded once.
+            assert p == float(Fraction(2, math.factorial(n)))
         else:
             assert p == pytest.approx(want_p, rel=1e-12)
 
@@ -576,12 +584,14 @@ class TestCompareWithSurvey:
             assert r.rank_ours == tuple(want_ours)
             m = len(want_ours)
             if want_survey in (want_ours, want_ours[::-1]):
-                rho, p = (1.0 if want_survey == want_ours else -1.0), 2.0 / math.factorial(m)
+                assert r.rho == (1.0 if want_survey == want_ours else -1.0)
+                assert r.p_value == float(Fraction(2, math.factorial(m)))
+                p = r.p_value
             else:
                 pos = {c: i for i, c in enumerate(want_ours)}
                 rho, p = stats.spearmanr(np.arange(m), [pos[c] for c in want_survey])
-            assert r.rho == pytest.approx(rho, rel=1e-12, abs=1e-15)
-            assert r.p_value == pytest.approx(p, rel=1e-12)
+                assert r.rho == pytest.approx(rho, rel=1e-12, abs=1e-15)
+                assert r.p_value == pytest.approx(p, rel=1e-12)
             assert r.significant == (p < 0.05)
 
     @settings(max_examples=100, deadline=None)

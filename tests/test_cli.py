@@ -1,6 +1,7 @@
 """End-to-end command tests on a small synthetic corpus."""
 
 import csv
+import hashlib
 import json
 import shutil
 import subprocess
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import make_checkin, write_geo, write_jsonl
 from tastemap.cli import build_parser, main
 from tastemap.model import load_taxonomy, reference_taxonomy_path
 from tastemap.synth import SynthSpec, generate_corpus
@@ -357,6 +359,55 @@ class TestSimnet:
         metrics = json.loads((out / "metrics.json").read_text())
         assert list(metrics) == ["0"] and repr(metrics["0"]["threshold"]) == "0.0"
 
+    # Sets 0 and 1 score 66.7, 1 and 5 score 75, 0 and 5 score 50; set 3
+    # shares nothing with any other set, and set 6 (one user's) scores at
+    # most 33.3.
+    PROFILE_SETS = (("Pub", "Bar"), ("Pub", "Bar", "Café"), ("Café", "Bakery", "Tea Room"),
+                    ("Wine Bar",), ("Sushi Restaurant", "Steakhouse", "Pub"),
+                    ("Pub", "Bar", "Café", "Bakery"), ("Hookah Bar", "Pub"))
+    # sha256 of each file, taken from the all-pairs implementation that
+    # scored and expanded every user pair.
+    PINNED_TREE = {
+        "edges_s0.tsv": "02a0ad046c745942e5fdcfd2b0e546565ed40615f0b3fe9fe36cb0522968b3bf",
+        "edges_s100.tsv": "ddc43bd55009d175044f52373df966e94cdff2257c13460a32784d71e8fc3503",
+        "edges_s65.tsv": "867d7a7633d29a53f9414268d677686a5caff2298b031308244f9a0ce4c20e9f",
+        "metrics.json": "298748e234a7bd506efbbca305b6d9934233ba84cd30f4a7ad3a1ac960dc6d13",
+        "nodes_s0.csv": "e2d220351a80be306ed6c635f648a7d7cf0e2d5f632466cd04fb9c09e1a0bd4a",
+        "nodes_s100.csv": "b296133e7af377df8d62fc05bf480751661451af2325035e23f9c69b865d8c8f",
+        "nodes_s65.csv": "b296133e7af377df8d62fc05bf480751661451af2325035e23f9c69b865d8c8f",
+    }
+
+    def test_output_tree_of_duplicated_profiles_is_pinned(self, pipeline, tmp_path):
+        """60 users on 7 profiles; home countries and --attributes values
+        differ inside a profile, the lone user of set 6 lacks one attribute,
+        and some ids need CSV quoting."""
+        users = [f"u{i:02d}" for i in range(57)] + ["a,b", 'q"x', "ü-7"]
+        records = []
+        for i, user in enumerate(users):
+            subcats = self.PROFILE_SETS[i % 6 if i else 6]
+            for k in range(7 + i % 4):
+                records.append(make_checkin(user, f"v{k}", lat=5.0, lon=5.0 + 20.0 * (i // 6 % 3),
+                                            subcat=subcats[k % len(subcats)]))
+        corpus = write_jsonl(tmp_path / "c.jsonl", records)
+        geo = write_geo(tmp_path / "geo.txt", {"AA": (0, 0, 10, 10), "BB": (20, 0, 30, 10),
+                                               "CC": (40, 0, 50, 10)})
+        store = tmp_path / "store"
+        assert main(["ingest", "--corpus", str(corpus), "--geo", str(geo),
+                     "--taxonomy", pipeline["taxonomy"], "--out-dir", str(store)]) == 0
+        attrs = tmp_path / "attrs.csv"
+        with open(attrs, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["user", "team", "diet"])
+            for i, user in enumerate(users + ["not-in-store"]):
+                writer.writerow([user, ("red", "blue, green")[i // 4 % 2],
+                                 ("veg", "vegan", "any")[i % 5 % 3] if i else ""])
+        out = tmp_path / "net"
+        assert main(["simnet", "--store", str(store), "--thresholds", "0,65,100",
+                     "--attributes", str(attrs), "--out-dir", str(out)]) == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in sorted(out.iterdir())}
+        assert digests == self.PINNED_TREE
+
 
 def test_cli_import_leaves_scipy_stats_out():
     code = ("import sys, tastemap.cli; "
@@ -381,16 +432,22 @@ def test_survey_run_loads_no_scipy(pipeline, tmp_path):
     assert (tmp_path / "out" / "survey_comparison.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["ingest", "cluster"])
+@pytest.mark.parametrize("command", ["ingest", "cluster", "simnet", "signatures", "survey"])
 def test_ingest_and_cluster_runs_load_no_numpy_ma(pipeline, tmp_path, command):
-    """Counting distinct values with ``np.unique`` would import ``numpy.ma``
-    (about 10 ms) in every ingest and cluster run."""
+    """Counting distinct values with ``np.unique`` can import ``numpy.ma``
+    (about 10 ms), which no command needs."""
     out = tmp_path / "out"
+    survey = tmp_path / "survey.csv"
+    TestSurvey().write_survey(survey, [f"C{i}" for i in range(6)], np.random.default_rng(46))
+    store = ["--store", str(pipeline["store"])]
     argv = {"ingest": ["ingest", "--corpus", str(pipeline["generated"].corpus_path),
                        "--geo", str(pipeline["generated"].geo_path),
                        "--taxonomy", pipeline["taxonomy"], "--out-dir", str(out)],
-            "cluster": ["cluster", "--store", str(pipeline["store"]), "--k", "2",
-                        "--out-dir", str(out)]}[command]
+            "cluster": ["cluster", *store, "--k", "2", "--out-dir", str(out)],
+            "simnet": ["simnet", *store, "--out-dir", str(out)],
+            "signatures": ["signatures", *store, "--out-dir", str(out)],
+            "survey": ["survey", *store, "--survey", str(survey), "--out-dir", str(out)],
+            }[command]
     code = ("import sys; from tastemap.cli import main; "
             f"assert main({argv!r}) == 0; "
             "print('numpy.ma' in sys.modules)")

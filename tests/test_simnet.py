@@ -1,16 +1,21 @@
 """Jaccard scores, network construction, components and assortativity."""
 
+import csv
+import io
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tastemap.errors import DataError, UndefinedMetric, UndefinedSimilarity
 from tastemap.model import UserProfile
 from tastemap.simnet import (
+    NodeColumns,
+    ProfileClasses,
+    QuotientNetwork,
     SimilarityNetwork,
     build_network,
     build_networks,
@@ -456,3 +461,87 @@ def test_assortativities_on_clique_graphs_equal_rounded_fractions(net):
                 fn(net)
         else:
             assert fn(net) == float(want)
+
+
+# ---------------------------------------------------------------------------
+# The quotient graph of profile classes against the expanded-graph oracles
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def duplicated_profiles(draw):
+    """Up to 30 users on at most 5 distinct profiles, the empty one among
+    the candidates; a user's country and diet need not follow its profile,
+    and the diet may be unset."""
+    distinct = draw(st.lists(st.frozensets(st.integers(0, 5), max_size=4),
+                             min_size=1, max_size=5, unique=True))
+    n = draw(st.integers(1, 30))
+    picks = draw(st.lists(st.sampled_from(distinct), min_size=n, max_size=n))
+    countries = draw(st.lists(st.sampled_from("xyz"), min_size=n, max_size=n))
+    diets = draw(st.lists(st.sampled_from(["veg", "any", "", 'a,"b']), min_size=n, max_size=n))
+    ids = sorted(f"u,{i:02d}" if i % 3 else f"u{i:02d}" for i in range(n))
+    return [profile(u, ones, m=6, country=c) for u, ones, c in zip(ids, picks, countries)], diets
+
+
+def loop_node_rows(net):
+    """The node table as ``csv.writer`` writes it."""
+    keys = sorted({k for u in net.nodes for k in net.attributes[u]})
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["user", *keys])
+    writer.writerows([u, *(net.attributes[u].get(k, "") for k in keys)] for u in net.nodes)
+    return buf.getvalue()
+
+
+def expanded_network(profiles, threshold, attributes):
+    """The network brute force gives, with each node's attributes."""
+    edges = brute_force_edges(profiles, threshold)
+    nodes = sorted({u for pair in edges for u in pair})
+    index = {u: i for i, u in enumerate(nodes)}
+    attrs = {p.user_id: {"country": p.home_country, **attributes.get(p.user_id, {})}
+             for p in profiles if p.user_id in index}
+    return SimilarityNetwork(float(threshold), tuple(nodes),
+                             sorted((index[u], index[v]) for u, v in edges), attrs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=duplicated_profiles(), middle=st.integers(0, 100), chunk=st.integers(1, 8))
+@example(case=([profile(u, ones, m=6, country=c) for u, ones, c in
+                 (("a", [], "x"), ("b", [], "y"), ("c", [3], "x"), ("d", [3], "y"), ("e", [], "x"))],
+               ["veg"] * 5), middle=65, chunk=1)
+def test_quotient_equals_expanded_oracles(tmp_path_factory, case, middle, chunk):
+    profiles, diets = case
+    ids = [p.user_id for p in profiles]
+    attributes = {u: {"diet": d} for u, d in zip(ids, diets) if d}
+    thresholds = [0, middle, 100]
+    classes = ProfileClasses(np.stack([p.bits for p in profiles]), min(thresholds))
+    nodes = NodeColumns(ids, [p.home_country for p in profiles], attributes)
+    tmp = tmp_path_factory.mktemp("q")
+    for t in thresholds:
+        want = expanded_network(profiles, t, attributes)
+        net = classes.network(t)
+        assert [ids[i] for i in np.flatnonzero(net.kept)] == list(want.nodes)
+        assert (net.n_nodes, net.n_edges) == (want.n_nodes, want.n_edges)
+        assert net.isolated_removed == len(profiles) - want.n_nodes
+        pairs = list(net.user_pairs(chunk))
+        assert all(len(u) <= max(chunk, len(profiles)) for u, _ in pairs)
+        got = [(ids[u], ids[v]) for us, vs in pairs for u, v in zip(us.tolist(), vs.tolist())]
+        assert got == [(want.nodes[i], want.nodes[j]) for i, j in want.edges.tolist()]
+        assert net.component_sizes() == loop_components(want)
+        r = loop_degree(want)
+        assert metric_or_none(QuotientNetwork.degree_assortativity, net) == (
+            None if r is None else float(r))
+        assert nodes.keys_of(net.kept) == sorted({k for a in want.attributes.values() for k in a})
+        for key in nodes.keys:
+            if any(key not in want.attributes[u] for u in want.nodes):
+                with pytest.raises(DataError):
+                    net.categorical_assortativity(nodes.codes[key])
+            else:
+                r = loop_categorical(SimilarityNetwork(
+                    want.threshold, want.nodes, want.edges,
+                    {u: {"country": a[key]} for u, a in want.attributes.items()}))
+                assert metric_or_none(lambda q: q.categorical_assortativity(nodes.codes[key]),
+                                      net) == (None if r is None else float(r))
+        nodes.write(tmp / "nodes.csv", net.kept)
+        assert (tmp / "nodes.csv").read_text(encoding="utf-8") == loop_node_rows(want)
+
