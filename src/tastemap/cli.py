@@ -5,6 +5,11 @@ Subcommands: ``synth``, ``ingest``, ``simnet``, ``signatures``, ``cluster``,
 store directory (see ``tastemap.store``); every analysis command loads the
 store's arrays, so slow parsing and geocoding run once per dataset.
 
+Each command imports the modules it runs: this module imports only what
+parsing the command line needs, and every ``cmd_*`` function imports the
+rest inside its body, so a command's process loads (and, without a bytecode
+cache, compiles) nothing that the command does not run.
+
 Exit codes: 0 success, 1 usage error, 2 data error, 3 degenerate-math error.
 """
 
@@ -12,48 +17,19 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .boundaries import centered_rows, compare_with_survey, kmeans_cosine, pca_scores
-from .csvtext import read_keyed_rows, row_floats, write_labelled_rows, write_rows
 from .errors import DataError, UndefinedMetric
-from .ingest import (
-    Corpus,
-    assign_home_country,
-    filter_active_users,
-    grid_partition,
-    load_geo_index,
-    parse_corpus,
-    top_cells,
-)
-from .model import Area, load_taxonomy
-from .prefs import area_cubes, build_profiles, normalized_rows
-from .signatures import (
-    DAY_GROUPS,
-    class_period_indices,
-    correlation_matrix,
-    hourly_curves,
-    period_counts,
-    subcategory_entropies,
-    summarize_entropies,
-    write_matrix_csv,
-)
-from .simnet import (
-    NodeColumns,
-    ProfileClasses,
-    check_thresholds,
-    edge_id_table,
-    largest_component_fractions,
-    ordered_profiles,
-    pairs_per_chunk,
-    write_pairs,
-)
-from .store import read_store, write_store
-from .synth import SynthSpec, generate_corpus
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .ingest import Corpus
+    from .model import Area
 
 PAPER_THRESHOLDS = "65,70,75,80,85,90,95,100"
 DEFAULT_K = {"country": 7, "city": 4, "grid": 3}
@@ -83,6 +59,9 @@ def _outdir(args) -> Path:
 
 
 def _read_cities(path: str | Path) -> list[Area]:
+    from .csvtext import read_keyed_rows, row_floats
+    from .model import Area
+
     edges = ("min_lon", "min_lat", "max_lon", "max_lat")
     areas = [Area(area_id=row["city"], kind="city", country_code=row["country"],
                   bbox=row_floats(path, line, row, edges))
@@ -97,6 +76,12 @@ def _level_cubes(args, corpus: Corpus) -> tuple[list[Area], np.ndarray, list[str
     cubes (areas, m, 2, 24) and the ids of the areas left out for having
     none.  At grid level each city keeps its ``--top`` most popular cells, or
     every non-empty one; a cell without check-ins is dropped, not listed."""
+    import numpy as np
+
+    from .ingest import grid_partition, top_cells
+    from .model import Area
+    from .prefs import area_cubes
+
     if args.level == "country":
         areas = [Area(area_id=c, kind="country", country_code=c) for c in corpus.countries]
     elif not getattr(args, "cities", None):
@@ -130,6 +115,9 @@ def _level_cubes(args, corpus: Corpus) -> tuple[list[Area], np.ndarray, list[str
 
 
 def cmd_synth(args) -> int:
+    from .model import load_taxonomy
+    from .synth import SynthSpec, generate_corpus
+
     taxonomy = load_taxonomy(args.taxonomy)
     spec = SynthSpec.from_file(args.spec)
     generated = generate_corpus(spec, args.seed, args.out_dir, taxonomy)
@@ -138,6 +126,10 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ingest(args) -> int:
+    from .ingest import assign_home_country, filter_active_users, load_geo_index, parse_corpus
+    from .model import load_taxonomy
+    from .store import write_store
+
     taxonomy = load_taxonomy(args.taxonomy)
     geo = load_geo_index(args.geo)
     corpus = parse_corpus(args.corpus, taxonomy, args.error_budget)
@@ -159,11 +151,28 @@ def cmd_ingest(args) -> int:
 
 def _parse_attributes(path: str | Path) -> dict[str, dict[str, str]]:
     """Each user's non-empty attributes; fields beyond the header are ignored."""
+    from .csvtext import read_keyed_rows
+
     return {row["user"]: {k: v for k, v in row.items() if k not in ("user", None) and v}
             for _, row in read_keyed_rows(path, "attributes", "user", ())}
 
 
 def cmd_simnet(args) -> int:
+    import numpy as np
+
+    from .prefs import build_profiles
+    from .simnet import (
+        NodeColumns,
+        ProfileClasses,
+        check_thresholds,
+        edge_id_table,
+        largest_component_fractions,
+        ordered_profiles,
+        pairs_per_chunk,
+        write_pairs,
+    )
+    from .store import read_store
+
     try:
         # "or 0.0" turns -0.0 into 0.0, so -0 and 0 share the file tag "0".
         thresholds = [float(t) or 0.0 for t in args.thresholds.split(",") if t.strip()]
@@ -221,6 +230,18 @@ def cmd_simnet(args) -> int:
 
 
 def cmd_signatures(args) -> int:
+    from .csvtext import write_labelled_rows, write_rows
+    from .prefs import normalized_rows
+    from .signatures import (
+        DAY_GROUPS,
+        correlation_matrix,
+        hourly_curves,
+        subcategory_entropies,
+        summarize_entropies,
+        write_matrix_csv,
+    )
+    from .store import read_store
+
     corpus, taxonomy = read_store(args.store, args.taxonomy)
     scopes = [s.strip() for s in args.scope.split(",") if s.strip()]
     unknown = [s for s in scopes if s != "all" and s not in taxonomy.class_ranges]
@@ -261,6 +282,12 @@ def cmd_signatures(args) -> int:
 
 
 def cmd_cluster(args) -> int:
+    from .boundaries import kmeans_cosine, pca_scores
+    from .csvtext import write_labelled_rows, write_rows
+    from .prefs import normalized_rows
+    from .signatures import period_counts
+    from .store import read_store
+
     corpus, _ = read_store(args.store, args.taxonomy)
     used, cubes, empty = _level_cubes(args, corpus)
     if len(used) < 2:
@@ -285,6 +312,10 @@ def cmd_cluster(args) -> int:
 
 
 def _read_survey(path: str | Path) -> dict[str, np.ndarray]:
+    import numpy as np
+
+    from .csvtext import read_keyed_rows, row_floats
+
     axes = ("trad_secular", "surv_selfexpr")
     coords = {row["country"]: np.array(row_floats(path, line, row, axes), np.float64)
               for line, row in read_keyed_rows(path, "survey", "country", axes)}
@@ -294,6 +325,13 @@ def _read_survey(path: str | Path) -> dict[str, np.ndarray]:
 
 
 def cmd_survey(args) -> int:
+    from .boundaries import centered_rows, compare_with_survey
+    from .csvtext import write_rows
+    from .model import Area
+    from .prefs import area_cubes, normalized_rows
+    from .signatures import class_period_indices, period_counts
+    from .store import read_store
+
     corpus, taxonomy = read_store(args.store, args.taxonomy)
     survey = _read_survey(args.survey)
     countries = sorted(survey)
@@ -433,5 +471,18 @@ def main(argv=None) -> int:
         return 2
 
 
+def entry() -> int:
+    """Process entry of ``python -m tastemap.cli`` and of the installed
+    ``tastemap`` command: ``main`` on ``sys.argv``.
+
+    It first moves every object alive so far (the front end's and numpy's,
+    about 22k) into the collector's permanent generation, so no collection
+    in the command and none at interpreter exit traverses them again.
+    ``main`` does not freeze, because tests and the benchmark's tracer call
+    it in-process."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

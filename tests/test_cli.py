@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tomllib
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_checkin, write_geo, write_jsonl
-from tastemap.cli import build_parser, main
+from tastemap.cli import build_parser, entry, main
 from tastemap.model import load_taxonomy, reference_taxonomy_path
 from tastemap.synth import SynthSpec, generate_corpus
 
@@ -409,13 +410,34 @@ class TestSimnet:
         assert digests == self.PINNED_TREE
 
 
+FRONT_END = ["tastemap", "tastemap.cli", "tastemap.errors", "tastemap.model"]
+STORE_READ = ["tastemap._kernels", "tastemap.csvtext", "tastemap.ingest", "tastemap.store"]
+# The tastemap modules a fresh interpreter holds after one command.
+LOADED = {
+    "synth": sorted([*FRONT_END, "tastemap.csvtext", "tastemap.synth"]),
+    "ingest": sorted([*FRONT_END, *STORE_READ]),
+    "simnet": sorted([*FRONT_END, *STORE_READ, "tastemap.prefs", "tastemap.simnet"]),
+    "signatures": sorted([*FRONT_END, *STORE_READ, "tastemap.prefs", "tastemap.signatures"]),
+    "cluster": sorted([*FRONT_END, *STORE_READ, "tastemap.boundaries", "tastemap.prefs",
+                       "tastemap.signatures"]),
+}
+LOADED["survey"] = LOADED["cluster"]
+PRINT_LOADED = ("import json; print(json.dumps({'numpy.ma': 'numpy.ma' in sys.modules, "
+                "'tastemap': sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'tastemap')}))")
+
+
 def test_cli_import_leaves_scipy_stats_out():
+    """Importing the front end loads no scipy and no tastemap module beyond
+    those that parsing the command line needs."""
     code = ("import sys, tastemap.cli; "
             "print([m for m in ('scipy.stats', 'scipy.special', 'scipy.sparse') "
-            "if m in sys.modules])")
+            "if m in sys.modules]); " + PRINT_LOADED)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "[]"
+    scipy_line, loaded = out.stdout.splitlines()
+    assert scipy_line == "[]"
+    assert json.loads(loaded)["tastemap"] == FRONT_END
 
 
 def test_survey_run_loads_no_scipy(pipeline, tmp_path):
@@ -432,15 +454,23 @@ def test_survey_run_loads_no_scipy(pipeline, tmp_path):
     assert (tmp_path / "out" / "survey_comparison.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["ingest", "cluster", "simnet", "signatures", "survey"])
+@pytest.mark.parametrize("command", ["ingest", "cluster", "simnet", "signatures", "survey",
+                                     "synth"])
 def test_ingest_and_cluster_runs_load_no_numpy_ma(pipeline, tmp_path, command):
     """Counting distinct values with ``np.unique`` can import ``numpy.ma``
-    (about 10 ms), which no command needs."""
+    (about 10 ms), which no command needs.  Each command also loads only the
+    tastemap modules it runs (``LOADED``)."""
     out = tmp_path / "out"
     survey = tmp_path / "survey.csv"
     TestSurvey().write_survey(survey, [f"C{i}" for i in range(6)], np.random.default_rng(46))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"countries": [{"code": "AA", "bbox": [0, 0, 1, 1], "users": 3,
+                                               "preferences": {"Pub": 1.0}}]}),
+                    encoding="utf-8")
     store = ["--store", str(pipeline["store"])]
-    argv = {"ingest": ["ingest", "--corpus", str(pipeline["generated"].corpus_path),
+    argv = {"synth": ["synth", "--spec", str(spec), "--taxonomy", pipeline["taxonomy"],
+                      "--out-dir", str(out)],
+            "ingest": ["ingest", "--corpus", str(pipeline["generated"].corpus_path),
                        "--geo", str(pipeline["generated"].geo_path),
                        "--taxonomy", pipeline["taxonomy"], "--out-dir", str(out)],
             "cluster": ["cluster", *store, "--k", "2", "--out-dir", str(out)],
@@ -449,12 +479,65 @@ def test_ingest_and_cluster_runs_load_no_numpy_ma(pipeline, tmp_path, command):
             "survey": ["survey", *store, "--survey", str(survey), "--out-dir", str(out)],
             }[command]
     code = ("import sys; from tastemap.cli import main; "
-            f"assert main({argv!r}) == 0; "
-            "print('numpy.ma' in sys.modules)")
+            f"assert main({argv!r}) == 0; " + PRINT_LOADED)
     out_text = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               check=True).stdout
-    assert out_text.splitlines()[-1] == "False"
+    assert json.loads(out_text.splitlines()[-1]) == {"numpy.ma": False,
+                                                     "tastemap": LOADED[command]}
     assert any(out.iterdir())
+
+
+def run_entry(argv):
+    """One command through ``python -m tastemap.cli`` in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-m", "tastemap.cli", *argv], capture_output=True,
+                          text=True)
+
+
+def tree(root: Path) -> dict:
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestModuleEntry:
+    """``python -m tastemap.cli`` and the installed ``tastemap`` command start
+    through ``cli.entry``, which freezes the collector and then runs ``main``."""
+
+    def test_stages_write_what_main_writes(self, pipeline, tmp_path):
+        survey = tmp_path / "survey.csv"
+        TestSurvey().write_survey(survey, [f"C{i}" for i in range(6)], np.random.default_rng(47))
+        store = ["--store", str(pipeline["store"])]
+        stages = {"ingest": ["ingest", "--corpus", str(pipeline["generated"].corpus_path),
+                             "--geo", str(pipeline["generated"].geo_path),
+                             "--taxonomy", pipeline["taxonomy"]],
+                  "simnet": ["simnet", *store, "--thresholds", "65,80"],
+                  "signatures": ["signatures", *store],
+                  "cluster": ["cluster", *store, "--k", "3"],
+                  "survey": ["survey", *store, "--survey", str(survey)]}
+        for stage, argv in stages.items():
+            entry_out, main_out = tmp_path / "entry" / stage, tmp_path / "main" / stage
+            done = run_entry([*argv, "--out-dir", str(entry_out)])
+            assert done.returncode == 0, done.stderr
+            assert main([*argv, "--out-dir", str(main_out)]) == 0
+            assert tree(entry_out) == tree(main_out), stage
+
+    def test_exit_codes(self, pipeline, tmp_path):
+        corpus = write_jsonl(tmp_path / "c.jsonl",
+                             [make_checkin(venue=f"v{i}") for i in range(8)])
+        geo = write_geo(tmp_path / "geo.txt", {"AA": (0, 0, 10, 10)})
+        one_country = tmp_path / "store"
+        assert main(["ingest", "--corpus", str(corpus), "--geo", str(geo),
+                     "--taxonomy", pipeline["taxonomy"], "--out-dir", str(one_country)]) == 0
+        out = ["--out-dir", str(tmp_path / "out")]
+        cases = {1: ["frobnicate"],
+                 2: ["simnet", "--store", str(tmp_path / "absent"), *out],
+                 3: ["signatures", "--store", str(one_country), *out]}
+        for code, argv in cases.items():
+            done = run_entry(argv)
+            assert (done.returncode, done.stdout) == (code, ""), done.stderr
+
+    def test_installed_command_is_the_same_entry(self):
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        script = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+        assert script["tastemap"] == f"{entry.__module__}:{entry.__name__}"
 
 
 def _edit_npz(store):
