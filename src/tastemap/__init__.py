@@ -6,7 +6,6 @@ from .errors import (
     ParseError,
     TaxonomyError,
     UndefinedMetric,
-    UndefinedSimilarity,
 )
 from .model import (
     Area,
@@ -27,7 +26,6 @@ __all__ = [
     "Taxonomy",
     "TaxonomyError",
     "UndefinedMetric",
-    "UndefinedSimilarity",
     "UserProfile",
     "class_slice",
     "load_taxonomy",

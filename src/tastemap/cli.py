@@ -164,12 +164,15 @@ def cmd_simnet(args) -> int:
     from .simnet import (
         NodeColumns,
         ProfileClasses,
+        build_network,
+        categorical_assortativity,
         check_thresholds,
+        component_sizes,
+        degree_assortativity,
         edge_id_table,
         largest_component_fractions,
-        ordered_profiles,
-        pairs_per_chunk,
-        write_pairs,
+        write_edge_list,
+        write_node_attributes,
     )
     from .store import read_store
 
@@ -186,28 +189,30 @@ def cmd_simnet(args) -> int:
             raise DataError(f"bad threshold list: two thresholds share the file tag {tag!r}")
     check_thresholds(thresholds)
     corpus, _ = read_store(args.store, args.taxonomy)
-    profiles = ordered_profiles(build_profiles(corpus))
+    # Profiles come in user id order, the ids being sorted and unique.  Zero
+    # users are refused by ProfileClasses, before the attributes are read.
+    profiles = build_profiles(corpus)
     ids = [p.user_id for p in profiles]
     id_table = edge_id_table(ids)
+    classes = ProfileClasses(np.array([p.bits for p in profiles]), min(thresholds))
     attributes = _parse_attributes(args.attributes) if args.attributes else {}
-    classes = ProfileClasses(np.stack([p.bits for p in profiles]), min(thresholds))
     nodes = NodeColumns(ids, [p.home_country for p in profiles], attributes)
     out = _outdir(args)
     metrics: dict[str, dict] = {}
     for threshold, tag in zip(thresholds, tags):
-        net = classes.network(threshold)
-        write_pairs(out / f"edges_s{tag}.tsv", id_table, net.user_pairs(pairs_per_chunk(id_table)))
-        nodes.write(out / f"nodes_s{tag}.csv", net.kept)
-        sizes = net.component_sizes()
+        net = build_network(classes, threshold)
+        write_edge_list(net, out / f"edges_s{tag}.tsv", id_table)
+        write_node_attributes(net, out / f"nodes_s{tag}.csv", nodes)
+        sizes = component_sizes(net)
         frac1, frac2 = largest_component_fractions(sizes)
         assort: dict[str, float | None] = {}
         for key in nodes.keys_of(net.kept):
             try:
-                assort[key] = net.categorical_assortativity(nodes.codes[key])
+                assort[key] = categorical_assortativity(net, nodes.codes[key])
             except (DataError, UndefinedMetric):  # missing on some node, or undefined
                 assort[key] = None
         try:
-            deg_assort = net.degree_assortativity()
+            deg_assort = degree_assortativity(net)
         except UndefinedMetric:
             deg_assort = None
         metrics[tag] = {

@@ -32,10 +32,6 @@ class UndefinedMetric(ArithmeticError):
     """
 
 
-class UndefinedSimilarity(UndefinedMetric):
-    """Jaccard similarity of two empty preference sets (0/0)."""
-
-
 @contextmanager
 def utf8_input(path: str | Path):
     """Turn a UTF-8 decoding failure of the text file at ``path``, read in

@@ -5,16 +5,23 @@ non-empty class score 100 against each other, and every user of a class
 scores the same against any other user, so at every threshold a non-empty
 class is a clique and two classes are either completely joined or not at
 all.  Each network is therefore the expansion of a weighted quotient graph
-over the classes (``ProfileClasses``, ``QuotientNetwork``): the distinct
-profiles are scored once, every metric is computed on the classes, weighted
-by their sizes, and user pairs exist only while an edge list is written.
+over the classes, and that quotient is the only form a network takes here:
+
+* ``ProfileClasses(bits, lowest_threshold)`` groups the users of a bit
+  matrix into classes and scores the distinct profiles once;
+* ``build_network(classes, threshold)`` is one threshold's
+  ``QuotientNetwork``;
+* ``component_sizes``, ``categorical_assortativity`` and
+  ``degree_assortativity`` are computed on the classes, weighted by their
+  sizes, and equal their values on the user graph bit for bit;
+* ``write_edge_list`` and ``write_node_attributes`` write the user graph;
+  user pairs exist only while an edge list is written.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -22,35 +29,14 @@ import numpy as np
 
 from . import _kernels
 from .csvtext import quote_fields
-from .errors import DataError, UndefinedMetric, UndefinedSimilarity
-from .model import UserProfile
+from .errors import DataError, UndefinedMetric
 
-# Bytes of edge lines assembled at once by the edge-list writers: about 1M
+# Bytes of edge lines assembled at once by the edge-list writer: about 1M
 # edges for short ids, and bounded whatever their length.
 EDGE_CHUNK_BYTES = 1 << 24
 # The edge list's field separator and every character ``str.splitlines``
 # breaks a line on: an id holding one cannot be read back from its lines.
 _EDGE_LIST_BREAKS = re.compile("[\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
-
-
-def _bits(profile) -> np.ndarray:
-    return profile.bits if isinstance(profile, UserProfile) else np.asarray(profile)
-
-
-def jaccard_score(u, v) -> float:
-    """Jaccard index of two preference vectors' positive sets, times 100.
-
-    Set membership is any nonzero entry, so 0/1 vectors and count vectors
-    behave identically.  Two all-zero vectors have no defined score (0/0).
-    """
-    a, b = _bits(u) != 0, _bits(v) != 0
-    if a.shape != b.shape:
-        raise DataError("profiles have different feature counts")
-    inter = int(np.count_nonzero(a & b))
-    union = int(np.count_nonzero(a | b))
-    if union == 0:
-        raise UndefinedSimilarity("both preference vectors are empty")
-    return 100.0 * inter / union
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -118,15 +104,22 @@ def _degree_r(ends: int, degrees: Iterable[int], neighbour_sums: Iterable[int],
     return (ends * sxy - sx * sx) / var
 
 
+def check_thresholds(thresholds: Sequence[float]) -> None:
+    """Raise DataError unless every threshold lies in [0, 100]."""
+    if not all(0.0 <= t <= 100.0 for t in thresholds):
+        raise DataError("threshold must lie in [0, 100]")
+
+
 class ProfileClasses:
     """Users grouped into classes of one identical profile, and the class
     pairs whose Jaccard score meets the lowest threshold.
 
-    ``bits`` holds one profile row per user, in the users' order.  Rows are
-    deduplicated by their packed bytes; ``user_class`` maps each user to its
-    class, ``sizes`` counts each class's users and ``nonempty`` tells the
-    classes whose profile has a set bit.  The distinct rows are scored once
-    by ``_kernels.jaccard_edges``; each threshold's network is ``network``.
+    ``bits`` holds one profile row per user, in the users' order; zero users
+    is a DataError.  Rows are deduplicated by their packed bytes;
+    ``user_class`` maps each user to its class, ``sizes`` counts each
+    class's users and ``nonempty`` tells the classes whose profile has a set
+    bit.  The distinct rows are scored once by ``_kernels.jaccard_edges``;
+    each threshold's network is ``build_network``.
 
     For the edge lists, every class keeps the sorted users it is joined to
     at the lowest threshold: the users of the classes it is paired with and,
@@ -138,12 +131,16 @@ class ProfileClasses:
     def __init__(self, bits: np.ndarray, min_threshold: float):
         bits = np.asarray(bits) != 0
         n = len(bits)
+        if n == 0:
+            raise DataError("cannot build a network from zero profiles")
+        check_thresholds([min_threshold])
         packed = np.ascontiguousarray(np.packbits(bits, axis=1))
         keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
         _, first, inverse, sizes = np.unique(keys, return_index=True, return_inverse=True,
                                              return_counts=True)
         rows = bits[first]
         self.n_users = n
+        self.min_threshold = float(min_threshold)
         self.user_class = inverse.reshape(-1)
         self.sizes = sizes
         self.nonempty = rows.any(axis=1)
@@ -169,12 +166,6 @@ class ProfileClasses:
     def n_classes(self) -> int:
         return len(self.sizes)
 
-    def network(self, threshold: float) -> QuotientNetwork:
-        """The network of the users whose scores meet ``threshold``, which
-        must be at least the lowest threshold."""
-        return QuotientNetwork(self, float(threshold),
-                               100.0 * self.inter >= float(threshold) * self.union)
-
 
 class QuotientNetwork:
     """One threshold's network, held on the profile classes.
@@ -195,57 +186,6 @@ class QuotientNetwork:
         self.n_nodes = int(sizes[self.degree > 0].sum())
         self.n_edges = int(sizes @ self.degree) // 2
         self.isolated_removed = classes.n_users - self.n_nodes
-
-    def component_sizes(self) -> list[int]:
-        """``component_sizes`` of the expanded network: components of the
-        class graph, each as many users as its classes hold."""
-        classes = self.classes
-        labels = _component_labels(classes.n_classes, self.a, self.b)
-        sizes = _sums(labels, np.where(self.degree > 0, classes.sizes, 0), classes.n_classes)
-        return sorted(sizes[sizes > 0].tolist(), reverse=True)
-
-    def categorical_assortativity(self, codes: np.ndarray) -> float:
-        """``categorical_assortativity`` of the expanded network over one
-        attribute, given as each user's level code (-1 where it is unset).
-
-        With H[c, l] the users of class c at level l, the mixing matrix is
-        sum over joined class pairs (a, b) of H[a]H[b]^T + H[b]H[a]^T, plus
-        H[c]H[c]^T - diag(H[c]) over the non-empty classes.  Its trace and
-        row sums (R[l] = sum_c H[c, l] degree[c]) are counted on the nonzero
-        entries of H alone.
-        """
-        if self.n_edges == 0:
-            raise UndefinedMetric("assortativity needs at least one edge")
-        codes = np.asarray(codes, np.int64)
-        if (codes[self.kept] < 0).any():
-            raise DataError("attribute missing on some node")
-        classes, has = self.classes, codes >= 0
-        levels = int(codes.max()) + 1
-        cell, h = np.unique(classes.user_class[has] * levels + codes[has], return_counts=True)
-        cls, level = np.divmod(cell, levels)
-        row = np.searchsorted(cls, np.arange(classes.n_classes + 1))
-        # Each entry of class a looks up its level among the entries of b.
-        count = row[self.a + 1] - row[self.a]
-        mine = _ranges(row[self.a], count)
-        wanted = np.repeat(self.b * levels, count) + level[mine]
-        theirs = np.minimum(np.searchsorted(cell, wanted), len(cell) - 1)
-        hit = cell[theirs] == wanted
-        joined = int(h[mine[hit]] @ h[theirs[hit]])
-        within = int((h * (h - 1))[classes.nonempty[cls]].sum())
-        row_sums = _sums(level, h * self.degree[cls], levels)
-        return _newman_r(2 * self.n_edges, 2 * joined + within, row_sums.tolist())
-
-    def degree_assortativity(self) -> float:
-        """``degree_assortativity`` of the expanded network: every user of a
-        class has the class's degree and neighbour degree sum."""
-        if self.n_edges == 0:
-            raise UndefinedMetric("degree assortativity needs at least one edge")
-        classes, deg = self.classes, self.degree
-        reach = classes.sizes * deg
-        nbr = ((classes.sizes - 1) * classes.nonempty * deg
-               + _sums(self.a, reach[self.b], classes.n_classes)
-               + _sums(self.b, reach[self.a], classes.n_classes))
-        return _degree_r(2 * self.n_edges, deg.tolist(), nbr.tolist(), classes.sizes.tolist())
 
     def user_pairs(self, chunk: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """The expanded edges as int32 user index pairs (u, v), u < v, in
@@ -274,114 +214,24 @@ class QuotientNetwork:
             lo = hi
 
 
-@dataclass(frozen=True, eq=False)
-class SimilarityNetwork:
-    """Undirected, unweighted graph over users at one similarity threshold.
-
-    ``edges`` is an int64 (E, 2) array of index pairs into ``nodes`` with
-    i < j, lexicographic; any sequence of pairs is coerced to it.  Isolated
-    nodes are removed at construction and counted.
-    """
-
-    threshold: float
-    nodes: tuple[str, ...]
-    edges: np.ndarray
-    attributes: Mapping[str, Mapping[str, str]] = field(default_factory=dict)
-    isolated_removed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "edges", np.asarray(self.edges, np.int64).reshape(-1, 2))
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
-    def degrees(self) -> np.ndarray:
-        return np.bincount(self.edges.ravel(), minlength=self.n_nodes)
+def build_network(classes: ProfileClasses, threshold: float) -> QuotientNetwork:
+    """The network of the users whose Jaccard scores meet ``threshold``:
+    exactly the network that brute-force all-pairs comparison would give,
+    zero-score pairs included at a zero threshold.  The threshold must lie
+    between the classes' lowest threshold and 100."""
+    threshold = float(threshold)
+    if not classes.min_threshold <= threshold <= 100.0:
+        raise DataError(f"threshold must lie in [{classes.min_threshold:g}, 100]")
+    return QuotientNetwork(classes, threshold, 100.0 * classes.inter >= threshold * classes.union)
 
 
-def ordered_profiles(profiles: Sequence[UserProfile]) -> list[UserProfile]:
-    """The profiles in user id order; zero profiles, or a user id given
-    twice, is a DataError."""
-    if not profiles:
-        raise DataError("cannot build a network from zero profiles")
-    ordered = sorted(profiles, key=lambda p: p.user_id)
-    if any(p.user_id == q.user_id for p, q in zip(ordered, ordered[1:])):
-        raise DataError("duplicate user ids in profiles")
-    return ordered
-
-
-def check_thresholds(thresholds: Sequence[float]) -> None:
-    """Raise DataError unless every threshold lies in [0, 100]."""
-    if not all(0.0 <= t <= 100.0 for t in thresholds):
-        raise DataError("threshold must lie in [0, 100]")
-
-
-def build_networks(
-    profiles: Sequence[UserProfile],
-    thresholds: Sequence[float],
-    attributes: Mapping[str, Mapping[str, str]] | None = None,
-) -> list[SimilarityNetwork]:
-    """One network per threshold, from a single scoring pass over the
-    distinct profiles (``ProfileClasses``).
-
-    Pair scores do not depend on the threshold, so the pairs meeting the
-    lowest threshold are scored once and each network keeps the subset that
-    meets its own; the edge sets are nested.  Every threshold is checked
-    before any pair is scored.
-    """
-    check_thresholds(thresholds)
-    if not thresholds:
-        return []
-    ordered = ordered_profiles(profiles)
-    classes = ProfileClasses(np.stack([p.bits for p in ordered]), min(thresholds))
-    networks = []
-    for threshold in thresholds:
-        net = classes.network(threshold)
-        kept = [ordered[idx] for idx in np.flatnonzero(net.kept).tolist()]
-        remap = np.cumsum(net.kept) - 1
-        pairs = [np.column_stack(p) for p in net.user_pairs(classes.n_users ** 2)]
-        attrs: dict[str, dict[str, str]] = {}
-        for p in kept:
-            node_attrs: dict[str, str] = {}
-            if p.home_country is not None:
-                node_attrs["country"] = p.home_country
-            if attributes and p.user_id in attributes:
-                node_attrs.update(attributes[p.user_id])
-            attrs[p.user_id] = node_attrs
-        networks.append(
-            SimilarityNetwork(
-                threshold=float(threshold),
-                nodes=tuple(p.user_id for p in kept),
-                edges=remap[np.concatenate(pairs)] if pairs else (),
-                attributes=attrs,
-                isolated_removed=net.isolated_removed,
-            )
-        )
-    return networks
-
-
-def build_network(
-    profiles: Sequence[UserProfile],
-    threshold: float,
-    attributes: Mapping[str, Mapping[str, str]] | None = None,
-) -> SimilarityNetwork:
-    """Connect every pair of users whose Jaccard score meets the threshold.
-
-    Produces exactly the network that brute-force all-pairs comparison would,
-    zero-score pairs included at a zero threshold.
-    """
-    return build_networks(profiles, [threshold], attributes)[0]
-
-
-def component_sizes(net: SimilarityNetwork) -> list[int]:
-    """Connected-component sizes, largest first (``_component_labels``)."""
-    labels = _component_labels(net.n_nodes, *net.edges.T)
-    sizes = np.bincount(labels, minlength=net.n_nodes)
+def component_sizes(net: QuotientNetwork) -> list[int]:
+    """Connected-component sizes of the user graph, largest first: the
+    components of the class graph (``_component_labels``), each as many
+    users as its classes hold."""
+    classes = net.classes
+    labels = _component_labels(classes.n_classes, net.a, net.b)
+    sizes = _sums(labels, np.where(net.degree > 0, classes.sizes, 0), classes.n_classes)
     return sorted(sizes[sizes > 0].tolist(), reverse=True)
 
 
@@ -394,41 +244,56 @@ def largest_component_fractions(sizes: Sequence[int]) -> tuple[float, float]:
     return sizes[0] / n, (sizes[1] / n if len(sizes) > 1 else 0.0)
 
 
-def categorical_assortativity(net: SimilarityNetwork, attribute_key: str) -> float:
-    """Newman's discrete assortativity over one node attribute: with m the
+def categorical_assortativity(net: QuotientNetwork, codes: np.ndarray) -> float:
+    """Newman's discrete assortativity of the user graph over one attribute,
+    given as each user's level code (-1 where it is unset): with m the
     integer mixing matrix of the 2E edge ends (each edge counted both ways)
     and R its row sums, r = (2E trace m - sum R^2) / ((2E)^2 - sum R^2).  A
     network whose nodes all share one value has no defined coefficient, and
-    neither does an edgeless network.
+    neither does an edgeless network; an unset value on a node is a
+    DataError.
+
+    With H[c, l] the users of class c at level l, m is the sum over joined
+    class pairs (a, b) of H[a]H[b]^T + H[b]H[a]^T, plus H[c]H[c]^T -
+    diag(H[c]) over the non-empty classes.  Its trace and row sums (R[l] =
+    sum_c H[c, l] degree[c]) are counted on the nonzero entries of H alone.
     """
     if net.n_edges == 0:
         raise UndefinedMetric("assortativity needs at least one edge")
-    try:
-        values = [net.attributes[u][attribute_key] for u in net.nodes]
-    except KeyError:
-        raise DataError(f"attribute {attribute_key!r} missing on some node") from None
-    levels = sorted(set(values))
-    level_of = {v: i for i, v in enumerate(levels)}
-    coded = np.array([level_of[v] for v in values], np.int64)
-    k = len(levels)
-    cu, cv = coded[net.edges].T
-    mixing = np.bincount(cu * k + cv, minlength=k * k).reshape(k, k)
-    mixing += mixing.T
-    return _newman_r(2 * net.n_edges, int(np.trace(mixing)), mixing.sum(axis=1).tolist())
+    codes = np.asarray(codes, np.int64)
+    if (codes[net.kept] < 0).any():
+        raise DataError("attribute missing on some node")
+    classes, has = net.classes, codes >= 0
+    levels = int(codes.max()) + 1
+    cell, h = np.unique(classes.user_class[has] * levels + codes[has], return_counts=True)
+    cls, level = np.divmod(cell, levels)
+    row = np.searchsorted(cls, np.arange(classes.n_classes + 1))
+    # Each entry of class a looks up its level among the entries of b.
+    count = row[net.a + 1] - row[net.a]
+    mine = _ranges(row[net.a], count)
+    wanted = np.repeat(net.b * levels, count) + level[mine]
+    theirs = np.minimum(np.searchsorted(cell, wanted), len(cell) - 1)
+    hit = cell[theirs] == wanted
+    joined = int(h[mine[hit]] @ h[theirs[hit]])
+    within = int((h * (h - 1))[classes.nonempty[cls]].sum())
+    row_sums = _sums(level, h * net.degree[cls], levels)
+    return _newman_r(2 * net.n_edges, 2 * joined + within, row_sums.tolist())
 
 
-def degree_assortativity(net: SimilarityNetwork) -> float:
-    """Pearson correlation of the degrees at the two ends of each edge, both
-    orientations included (``_degree_r``); s_v, the degree sum of v's
-    neighbours, is an exact float64 sum, at most 2E.  Degree-regular
-    networks (cliques, cycles) have zero variance and no defined r.
+def degree_assortativity(net: QuotientNetwork) -> float:
+    """Pearson correlation of the degrees at the two ends of each edge of
+    the user graph, both orientations included (``_degree_r``): every user
+    of a class has the class's degree and neighbour degree sum.
+    Degree-regular networks (cliques) have zero variance and no defined r.
     """
     if net.n_edges == 0:
         raise UndefinedMetric("degree assortativity needs at least one edge")
-    deg = net.degrees()
-    nbr = np.bincount(net.edges.ravel(), deg[net.edges[:, ::-1]].ravel(), net.n_nodes)
-    return _degree_r(2 * net.n_edges, deg.tolist(), map(int, nbr.tolist()),
-                     itertools.repeat(1))
+    classes, deg = net.classes, net.degree
+    reach = classes.sizes * deg
+    nbr = ((classes.sizes - 1) * classes.nonempty * deg
+           + _sums(net.a, reach[net.b], classes.n_classes)
+           + _sums(net.b, reach[net.a], classes.n_classes))
+    return _degree_r(2 * net.n_edges, deg.tolist(), nbr.tolist(), classes.sizes.tolist())
 
 
 def check_edge_list_ids(ids: Iterable[str]) -> None:
@@ -443,8 +308,8 @@ def check_edge_list_ids(ids: Iterable[str]) -> None:
 
 
 def edge_id_table(ids: Sequence[str]) -> np.ndarray:
-    """The ids for ``write_pairs``: each one's UTF-8 bytes padded with 0xFF
-    (a byte UTF-8 never uses) to one width of at least a byte, as one
+    """The ids for ``write_edge_list``: each one's UTF-8 bytes padded with
+    0xFF (a byte UTF-8 never uses) to one width of at least a byte, as one
     fixed-size ``np.void`` entry.  An id holding a tab or a line break is a
     DataError."""
     check_edge_list_ids(ids)
@@ -459,20 +324,19 @@ def pairs_per_chunk(table: np.ndarray) -> int:
     return max(1, EDGE_CHUNK_BYTES // (2 * table.dtype.itemsize + 2))
 
 
-def write_pairs(path: str | Path, table: np.ndarray,
-                pairs: Iterable[tuple[np.ndarray, np.ndarray]]) -> None:
-    """UTF-8 ``u<TAB>v`` lines, one per index pair of each ``(us, vs)``
-    chunk, the ids taken from an ``edge_id_table``.
+def write_edge_list(net: QuotientNetwork, path: str | Path, table: np.ndarray) -> None:
+    """UTF-8 ``u<TAB>v`` lines, one per edge of ``net.user_pairs``, in
+    order, the ids taken from the users' ``edge_id_table``.
 
     The lines are assembled as bytes, without a Python object per edge:
-    each chunk becomes an array of fixed-size records ``u TAB v LF`` by
-    indexing the table, and the padding, if the ids have any, is dropped
-    before writing.
+    each chunk of ``pairs_per_chunk`` edges becomes an array of fixed-size
+    records ``u TAB v LF`` by indexing the table, and the padding, if the
+    ids have any, is dropped before writing.
     """
     line = np.dtype([("u", table.dtype), ("tab", np.uint8), ("v", table.dtype), ("lf", np.uint8)])
     padded = bool((table.view(np.uint8) == 0xFF).any())
     with open(path, "wb") as fh:
-        for us, vs in pairs:
+        for us, vs in net.user_pairs(pairs_per_chunk(table)):
             rows = np.empty(len(us), line)
             rows["u"] = table.take(us)
             rows["tab"] = ord("\t")
@@ -482,30 +346,14 @@ def write_pairs(path: str | Path, table: np.ndarray,
             fh.write(data[data != 0xFF].tobytes() if padded else data.tobytes())
 
 
-def write_edge_list(net: SimilarityNetwork, path: str | Path) -> None:
-    """``write_pairs`` of ``net.edges``, in order.  An id holding a tab or a
-    line break is a DataError, raised before the file is opened."""
-    table = edge_id_table(net.nodes)
-    chunk = pairs_per_chunk(table)
-    write_pairs(path, table, (net.edges[start:start + chunk].T
-                              for start in range(0, net.n_edges, chunk)))
-
-
-def write_node_attributes(net: SimilarityNetwork, path: str | Path) -> None:
-    """CSV of node ids and whatever attributes the nodes carry
-    (``NodeColumns.write``)."""
-    NodeColumns(net.nodes, [None] * net.n_nodes, net.attributes).write(
-        path, np.ones(net.n_nodes, np.bool_))
-
-
 class NodeColumns:
     """Every user's node attributes as columns: the home country under
     ``country``, then the user's entries of ``attributes`` (which win).
 
     Per attribute it holds which users have it, each user's level code
     (the index of the value among the attribute's sorted values, -1 where
-    unset) and each value CSV-quoted once, so ``write`` and the quotient
-    metrics do no per-user work for each threshold.
+    unset) and each value CSV-quoted once, so ``write_node_attributes`` and
+    the assortativities do no per-user work for each threshold.
     """
 
     def __init__(self, ids: Sequence[str], homes: Sequence[str | None],
@@ -535,19 +383,21 @@ class NodeColumns:
         """The attributes that some kept user has."""
         return [k for k in self.keys if (self.codes[k][kept] >= 0).any()]
 
-    def write(self, path: str | Path, kept: np.ndarray) -> None:
-        """A CSV of the ``kept`` users and their attributes, as ``csv``
-        writes the rows: a header of ``user`` and the attributes some kept
-        user has, then one row per kept user, empty where it has none."""
-        keys = tuple(self.keys_of(kept))
-        lines = self._lines.get(keys)
-        if lines is None:
-            if keys:
-                lines = [",".join(row) + "\n"
-                         for row in zip(self._quoted_ids, *map(self._quoted.get, keys))]
-            else:  # csv writes a row of one empty field as ""
-                lines = [(q or '""') + "\n" for q in self._quoted_ids]
-            self._lines[keys] = lines
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(quote_fields(["user", *keys])) + "\n")
-            fh.writelines(itertools.compress(lines, kept.tolist()))
+
+def write_node_attributes(net: QuotientNetwork, path: str | Path, nodes: NodeColumns) -> None:
+    """A CSV of the network's nodes and their attributes, as ``csv`` writes
+    the rows: a header of ``user`` and the attributes some node has, then
+    one row per node, empty where it has none.  Each set of attributes'
+    lines is joined once per ``nodes``."""
+    keys = tuple(nodes.keys_of(net.kept))
+    lines = nodes._lines.get(keys)
+    if lines is None:
+        if keys:
+            lines = [",".join(row) + "\n"
+                     for row in zip(nodes._quoted_ids, *map(nodes._quoted.get, keys))]
+        else:  # csv writes a row of one empty field as ""
+            lines = [(q or '""') + "\n" for q in nodes._quoted_ids]
+        nodes._lines[keys] = lines
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(quote_fields(["user", *keys])) + "\n")
+        fh.writelines(itertools.compress(lines, net.kept.tolist()))

@@ -1,4 +1,5 @@
-"""Shared fixtures: small taxonomies, rectangle geographies, corpus builders."""
+"""Shared fixtures: small taxonomies, rectangle geographies, corpus builders
+and a small synthetic corpus with its ingested store."""
 
 from __future__ import annotations
 
@@ -8,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from tastemap.cli import main
 from tastemap.ingest import COLUMNS, Corpus, load_geo_index, parse_corpus
 from tastemap.model import Taxonomy, load_taxonomy, reference_taxonomy_path
+from tastemap.synth import SynthSpec, generate_corpus
 
 TOY_TAXONOMY = """\
 Drink\tPub
@@ -109,3 +112,54 @@ def two_country_geo(tmp_path_factory):
     return load_geo_index(
         write_geo(path, {"AA": (0, 0, 10, 10), "BB": (20, 0, 30, 10)})
     )
+
+
+def small_spec():
+    countries = []
+    menus = [
+        {"Pub": 4.0, "Bar": 2.0, "Steakhouse": 1.5, "Bakery": 1.0},
+        {"Sake Bar": 4.0, "Sushi Restaurant": 2.0, "Ramen / Noodle House": 1.5, "Café": 1.0},
+        {"Wine Bar": 4.0, "French Restaurant": 2.0, "Creperie": 1.5, "Café": 1.0},
+        {"Coffee Shop": 4.0, "Burger Joint": 2.0, "BBQ Joint": 1.5, "Donut Shop": 1.0},
+        {"Tea Room": 4.0, "Dim Sum Restaurant": 2.0, "Dumpling Restaurant": 1.5, "Bakery": 1.0},
+        {"Brewery": 4.0, "German Restaurant": 2.0, "Sausage...": 0.0, "Pizza Place": 1.5},
+    ]
+    menus[5] = {"Brewery": 4.0, "German Restaurant": 2.0, "Pizza Place": 1.5, "Bakery": 1.0}
+    for i, menu in enumerate(menus):
+        code = f"C{i}"
+        x0 = 20.0 * i - 60.0
+        countries.append(
+            {
+                "code": code,
+                "bbox": [x0, 0.0, x0 + 10.0, 10.0],
+                "users": 20,
+                "checkins_per_user": [8, 14],
+                "preferences": menu,
+                "cities": [
+                    {"id": f"{code}-east", "bbox": [x0, 0.0, x0 + 5.0, 10.0]},
+                    {"id": f"{code}-west", "bbox": [x0 + 5.0, 0.0, x0 + 10.0, 10.0]},
+                ],
+            }
+        )
+    return SynthSpec.from_dict({"countries": countries})
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    """Generated corpus plus an ingested store."""
+    root = tmp_path_factory.mktemp("cli")
+    taxonomy = str(reference_taxonomy_path())
+    generated = generate_corpus(small_spec(), 17, root / "raw", load_taxonomy(taxonomy))
+    store = root / "store"
+    code = main(
+        [
+            "ingest",
+            "--corpus", str(generated.corpus_path),
+            "--geo", str(generated.geo_path),
+            "--taxonomy", taxonomy,
+            "--min-checkins", "7",
+            "--out-dir", str(store),
+        ]
+    )
+    assert code == 0
+    return {"root": root, "generated": generated, "store": store, "taxonomy": taxonomy}

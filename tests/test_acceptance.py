@@ -9,24 +9,25 @@ import functools
 import json
 import math
 import time
-from itertools import combinations
 
 import numpy as np
 import pytest
 
+from ari import adjusted_rand_index
 from conftest import corpus_of, make_checkin, with_homes
+from simnet_oracle import brute_force_network, user_pair_ids
 from tastemap.boundaries import compare_with_survey, fit_pca, pca_scores, spearman
 from tastemap.cli import main
 from tastemap.model import Area, UserProfile, load_taxonomy, reference_taxonomy_path
 from tastemap.prefs import normalized_rows
 from tastemap.signatures import pearson, spatiotemporal_vector, subcategory_entropy
 from tastemap.simnet import (
-    SimilarityNetwork,
+    ProfileClasses,
     build_network,
     categorical_assortativity,
     component_sizes,
 )
-from tastemap.synth import SynthSpec, adjusted_rand_index, generate_corpus
+from tastemap.synth import SynthSpec, generate_corpus
 
 LADDER = (65.0, 70.0, 75.0, 80.0, 85.0, 90.0, 95.0, 100.0)
 BOX = Area("box", "city", bbox=(0.0, 0.0, 2.0, 2.0))
@@ -74,27 +75,24 @@ def random_profiles(rng, n, m=101, n_groups=10):
     return profiles
 
 
-def brute_force_edges(profiles, threshold):
-    ordered = sorted(profiles, key=lambda p: p.user_id)
-    sets = [frozenset(np.nonzero(p.bits)[0].tolist()) for p in ordered]
-    edges = set()
-    for i, j in combinations(range(len(ordered)), 2):
-        union = len(sets[i] | sets[j])
-        if union and 100 * len(sets[i] & sets[j]) >= threshold * union:
-            edges.add((ordered[i].user_id, ordered[j].user_id))
-    return edges
+def network_of(bits, threshold):
+    """The program's network of the bit matrix's users, scored at
+    ``threshold``."""
+    return build_network(ProfileClasses(bits, threshold), threshold)
 
 
 @criterion(1, "network construction equals brute force on the whole threshold ladder, < 5 s")
 def test_criterion_01_similarity_network_oracle(ref_tax):
     rng = np.random.default_rng(101)
     profiles = random_profiles(rng, 100, m=ref_tax.m)
-    build_network(profiles[:4], 65.0)  # warm-up call, outside the timed window
+    ids = [p.user_id for p in profiles]
+    bits = np.array([p.bits for p in profiles])
+    network_of(bits[:4], 65.0)  # warm-up call, outside the timed window
     start = time.perf_counter()
+    classes = ProfileClasses(bits, min(LADDER))
     for threshold in LADDER:
-        net = build_network(profiles, threshold)
-        got = {(net.nodes[i], net.nodes[j]) for i, j in net.edges}
-        assert got == brute_force_edges(profiles, threshold), threshold
+        got = set(user_pair_ids(build_network(classes, threshold), ids))
+        assert got == brute_force_network(ids, bits, threshold).edge_ids(), threshold
     assert time.perf_counter() - start < 5.0
 
 
@@ -104,49 +102,42 @@ def test_criterion_02_threshold_monotonicity():
     for _ in range(20):
         n = int(rng.integers(40, 70))
         profiles = random_profiles(rng, n, m=30, n_groups=4)
+        classes = ProfileClasses(np.array([p.bits for p in profiles]), min(LADDER))
         previous = None
         for threshold in LADDER:
-            net = build_network(profiles, threshold)
+            net = build_network(classes, threshold)
             largest = component_sizes(net)[0] if net.n_nodes else 0
             if previous is not None:
                 assert largest <= previous
             previous = largest
 
 
-def fixture_network(edges, attrs):
-    nodes = sorted(attrs)
-    index = {u: i for i, u in enumerate(nodes)}
-    packed = tuple(sorted((min(index[a], index[b]), max(index[a], index[b])) for a, b in edges))
-    return SimilarityNetwork(0.0, tuple(nodes), packed,
-                             {u: {"country": v} for u, v in attrs.items()})
-
-
 @criterion(3, "assortativity: cliques +1, bipartite -1, random attributes near 0")
 def test_criterion_03_assortativity():
-    clique = lambda users: list(combinations(users, 2))
-    two_cliques = fixture_network(
-        clique(["a1", "a2", "a3", "a4"]) + clique(["b1", "b2", "b3", "b4"]),
-        {u: u[0] for u in ("a1", "a2", "a3", "a4", "b1", "b2", "b3", "b4")},
-    )
-    assert abs(categorical_assortativity(two_cliques, "country") - 1.0) <= 1e-12
+    # Two profile classes, so two cliques at threshold 100, one per country.
+    two_cliques = network_of(np.repeat(np.eye(2, dtype=np.uint8), 4, axis=0), 100.0)
+    codes = np.repeat([0, 1], 4)
+    assert two_cliques.n_edges == 12
+    assert abs(categorical_assortativity(two_cliques, codes) - 1.0) <= 1e-12
 
-    a = [f"a{i}" for i in range(5)]
-    b = [f"b{i}" for i in range(5)]
-    bipartite = fixture_network([(x, y) for x in a for y in b], {u: u[0] for u in a + b})
-    assert abs(categorical_assortativity(bipartite, "country") + 1.0) <= 1e-12
+    # K4,4 from pair-indexed bits: user i of one side holds e_ij for every j,
+    # user j of the other e_ij for every i.  Every cross pair scores 100/7,
+    # every same-side pair 0.
+    e = np.eye(16, dtype=np.uint8).reshape(4, 4, 16)
+    bipartite = network_of(np.concatenate([e.sum(axis=1), e.sum(axis=0)]), 14.0)
+    assert bipartite.n_edges == 16
+    assert abs(categorical_assortativity(bipartite, codes) + 1.0) <= 1e-12
 
     rng = np.random.default_rng(103)
-    n = 1000
-    users = [f"u{i:04d}" for i in range(n)]
-    edges = set()
-    while len(edges) < 10_000:
-        i, j = rng.integers(n), rng.integers(n)
-        if i != j:
-            edges.add((users[min(i, j)], users[max(i, j)]))
+    n, m = 1000, 16
+    bits = np.zeros((n, m), np.uint8)
+    for row in bits:
+        row[rng.choice(m, size=rng.integers(2, 6), replace=False)] = 1
+    net = network_of(bits, 40.0)
+    assert net.n_edges >= 10_000
     for _ in range(50):
-        values = rng.choice(["east", "west"], size=n)
-        net = fixture_network(edges, dict(zip(users, values)))
-        assert abs(categorical_assortativity(net, "country")) < 0.05
+        values = rng.integers(0, 2, size=n)  # east or west
+        assert abs(categorical_assortativity(net, values)) < 0.05
 
 
 @criterion(4, "signature math: scale invariance, Pearson vs two-pass oracle, exact entropies")

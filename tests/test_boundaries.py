@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import special, stats
 
+from ari import adjusted_rand_index
 from tastemap.boundaries import (
     _t_two_sided,
     centered_rows,
@@ -22,7 +23,6 @@ from tastemap.boundaries import (
     spearman,
 )
 from tastemap.errors import DataError, UndefinedMetric
-from tastemap.synth import adjusted_rand_index
 
 
 def planted_rank(rank, n_areas=30, n_features=808, seed=0):

@@ -18,61 +18,9 @@ from hypothesis import strategies as st
 
 from conftest import make_checkin, write_geo, write_jsonl
 from tastemap.cli import build_parser, entry, main
-from tastemap.model import load_taxonomy, reference_taxonomy_path
-from tastemap.synth import SynthSpec, generate_corpus
+from tastemap.model import reference_taxonomy_path
 
 SURVEY_HEADER = "country,trad_secular,surv_selfexpr\n"
-
-
-def small_spec():
-    countries = []
-    menus = [
-        {"Pub": 4.0, "Bar": 2.0, "Steakhouse": 1.5, "Bakery": 1.0},
-        {"Sake Bar": 4.0, "Sushi Restaurant": 2.0, "Ramen / Noodle House": 1.5, "Café": 1.0},
-        {"Wine Bar": 4.0, "French Restaurant": 2.0, "Creperie": 1.5, "Café": 1.0},
-        {"Coffee Shop": 4.0, "Burger Joint": 2.0, "BBQ Joint": 1.5, "Donut Shop": 1.0},
-        {"Tea Room": 4.0, "Dim Sum Restaurant": 2.0, "Dumpling Restaurant": 1.5, "Bakery": 1.0},
-        {"Brewery": 4.0, "German Restaurant": 2.0, "Sausage...": 0.0, "Pizza Place": 1.5},
-    ]
-    menus[5] = {"Brewery": 4.0, "German Restaurant": 2.0, "Pizza Place": 1.5, "Bakery": 1.0}
-    for i, menu in enumerate(menus):
-        code = f"C{i}"
-        x0 = 20.0 * i - 60.0
-        countries.append(
-            {
-                "code": code,
-                "bbox": [x0, 0.0, x0 + 10.0, 10.0],
-                "users": 20,
-                "checkins_per_user": [8, 14],
-                "preferences": menu,
-                "cities": [
-                    {"id": f"{code}-east", "bbox": [x0, 0.0, x0 + 5.0, 10.0]},
-                    {"id": f"{code}-west", "bbox": [x0 + 5.0, 0.0, x0 + 10.0, 10.0]},
-                ],
-            }
-        )
-    return SynthSpec.from_dict({"countries": countries})
-
-
-@pytest.fixture(scope="module")
-def pipeline(tmp_path_factory):
-    """Generated corpus plus an ingested store."""
-    root = tmp_path_factory.mktemp("cli")
-    taxonomy = str(reference_taxonomy_path())
-    generated = generate_corpus(small_spec(), 17, root / "raw", load_taxonomy(taxonomy))
-    store = root / "store"
-    code = main(
-        [
-            "ingest",
-            "--corpus", str(generated.corpus_path),
-            "--geo", str(generated.geo_path),
-            "--taxonomy", taxonomy,
-            "--min-checkins", "7",
-            "--out-dir", str(store),
-        ]
-    )
-    assert code == 0
-    return {"root": root, "generated": generated, "store": store, "taxonomy": taxonomy}
 
 
 def read_csv(path):
@@ -248,6 +196,18 @@ class TestSimnet:
         assert metrics["100"]["component_sizes"] == [3]
         edges = (out / "edges_s100.tsv").read_text().splitlines()
         assert len(edges) == 3
+
+    def test_store_without_users_exits_2_and_writes_nothing(self, pipeline, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text("", encoding="utf-8")
+        geo = write_geo(tmp_path / "geo.txt", {"AA": (0, 0, 10, 10)})
+        store = tmp_path / "store"
+        assert main(["ingest", "--corpus", str(corpus), "--geo", str(geo),
+                     "--taxonomy", pipeline["taxonomy"], "--out-dir", str(store)]) == 0
+        out = tmp_path / "net"
+        assert main(["simnet", "--store", str(store), "--out-dir", str(out)]) == 2
+        assert "cannot build a network from zero profiles" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_id_with_a_tab_or_line_break_exits_2_and_writes_nothing(self, pipeline, tmp_path,
                                                                     capsys):
@@ -694,7 +654,7 @@ class TestCluster:
                      "--cities", str(pipeline["generated"].cities_path),
                      "--k", "6", "--seed", "0", "--out-dir", str(out)]) == 0
         rows = read_csv(out / "assignments.csv")[1:]
-        from tastemap.synth import adjusted_rand_index
+        from ari import adjusted_rand_index
 
         predicted = {row[0]: int(row[1]) for row in rows}
         truth = {area: area.split("-")[0] for area in predicted}

@@ -10,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from simnet_oracle import UndefinedSimilarity, jaccard_score
 from tastemap import _kernels
-from tastemap.errors import UndefinedSimilarity
-from tastemap.simnet import jaccard_score
 
 
 class TestDispatcher:

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from ari import adjusted_rand_index
 from synth_oracle import generate_corpus_loop
 from tastemap import synth
 from tastemap.cli import main
@@ -22,7 +23,7 @@ from tastemap.ingest import assign_home_country, load_geo_index, parse_corpus
 from tastemap.model import Area, reference_taxonomy_path
 from tastemap.prefs import normalized_rows, region_counts
 from tastemap.signatures import correlation_matrix
-from tastemap.synth import SynthSpec, _below, adjusted_rand_index, generate_corpus
+from tastemap.synth import SynthSpec, _below, generate_corpus
 
 
 def spec_dict(**overrides):

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import with_homes, write_taxonomy
+from simnet_oracle import brute_force_network
 from tastemap import simnet, store
 from tastemap.csvtext import (
     quote_fields,
@@ -30,7 +32,14 @@ from tastemap.signatures import (
     hourly_curves,
     write_matrix_csv,
 )
-from tastemap.simnet import SimilarityNetwork, write_edge_list
+from tastemap.simnet import (
+    NodeColumns,
+    ProfileClasses,
+    build_network,
+    edge_id_table,
+    write_edge_list,
+    write_node_attributes,
+)
 
 # ---------------------------------------------------------------------------
 # The previous writers
@@ -273,24 +282,24 @@ class TestEdgeList:
     def test_equals_old_writer(self, tmp_path_factory, data, chunk_bytes):
         # ids of 0 to 12 UTF-8 bytes: ASCII, two-, three- and four-byte characters
         nodes = data.draw(st.lists(st.text(st.sampled_from(["a", "ü", "日", "😀", ",", " "]),
-                                           max_size=3), min_size=0, max_size=8, unique=True))
-        pairs = [(i, j) for i in range(len(nodes)) for j in range(i + 1, len(nodes))]
-        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
-        net = SimilarityNetwork(65.0, tuple(nodes), sorted(edges))
+                                           max_size=3), min_size=1, max_size=8, unique=True))
+        bits = data.draw(arrays(np.uint8, (len(nodes), 3), elements=st.integers(0, 1)))
+        threshold = data.draw(st.sampled_from([0, 50, 100]))
+        net = build_network(ProfileClasses(bits, threshold), threshold)
         tmp = tmp_path_factory.mktemp("e")
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simnet, "EDGE_CHUNK_BYTES", chunk_bytes)
-            write_edge_list(net, tmp / "new.tsv")
-        old_write_edge_list(net, tmp / "old.tsv")
+            write_edge_list(net, tmp / "new.tsv", edge_id_table(nodes))
+        old_write_edge_list(brute_force_network(nodes, bits, threshold), tmp / "old.tsv")
         assert (tmp / "new.tsv").read_bytes() == (tmp / "old.tsv").read_bytes()
 
     # The field separator and every character str.splitlines breaks a line on.
     @pytest.mark.parametrize("char", ["\t", *(c for c in map(chr, range(0x110000))
                                                if len(f"a{c}b".splitlines()) > 1)])
     def test_id_with_a_tab_or_line_break_is_refused(self, tmp_path, char):
-        net = SimilarityNetwork(65.0, ("a", f"b{char}c"), [(0, 1)])
+        net = build_network(ProfileClasses(np.ones((2, 1), np.uint8), 65.0), 65.0)
         with pytest.raises(DataError, match="holds a tab or a line break"):
-            write_edge_list(net, tmp_path / "e.tsv")
+            write_edge_list(net, tmp_path / "e.tsv", edge_id_table(("a", f"b{char}c")))
         assert not (tmp_path / "e.tsv").exists()
 
 
@@ -320,13 +329,17 @@ class TestWriteRows:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_node_attributes_equal_old_writer(self, tmp_path_factory, data):
-        nodes = data.draw(st.lists(labels, max_size=5, unique=True))
+        nodes = data.draw(st.lists(labels, min_size=1, max_size=5, unique=True))
         keys = st.sampled_from(["country", "k,1", 'q"', ""])
         attributes = {u: data.draw(st.dictionaries(keys, labels, max_size=3)) for u in nodes}
-        net = SimilarityNetwork(65.0, tuple(nodes), [], attributes)
+        bits = data.draw(arrays(np.uint8, (len(nodes), 3), elements=st.integers(0, 1)))
+        threshold = data.draw(st.sampled_from([0, 50, 100]))
+        net = build_network(ProfileClasses(bits, threshold), threshold)
         tmp = tmp_path_factory.mktemp("n")
-        simnet.write_node_attributes(net, tmp / "new.csv")
-        old_write_node_attributes(net, tmp / "old.csv")
+        write_node_attributes(net, tmp / "new.csv", NodeColumns(nodes, [None] * len(nodes),
+                                                                attributes))
+        old_write_node_attributes(brute_force_network(nodes, bits, threshold, attributes),
+                                  tmp / "old.csv")
         assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
 
 
