@@ -282,14 +282,6 @@ def cosine_rankings(vectors: Mapping[str, Sequence]) -> dict[str, list[str]]:
     return out
 
 
-def rank_by_cosine(target: str, vectors: Mapping[str, Sequence]) -> list[str]:
-    """The target's entry of ``cosine_rankings``: all other areas by
-    descending cosine similarity to it, exact ties by area id."""
-    if target not in vectors:
-        raise DataError(f"target {target!r} not among the vectors")
-    return cosine_rankings(vectors)[target]
-
-
 def _t_two_sided(t: float, nu: int) -> float:
     """P(|T| >= |t|) for Student's t with ``nu`` (a whole number >= 1)
     degrees of freedom: the regularized incomplete beta I_x(nu/2, 1/2) at

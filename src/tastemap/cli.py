@@ -240,9 +240,9 @@ def cmd_signatures(args) -> int:
     from .signatures import (
         DAY_GROUPS,
         correlation_matrix,
-        hourly_curves,
-        subcategory_entropies,
-        summarize_entropies,
+        entropy_summary,
+        subcategory_entropy,
+        temporal_series,
         write_matrix_csv,
     )
     from .store import read_store
@@ -269,17 +269,17 @@ def cmd_signatures(args) -> int:
     header = ["area", *(f"h{h:02d}" for h in range(24))]
     for class_id in taxonomy.class_ids:
         for day_group in DAY_GROUPS:
-            curves = hourly_curves(cubes, taxonomy, class_id, day_group)
+            curves = temporal_series(cubes, taxonomy, class_id, day_group)
             write_labelled_rows(out / f"temporal_{class_id}_{day_group}.csv", header, area_ids,
                                 (map(repr, row) for row in curves.tolist()))
 
-    entropies = subcategory_entropies(counts)
+    entropies = subcategory_entropy(counts)
     write_rows(out / "entropy.csv", ["class", "subcategory", "entropy_bits"],
                ((class_id, taxonomy.subcategories[i], entropies[i])
                 for class_id in taxonomy.class_ids
                 for i in range(*taxonomy.class_ranges[class_id])))
     write_rows(out / "entropy_summary.csv", ["class", "level", "n_subcategories", "mean", "sigma"],
-               map(dataclasses.astuple, summarize_entropies(taxonomy, used[0].kind, entropies)))
+               map(dataclasses.astuple, entropy_summary(taxonomy, used[0].kind, entropies)))
     _write_json({"areas_used": area_ids, "excluded_empty": empty},
                 out / "areas_used.json")
     print(f"signature reports written to {out}")
@@ -289,8 +289,7 @@ def cmd_signatures(args) -> int:
 def cmd_cluster(args) -> int:
     from .boundaries import kmeans_cosine, pca_scores
     from .csvtext import write_labelled_rows, write_rows
-    from .prefs import normalized_rows
-    from .signatures import period_counts
+    from .signatures import spatiotemporal_vector
     from .store import read_store
 
     corpus, _ = read_store(args.store, args.taxonomy)
@@ -298,7 +297,7 @@ def cmd_cluster(args) -> int:
     if len(used) < 2:
         raise UndefinedMetric("fewer than two areas have check-ins; nothing to cluster")
     area_ids = [area.area_id for area in used]
-    scores = pca_scores(normalized_rows(period_counts(cubes), area_ids), args.coverage)
+    scores = pca_scores(spatiotemporal_vector(cubes, area_ids), args.coverage)
     p = scores.shape[1]
     k = args.k if args.k is not None else DEFAULT_K[args.level]
     report = kmeans_cosine(scores, k, args.seed, area_ids, n_restarts=args.restarts)
@@ -333,8 +332,8 @@ def cmd_survey(args) -> int:
     from .boundaries import centered_rows, compare_with_survey
     from .csvtext import write_rows
     from .model import Area
-    from .prefs import area_cubes, normalized_rows
-    from .signatures import class_period_indices, period_counts
+    from .prefs import area_cubes
+    from .signatures import class_period_indices, spatiotemporal_vector
     from .store import read_store
 
     corpus, taxonomy = read_store(args.store, args.taxonomy)
@@ -345,7 +344,7 @@ def cmd_survey(args) -> int:
         raise DataError(f"countries missing from the corpus: {missing}")
 
     areas = [Area(area_id=c, kind="country", country_code=c) for c in countries]
-    vectors = normalized_rows(period_counts(area_cubes(corpus, areas)), countries)
+    vectors = spatiotemporal_vector(area_cubes(corpus, areas), countries)
     datasets = []
     if args.dataset in ("full", "both"):
         datasets.append(("dataset1", vectors))

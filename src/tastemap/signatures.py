@@ -1,14 +1,16 @@
 """Spatial correlations, temporal curves, spatio-temporal vectors, entropy.
 
-Every per-area product is a reduction of one aggregation, the area's count
-cube ``prefs.region_counts`` of shape (m subcategories, 2 day groups, 24
-hours), weekday before weekend; ``prefs.area_cubes`` stacks the cubes of many
-areas.  Spatial counts sum out day group and hour; an hourly curve sums one
-class's rows of one day group; entropy reduces the stacked spatial counts of
-the areas.  The spatio-temporal signature splits the day into the four 6-hour
-periods [0,6), [6,12), [12,18), [18,24): ``period_counts`` reshapes the cube
-to (m, 2, 4, 6), sums the last axis and flattens.  That reshape is the layout:
-the entry for (subcategory s, weekend w, hour h) sits at ``s*8 + w*4 + h//6``.
+Every per-area product is a reduction of one aggregation, the stack of count
+cubes ``prefs.area_cubes`` gives: shape (areas, m subcategories, 2 day groups,
+24 hours), weekday before weekend.  Spatial counts sum out day group and
+hour; ``temporal_series`` sums one class's rows of one day group into an
+hourly curve per area; ``subcategory_entropy`` reduces the spatial counts
+over the areas and ``entropy_summary`` summarizes it per class.  The
+spatio-temporal signature splits the day into the four 6-hour periods
+[0,6), [6,12), [12,18), [18,24): ``period_counts`` reshapes each cube to
+(m, 2, 4, 6), sums the last axis and flattens, and ``spatiotemporal_vector``
+normalizes the result per area.  That reshape is the layout: the entry for
+(subcategory s, weekend w, hour h) sits at ``s*8 + w*4 + h//6``.
 """
 
 from __future__ import annotations
@@ -21,9 +23,8 @@ import numpy as np
 
 from .csvtext import write_labelled_rows
 from .errors import DataError, UndefinedMetric
-from .ingest import Corpus
-from .model import Area, Taxonomy, class_slice
-from .prefs import area_cubes, normalized_rows, region_counts
+from .model import Taxonomy, class_slice
+from .prefs import normalized_rows
 
 DAY_GROUPS = ("weekday", "weekend")
 PERIODS_PER_DAY = 4
@@ -126,27 +127,18 @@ def _block(taxonomy: Taxonomy, class_id: str, day_group: str) -> tuple[int, int,
     return (*taxonomy._range(class_id), DAY_GROUPS.index(day_group))
 
 
-def hourly_curves(
+def temporal_series(
     cubes: np.ndarray, taxonomy: Taxonomy, class_id: str, day_group: str
 ) -> np.ndarray:
     """Check-ins per local hour of one class and day group, one row per area
     of a stack of count cubes (areas, m, 2, 24), each row divided by its
-    busiest hour.  An empty curve stays all-zero."""
+    busiest hour.  Weekend means Saturday or Sunday.  An empty curve stays
+    all-zero."""
     lo, hi, w = _block(taxonomy, class_id, day_group)
     counts = cubes[:, lo:hi, w].sum(axis=1).astype(np.float64)
     peak = counts.max(axis=1, keepdims=True)
     np.divide(counts, peak, out=counts, where=peak > 0)
     return counts
-
-
-def temporal_series(corpus: Corpus, area: Area, class_id: str, day_group: str) -> np.ndarray:
-    """Check-ins per local hour of one area, class and day group, divided by
-    the busiest hour of this series: ``hourly_curves`` of the area's cube.
-
-    Weekend means Saturday or Sunday.  An empty series stays all-zero.
-    """
-    (bins,) = hourly_curves(area_cubes(corpus, [area]), corpus.taxonomy, class_id, day_group)
-    return bins
 
 
 def period_counts(cubes: np.ndarray) -> np.ndarray:
@@ -157,13 +149,14 @@ def period_counts(cubes: np.ndarray) -> np.ndarray:
     return periods.reshape(*cubes.shape[:-3], -1)
 
 
-def spatiotemporal_vector(corpus: Corpus, area: Area) -> np.ndarray:
-    """The 8*m-dimensional signature of an area (808 for the m=101 taxonomy).
+def spatiotemporal_vector(cubes: np.ndarray, area_ids: Sequence[str]) -> np.ndarray:
+    """The 8*m-dimensional signature of each area of a stack of count cubes
+    (808 for the m=101 taxonomy), one row per area of ``area_ids``.
 
-    A single maximum normalizes the whole flattened vector, mirroring the
-    spatial rule on the enlarged feature set.
+    A single maximum normalizes each area's whole flattened vector,
+    mirroring the spatial rule on the enlarged feature set.
     """
-    return normalized_rows(period_counts(region_counts(corpus, area))[None], [area.area_id])[0]
+    return normalized_rows(period_counts(cubes), area_ids)
 
 
 def class_period_indices(taxonomy: Taxonomy, class_id: str, day_group: str) -> np.ndarray:
@@ -174,7 +167,7 @@ def class_period_indices(taxonomy: Taxonomy, class_id: str, day_group: str) -> n
     return layout[lo:hi, w].ravel()
 
 
-def subcategory_entropies(counts: np.ndarray) -> list[float | None]:
+def subcategory_entropy(counts: np.ndarray) -> list[float | None]:
     """Shannon entropy (bits) of each subcategory's check-ins over areas, from
     an area x subcategory count matrix; None where no area has any.
 
@@ -188,15 +181,6 @@ def subcategory_entropies(counts: np.ndarray) -> list[float | None]:
     return out
 
 
-def subcategory_entropy(corpus: Corpus, subcategory: str, areas: Sequence[Area]) -> float:
-    """Shannon entropy (bits) of one subcategory's check-ins over areas."""
-    i = corpus.taxonomy.index_of(subcategory)
-    (h,) = subcategory_entropies(area_cubes(corpus, areas).sum(axis=(2, 3))[:, [i]])
-    if h is None:
-        raise UndefinedMetric("no check-ins at this subcategory in any area")
-    return h
-
-
 @dataclass(frozen=True)
 class EntropySummary:
     class_id: str
@@ -206,11 +190,11 @@ class EntropySummary:
     sigma: float | None
 
 
-def summarize_entropies(
+def entropy_summary(
     taxonomy: Taxonomy, level: str, entropies: Sequence[float | None]
 ) -> list[EntropySummary]:
     """Mean and population standard deviation, per class, of the defined
-    entries of ``subcategory_entropies``."""
+    entries of ``subcategory_entropy``, at the granularity ``level`` names."""
     rows = []
     for class_id in taxonomy.class_ids:
         lo, hi = taxonomy.class_ranges[class_id]
@@ -223,12 +207,3 @@ def summarize_entropies(
         else:
             rows.append(EntropySummary(class_id, level, 0, None, None))
     return rows
-
-
-def entropy_summary(corpus: Corpus, areas: Sequence[Area]) -> list[EntropySummary]:
-    """Mean and population standard deviation of subcategory entropies,
-    per class, at the granularity the areas define."""
-    if not areas:
-        raise DataError("need at least one area")
-    entropies = subcategory_entropies(area_cubes(corpus, areas).sum(axis=(2, 3)))
-    return summarize_entropies(corpus.taxonomy, areas[0].kind, entropies)

@@ -296,23 +296,16 @@ def degree_assortativity(net: QuotientNetwork) -> float:
     return _degree_r(2 * net.n_edges, deg.tolist(), nbr.tolist(), classes.sizes.tolist())
 
 
-def check_edge_list_ids(ids: Iterable[str]) -> None:
-    """Raise DataError naming the first id that holds a tab or a line break,
-    which an edge list line cannot carry.  The ids are searched as one
-    string, and one by one only once that finds such a character."""
-    ids = list(ids)
-    if _EDGE_LIST_BREAKS.search("\0".join(ids)):
-        bad = next(u for u in ids if _EDGE_LIST_BREAKS.search(u))
-        raise DataError(f"user id {bad!r} holds a tab or a line break, "
-                        "which the edge list cannot carry")
-
-
 def edge_id_table(ids: Sequence[str]) -> np.ndarray:
     """The ids for ``write_edge_list``: each one's UTF-8 bytes padded with
     0xFF (a byte UTF-8 never uses) to one width of at least a byte, as one
     fixed-size ``np.void`` entry.  An id holding a tab or a line break is a
-    DataError."""
-    check_edge_list_ids(ids)
+    DataError naming the first such id.  The ids are searched as one string,
+    and one by one only once that finds such a character."""
+    if _EDGE_LIST_BREAKS.search("\0".join(ids)):
+        bad = next(u for u in ids if _EDGE_LIST_BREAKS.search(u))
+        raise DataError(f"user id {bad!r} holds a tab or a line break, "
+                        "which the edge list cannot carry")
     encoded = [u.encode("utf-8") for u in ids]
     width = max(1, max(map(len, encoded), default=0))
     return np.frombuffer(b"".join(e.ljust(width, b"\xff") for e in encoded),

@@ -19,7 +19,7 @@ from simnet_oracle import brute_force_network, user_pair_ids
 from tastemap.boundaries import compare_with_survey, fit_pca, pca_scores, spearman
 from tastemap.cli import main
 from tastemap.model import Area, UserProfile, load_taxonomy, reference_taxonomy_path
-from tastemap.prefs import normalized_rows
+from tastemap.prefs import area_cubes, normalized_rows
 from tastemap.signatures import pearson, spatiotemporal_vector, subcategory_entropy
 from tastemap.simnet import (
     ProfileClasses,
@@ -167,7 +167,8 @@ def test_criterion_04_signature_math(ref_tax):
             home[f"u{i}"] = f"c{i}"
         corpus = with_homes(corpus_of(ref_tax, checkins), home)
         areas = [Area(f"c{i}", "country", country_code=f"c{i}") for i in range(n)]
-        h = subcategory_entropy(corpus, "Pub", areas)
+        counts = area_cubes(corpus, areas).sum(axis=(2, 3))
+        h = subcategory_entropy(counts)[ref_tax.index_of("Pub")]
         assert h == float(np.log2(n))
 
 
@@ -190,7 +191,7 @@ def test_criterion_05_spatiotemporal_layout(ref_tax):
         corpus = corpus_of(
             ref_tax, [make_checkin("u0", "v0", 1.0, 1.0, ts.isoformat(), ref_tax.subcategories[s])]
         )
-        sig = spatiotemporal_vector(corpus, BOX)
+        (sig,) = spatiotemporal_vector(area_cubes(corpus, [BOX]), [BOX.area_id])
         assert sig.shape == (808,)
         hand_index = 8 * s + 4 * int(weekend) + hour // 6
         assert sig[hand_index] == 1.0

@@ -16,10 +16,10 @@ from tastemap.boundaries import (
     _t_two_sided,
     centered_rows,
     compare_with_survey,
+    cosine_rankings,
     fit_pca,
     kmeans_cosine,
     pca_scores,
-    rank_by_cosine,
     spearman,
 )
 from tastemap.errors import DataError, UndefinedMetric
@@ -171,9 +171,9 @@ class TestFitPca:
     def test_extreme_magnitudes(self):
         for scale in (1e-170, 1e200):
             vectors = {"t": [scale, scale], "a": [1.0, 0.0], "b": [3.0, 3.0], "c": [0.0, 2.0]}
-            assert rank_by_cosine("t", vectors) == ["b", "a", "c"]
+            assert cosine_rankings(vectors)["t"] == ["b", "a", "c"]
             vectors = {"t": [1.0, 2.0], "a": [-scale, 0.0], "b": [scale, 2 * scale]}
-            assert rank_by_cosine("t", vectors) == ["b", "a"]
+            assert cosine_rankings(vectors)["t"] == ["b", "a"]
 
     def test_nonfinite_rejected(self):
         bad = np.ones((3, 3))
@@ -342,7 +342,7 @@ class TestKmeansCosine:
 class TestRankByCosine:
     def test_identical_vector_ranks_first(self):
         vectors = {"t": [1.0, 0.0], "same": [2.0, 0.0], "off": [1.0, 1.0]}
-        assert rank_by_cosine("t", vectors)[0] == "same"
+        assert cosine_rankings(vectors)["t"][0] == "same"
 
     def test_hand_ordering(self):
         vectors = {
@@ -350,42 +350,38 @@ class TestRankByCosine:
             "diag": [1.0 / math.sqrt(2), 1.0 / math.sqrt(2)],
             "orth": [0.0, 1.0],
         }
-        assert rank_by_cosine("t", vectors) == ["diag", "orth"]
+        assert cosine_rankings(vectors)["t"] == ["diag", "orth"]
 
     def test_scaling_leaves_rank_unchanged(self):
         rng = np.random.default_rng(11)
         vectors = {f"a{i}": rng.normal(size=5) for i in range(8)}
-        base = rank_by_cosine("a0", vectors)
+        base = cosine_rankings(vectors)["a0"]
         scaled = {k: np.asarray(v) * rng.uniform(0.1, 9.0) for k, v in vectors.items()}
-        assert rank_by_cosine("a0", scaled) == base
+        assert cosine_rankings(scaled)["a0"] == base
 
     def test_tie_broken_by_id(self):
         vectors = {"t": [1.0, 0.0], "b": [3.0, 0.0], "a": [2.0, 0.0]}
-        assert rank_by_cosine("t", vectors) == ["a", "b"]
+        assert cosine_rankings(vectors)["t"] == ["a", "b"]
 
     def test_zero_vector_rejected(self):
         with pytest.raises(DataError):
-            rank_by_cosine("t", {"t": [1.0, 0.0], "z": [0.0, 0.0]})
-
-    def test_missing_target_rejected(self):
-        with pytest.raises(DataError):
-            rank_by_cosine("nope", {"t": [1.0]})
+            cosine_rankings({"t": [1.0, 0.0], "z": [0.0, 0.0]})
 
     def test_decimal_multiples_tie_and_order_by_id(self):
         # 0.3,0.6 is 1.5 times 0.2,0.4 in decimals but not in binary.
         vectors = {"t": [0.7, 0.1], "b": [0.2, 0.4], "a": [0.3, 0.6], "d": [0.1, -0.9]}
-        assert rank_by_cosine("t", vectors) == ["a", "b", "d"]
+        assert cosine_rankings(vectors)["t"] == ["a", "b", "d"]
 
     def test_extreme_magnitudes(self):
         for scale in (1e-170, 1e200):
             vectors = {"t": [scale, scale], "a": [1.0, 0.0], "b": [3.0, 3.0], "c": [0.0, 2.0]}
-            assert rank_by_cosine("t", vectors) == ["b", "a", "c"]
+            assert cosine_rankings(vectors)["t"] == ["b", "a", "c"]
             vectors = {"t": [1.0, 2.0], "a": [-scale, 0.0], "b": [scale, 2 * scale]}
-            assert rank_by_cosine("t", vectors) == ["b", "a"]
+            assert cosine_rankings(vectors)["t"] == ["b", "a"]
 
     def test_nonfinite_rejected(self):
         with pytest.raises(DataError):
-            rank_by_cosine("t", {"t": [1.0, 0.0], "n": [np.nan, 1.0]})
+            cosine_rankings({"t": [1.0, 0.0], "n": [np.nan, 1.0]})
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -394,7 +390,7 @@ class TestRankByCosine:
         ids = data.draw(st.permutations([f"a{i}" for i in range(data.draw(st.integers(2, 9)))]))
         vectors = planted_vectors(data, ids, dim)
         target = data.draw(st.sampled_from(ids))
-        assert rank_by_cosine(target, vectors) == exact_ranking(target, vectors)
+        assert cosine_rankings(vectors)[target] == exact_ranking(target, vectors)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -415,7 +411,8 @@ class TestRankByCosine:
             return -dot * abs(dot) / sum(x * x for x in exact[a]), a
 
         want = sorted((a for a in ids if a != target), key=key)
-        assert rank_by_cosine(target, dict(zip(ids, centered_rows(list(vectors.values()))))) == want
+        centered = dict(zip(ids, centered_rows(list(vectors.values()))))
+        assert cosine_rankings(centered)[target] == want
 
     @settings(max_examples=200, deadline=None)
     @given(vectors=tied_big_integer_vectors())
@@ -426,7 +423,7 @@ class TestRankByCosine:
         """Entries past 2^63 stay exact integers: no float rounding breaks a
         tie or orders two near cosines."""
         for target in vectors:
-            assert rank_by_cosine(target, vectors) == exact_ranking(target, vectors)
+            assert cosine_rankings(vectors)[target] == exact_ranking(target, vectors)
 
 
 class TestSpearman:
@@ -550,8 +547,8 @@ class TestCompareWithSurvey:
         assert rows["c1"].rho < 1.0
         # Oracle: recompute one row by hand.
         target = "c0"
-        ra = rank_by_cosine(target, {c: survey[c] for c in survey})
-        rb = rank_by_cosine(target, {c: ours[c] for c in ours})
+        ra = cosine_rankings({c: survey[c] for c in survey})[target]
+        rb = cosine_rankings({c: ours[c] for c in ours})[target]
         rho, p = spearman(ra, rb)
         assert rows[target].rho == pytest.approx(rho)
         assert rows[target].p_value == pytest.approx(p)

@@ -93,22 +93,20 @@ def products(toy_tax, corpus):
     out = {}
     for area in AREAS + COUNTRIES:
         out[area.area_id, "cube"] = region_counts(corpus, area).tolist()
-        out[area.area_id, "counts"] = area_cubes(corpus, [area]).sum(axis=(2, 3)).tolist()
+        cubes = area_cubes(corpus, [area])
+        out[area.area_id, "counts"] = cubes.sum(axis=(2, 3)).tolist()
         for class_id in toy_tax.class_ids:
             for group in DAY_GROUPS:
-                series = temporal_series(corpus, area, class_id, group)
+                series = temporal_series(cubes, toy_tax, class_id, group)
                 out[area.area_id, class_id, group] = series.tolist()
         try:
-            out[area.area_id, "st"] = spatiotemporal_vector(corpus, area).tolist()
+            out[area.area_id, "st"] = spatiotemporal_vector(cubes, [area.area_id]).tolist()
         except EmptyAreaError:
             out[area.area_id, "st"] = None
     for level in (AREAS, COUNTRIES):
-        for name in toy_tax.subcategories:
-            try:
-                out[level[0].kind, name] = subcategory_entropy(corpus, name, level)
-            except UndefinedMetric:
-                out[level[0].kind, name] = None
-        out[level[0].kind, "summary"] = entropy_summary(corpus, level)
+        entropies = subcategory_entropy(area_cubes(corpus, level).sum(axis=(2, 3)))
+        out[level[0].kind, "entropy"] = entropies
+        out[level[0].kind, "summary"] = entropy_summary(toy_tax, level[0].kind, entropies)
     return out
 
 
@@ -119,7 +117,8 @@ def test_counts_and_curves_equal_check_in_loops(toy_tax, data):
     for area in AREAS + COUNTRIES:
         cube = brute_cube(toy_tax, data, area)
         assert np.array_equal(region_counts(corpus, area), cube)
-        spatial = area_cubes(corpus, [area]).sum(axis=(2, 3))
+        cubes = area_cubes(corpus, [area])
+        spatial = cubes.sum(axis=(2, 3))
         assert spatial.tolist() == [cube.sum(axis=(1, 2)).tolist()]
 
         for class_id in toy_tax.class_ids:
@@ -128,8 +127,8 @@ def test_counts_and_curves_equal_check_in_loops(toy_tax, data):
                 hourly = [int(cube[lo:hi, w, h].sum()) for h in range(24)]
                 peak = max(hourly)
                 want = [c / peak if peak else 0.0 for c in hourly]
-                got = temporal_series(corpus, area, class_id, group)
-                assert got.tolist() == want
+                got = temporal_series(cubes, toy_tax, class_id, group)
+                assert got.tolist() == [want]
 
         slots = [0] * (8 * toy_tax.m)
         for lon, lat, s, w, h, country in data:
@@ -137,10 +136,10 @@ def test_counts_and_curves_equal_check_in_loops(toy_tax, data):
                 slots[s * 8 + 4 * int(w) + h // 6] += 1
         if max(slots) == 0:
             with pytest.raises(EmptyAreaError):
-                spatiotemporal_vector(corpus, area)
+                spatiotemporal_vector(cubes, [area.area_id])
         else:
-            sig = spatiotemporal_vector(corpus, area)
-            assert sig.tolist() == [c / max(slots) for c in slots]
+            sig = spatiotemporal_vector(cubes, [area.area_id])
+            assert sig.tolist() == [[c / max(slots) for c in slots]]
 
 
 @SETTINGS
@@ -167,14 +166,14 @@ def test_entropy_equals_check_in_loops(toy_tax, data):
     for level in (AREAS, COUNTRIES):
         matrix = [brute_cube(toy_tax, data, area).sum(axis=(1, 2)) for area in level]
         want = [brute_entropy([int(row[s]) for row in matrix]) for s in range(toy_tax.m)]
-        for s, name in enumerate(toy_tax.subcategories):
+        got = subcategory_entropy(area_cubes(corpus, level).sum(axis=(2, 3)))
+        assert len(got) == toy_tax.m
+        for s in range(toy_tax.m):
             if want[s] is None:
-                with pytest.raises(UndefinedMetric):
-                    subcategory_entropy(corpus, name, level)
+                assert got[s] is None
             else:
-                got = subcategory_entropy(corpus, name, level)
-                assert got == pytest.approx(want[s], abs=1e-12)
-        for row in entropy_summary(corpus, level):
+                assert got[s] == pytest.approx(want[s], abs=1e-12)
+        for row in entropy_summary(toy_tax, level[0].kind, got):
             lo, hi = toy_tax.class_ranges[row.class_id]
             defined = [h for h in want[lo:hi] if h is not None]
             assert row.level == level[0].kind

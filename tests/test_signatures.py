@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import corpus_of, make_checkin, with_homes
 from tastemap.errors import DataError, EmptyAreaError, UndefinedMetric
 from tastemap.model import Area
-from tastemap.prefs import normalized_rows
+from tastemap.prefs import area_cubes, normalized_rows
 from tastemap.signatures import (
     class_period_indices,
     correlation_matrix,
@@ -22,6 +22,11 @@ from tastemap.signatures import (
 )
 
 BOX = Area("box", "city", bbox=(0.0, 0.0, 2.0, 2.0))
+
+
+def spatial_counts(corpus, areas):
+    """Area x subcategory check-in counts, reduced from the areas' cubes."""
+    return area_cubes(corpus, areas).sum(axis=(2, 3))
 
 
 def signatures(counts):
@@ -193,19 +198,25 @@ class TestCorrelationMatrix:
 
 
 class TestTemporalSeries:
+    @staticmethod
+    def curve(toy_tax, checkins, class_id="Drink", day_group="weekday"):
+        """The one row of ``temporal_series`` for the area BOX."""
+        cubes = area_cubes(corpus_of(toy_tax, checkins), [BOX])
+        (series,) = temporal_series(cubes, toy_tax, class_id, day_group)
+        return series
+
     def test_single_hour_peak(self, toy_tax):
-        corpus = corpus_of(
+        series = self.curve(
             toy_tax,
             [make_checkin(user=f"u{i}", ts="2024-04-16T12:30:00") for i in range(4)],
         )
-        series = temporal_series(corpus, BOX, "Drink", "weekday")
         assert series[12] == 1.0
         assert series.sum() == 1.0
 
     def test_two_peak_normalization(self, toy_tax):
         checkins = [make_checkin(user=f"a{i}", ts="2024-04-16T08:00:00") for i in range(10)]
         checkins += [make_checkin(user=f"b{i}", ts="2024-04-16T18:00:00") for i in range(5)]
-        series = temporal_series(corpus_of(toy_tax, checkins), BOX, "Drink", "weekday")
+        series = self.curve(toy_tax, checkins)
         assert series[8] == 1.0
         assert series[18] == 0.5
 
@@ -214,16 +225,15 @@ class TestTemporalSeries:
             make_checkin(user="u1", ts="2024-04-16T10:00:00"),  # Tuesday
             make_checkin(user="u2", ts="2024-04-20T22:00:00"),  # Saturday
         ]
-        corpus = corpus_of(toy_tax, checkins)
-        weekday = temporal_series(corpus, BOX, "Drink", "weekday")
-        weekend = temporal_series(corpus, BOX, "Drink", "weekend")
+        weekday = self.curve(toy_tax, checkins, day_group="weekday")
+        weekend = self.curve(toy_tax, checkins, day_group="weekend")
         assert weekday[10] == 1.0 and weekday[22] == 0.0
         assert weekend[22] == 1.0 and weekend[10] == 0.0
 
     def test_class_filter(self, toy_tax):
-        corpus = corpus_of(toy_tax, [make_checkin(subcat="Bakery", ts="2024-04-16T09:00:00")])
-        assert temporal_series(corpus, BOX, "Drink", "weekday").sum() == 0.0
-        assert temporal_series(corpus, BOX, "FastFood", "weekday")[9] == 1.0
+        checkins = [make_checkin(subcat="Bakery", ts="2024-04-16T09:00:00")]
+        assert self.curve(toy_tax, checkins, "Drink").sum() == 0.0
+        assert self.curve(toy_tax, checkins, "FastFood")[9] == 1.0
 
     def test_order_independence(self, toy_tax):
         rng = np.random.default_rng(25)
@@ -231,29 +241,34 @@ class TestTemporalSeries:
             make_checkin(user=f"u{i}", ts=f"2024-04-16T{rng.integers(24):02d}:00:00")
             for i in range(40)
         ]
-        base = temporal_series(corpus_of(toy_tax, checkins), BOX, "Drink", "weekday")
+        base = self.curve(toy_tax, checkins)
         shuffled = list(checkins)
         rng.shuffle(shuffled)
-        again = temporal_series(corpus_of(toy_tax, shuffled), BOX, "Drink", "weekday")
+        again = self.curve(toy_tax, shuffled)
         assert np.array_equal(base, again)
 
     def test_scaling_invariance(self, toy_tax):
         checkins = [make_checkin(user=f"u{i}", ts="2024-04-16T07:00:00") for i in range(3)]
         checkins += [make_checkin(user=f"w{i}", ts="2024-04-16T19:00:00") for i in range(6)]
-        base = temporal_series(corpus_of(toy_tax, checkins), BOX, "Drink", "weekday")
-        tripled = temporal_series(corpus_of(toy_tax, checkins * 3), BOX, "Drink", "weekday")
+        base = self.curve(toy_tax, checkins)
+        tripled = self.curve(toy_tax, checkins * 3)
         assert np.array_equal(base, tripled)
 
     def test_bad_day_group_rejected(self, toy_tax):
-        corpus = corpus_of(toy_tax, [make_checkin()])
         with pytest.raises(DataError):
-            temporal_series(corpus, BOX, "Drink", "holiday")
+            self.curve(toy_tax, [make_checkin()], day_group="holiday")
 
 
 class TestSpatiotemporalVector:
+    @staticmethod
+    def signature(corpus):
+        """The one row of ``spatiotemporal_vector`` for the area BOX."""
+        (sig,) = spatiotemporal_vector(area_cubes(corpus, [BOX]), [BOX.area_id])
+        return sig
+
     def test_reference_taxonomy_gives_808(self, ref_tax):
         corpus = corpus_of(ref_tax, [make_checkin(subcat="Pub")])
-        sig = spatiotemporal_vector(corpus, BOX)
+        sig = self.signature(corpus)
         assert sig.shape == (808,)
 
     def test_one_subcategory_gives_8(self, tmp_path):
@@ -262,12 +277,12 @@ class TestSpatiotemporalVector:
 
         tax = load_taxonomy(write_taxonomy(tmp_path / "t.txt", "Drink\tPub\n"))
         corpus = corpus_of(tax, [make_checkin(subcat="Pub")])
-        assert spatiotemporal_vector(corpus, BOX).shape == (8,)
+        assert self.signature(corpus).shape == (8,)
 
     def test_single_checkin_lights_one_coordinate(self, toy_tax):
         # Tuesday 13:00 -> weekday block, period [12,18)
         corpus = corpus_of(toy_tax, [make_checkin(subcat="Pub", ts="2024-04-16T13:00:00")])
-        sig = spatiotemporal_vector(corpus, BOX)
+        sig = self.signature(corpus)
         expected = toy_tax.index_of("Pub") * 8 + 0 * 4 + 2
         assert sig[expected] == 1.0
         assert sig.sum() == 1.0
@@ -275,7 +290,7 @@ class TestSpatiotemporalVector:
     def test_empty_area_raises(self, toy_tax):
         corpus = corpus_of(toy_tax, [make_checkin(lat=50.0, lon=50.0)])
         with pytest.raises(EmptyAreaError):
-            spatiotemporal_vector(corpus, BOX)
+            self.signature(corpus)
 
     def test_index_formula_against_layout(self, toy_tax):
         rng = np.random.default_rng(26)
@@ -287,7 +302,7 @@ class TestSpatiotemporalVector:
             weekend = bool(rng.integers(2))
             ts = f"{days[weekend]}T{hour:02d}:05:00"
             corpus = corpus_of(toy_tax, [make_checkin(subcat=names[s], ts=ts)])
-            sig = spatiotemporal_vector(corpus, BOX)
+            sig = self.signature(corpus)
             hand = 8 * s + 4 * int(weekend) + hour // 6
             assert sig[hand] == 1.0
 
@@ -310,6 +325,10 @@ class TestEntropy:
     def areas(self, n):
         return [Area(f"c{i}", "country", country_code=f"c{i}") for i in range(n)]
 
+    def entropy(self, corpus, subcat, areas):
+        """The entry of ``subcategory_entropy`` for one subcategory."""
+        return subcategory_entropy(spatial_counts(corpus, areas))[corpus.taxonomy.index_of(subcat)]
+
     def corpus_with_area_counts(self, toy_tax, counts, subcat="Pub"):
         """counts[i] check-ins at area c{i}, each by its own user homed there."""
         checkins, home = [], {}
@@ -322,28 +341,27 @@ class TestEntropy:
 
     def test_single_area_zero_entropy(self, toy_tax):
         corpus = self.corpus_with_area_counts(toy_tax, [5, 0])
-        h = subcategory_entropy(corpus, "Pub", self.areas(2))
+        h = self.entropy(corpus, "Pub", self.areas(2))
         assert h == 0.0
 
     def test_uniform_over_four_is_two_bits(self, toy_tax):
         corpus = self.corpus_with_area_counts(toy_tax, [3, 3, 3, 3])
-        h = subcategory_entropy(corpus, "Pub", self.areas(4))
+        h = self.entropy(corpus, "Pub", self.areas(4))
         assert h == 2.0
 
     def test_three_one_split(self, toy_tax):
         corpus = self.corpus_with_area_counts(toy_tax, [3, 1])
-        h = subcategory_entropy(corpus, "Pub", self.areas(2))
+        h = self.entropy(corpus, "Pub", self.areas(2))
         assert h == pytest.approx(0.8112781244591328, abs=1e-12)
 
     def test_zero_total_undefined(self, toy_tax):
         corpus = self.corpus_with_area_counts(toy_tax, [2])
-        with pytest.raises(UndefinedMetric):
-            subcategory_entropy(corpus, "Wine Bar", self.areas(1))
+        assert self.entropy(corpus, "Wine Bar", self.areas(1)) is None
 
     def test_uniform_attains_log2_exactly(self, toy_tax):
         for n in (2, 4, 8, 16):
             corpus = self.corpus_with_area_counts(toy_tax, [2] * n)
-            h = subcategory_entropy(corpus, "Pub", self.areas(n))
+            h = self.entropy(corpus, "Pub", self.areas(n))
             assert h == float(np.log2(n))
 
     def test_entropy_bounded_by_support(self, toy_tax):
@@ -353,7 +371,7 @@ class TestEntropy:
             if sum(counts) == 0:
                 counts[0] = 1
             corpus = self.corpus_with_area_counts(toy_tax, counts)
-            h = subcategory_entropy(corpus, "Pub", self.areas(6))
+            h = self.entropy(corpus, "Pub", self.areas(6))
             support = sum(1 for c in counts if c > 0)
             assert -1e-12 <= h <= np.log2(support) + 1e-12
 
@@ -363,7 +381,8 @@ class TestEntropySummary:
         checkins = [make_checkin(user=f"u{i}", subcat="Pub") for i in range(4)]
         corpus = with_homes(corpus_of(toy_tax, checkins), {f"u{i}": "c0" for i in range(4)})
         areas = [Area("c0", "country", country_code="c0")]
-        rows = {r.class_id: r for r in entropy_summary(corpus, areas)}
+        entropies = subcategory_entropy(spatial_counts(corpus, areas))
+        rows = {r.class_id: r for r in entropy_summary(toy_tax, "country", entropies)}
         assert rows["Drink"].mean == 0.0
         assert rows["Drink"].sigma == 0.0
         assert rows["Drink"].n_subcategories == 1
@@ -379,10 +398,9 @@ class TestEntropySummary:
             checkins.append(make_checkin(user=f"w{i}", subcat="Wine Bar"))
             home[f"w{i}"] = f"c{i}"
         areas = [Area(f"c{i}", "country", country_code=f"c{i}") for i in range(8)]
-        rows = {
-            r.class_id: r
-            for r in entropy_summary(with_homes(corpus_of(toy_tax, checkins), home), areas)
-        }
+        corpus = with_homes(corpus_of(toy_tax, checkins), home)
+        entropies = subcategory_entropy(spatial_counts(corpus, areas))
+        rows = {r.class_id: r for r in entropy_summary(toy_tax, areas[0].kind, entropies)}
         assert rows["Drink"].n_subcategories == 2
         assert rows["Drink"].mean == pytest.approx(2.0)
         assert rows["Drink"].sigma == pytest.approx(1.0)
@@ -391,7 +409,9 @@ class TestEntropySummary:
     def test_schema_has_class_level_mean_sigma(self, toy_tax):
         checkins = [make_checkin(subcat="Pub")]
         areas = [Area("c0", "country", country_code="c0")]
-        rows = entropy_summary(with_homes(corpus_of(toy_tax, checkins), {"u1": "c0"}), areas)
+        corpus = with_homes(corpus_of(toy_tax, checkins), {"u1": "c0"})
+        entropies = subcategory_entropy(spatial_counts(corpus, areas))
+        rows = entropy_summary(toy_tax, "country", entropies)
         assert [r.class_id for r in rows] == list(toy_tax.class_ids)
         first = rows[0]
         assert hasattr(first, "level") and hasattr(first, "mean") and hasattr(first, "sigma")

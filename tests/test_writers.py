@@ -29,7 +29,7 @@ from tastemap.signatures import (
     DAY_GROUPS,
     CorrelationMatrix,
     _block,
-    hourly_curves,
+    temporal_series,
     write_matrix_csv,
 )
 from tastemap.simnet import (
@@ -205,7 +205,7 @@ class TestTemporalRows:
         tmp = tmp_path_factory.mktemp("t")
         for class_id in toy_tax.class_ids:
             for day_group in DAY_GROUPS:
-                curves = hourly_curves(cubes, toy_tax, class_id, day_group)
+                curves = temporal_series(cubes, toy_tax, class_id, day_group)
                 write_labelled_rows(tmp / "new.csv", ["area", *(f"h{h:02d}" for h in range(24))],
                                     area_ids, (map(repr, row) for row in curves.tolist()))
                 old_write_temporal(tmp / "old.csv", area_ids, cubes, toy_tax, class_id, day_group)
