@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import gc
 import json
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -479,11 +480,18 @@ def entry() -> int:
     """Process entry of ``python -m tastemap.cli`` and of the installed
     ``tastemap`` command: ``main`` on ``sys.argv``.
 
-    It first moves every object alive so far (the front end's and numpy's,
-    about 22k) into the collector's permanent generation, so no collection
-    in the command and none at interpreter exit traverses them again.
-    ``main`` does not freeze, because tests and the benchmark's tracer call
-    it in-process."""
+    It pins OpenBLAS, OpenMP and MKL to one thread, overriding any value
+    already set, because ``np.linalg.eigh`` in ``cluster`` returns other last
+    bits on other thread counts.  It imports numpy, which reads them as it
+    loads, and then moves every object alive so far (the front end's and
+    numpy's, about 21k) into the collector's permanent generation, so no
+    collection in the command and none at interpreter exit traverses them
+    again.  ``main`` does none of this, because tests and the benchmark's
+    tracer call it in-process."""
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[name] = "1"
+    import numpy  # noqa: F401
+
     gc.freeze()
     return main()
 

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -370,15 +371,17 @@ class TestSimnet:
         assert digests == self.PINNED_TREE
 
 
-FRONT_END = ["tastemap", "tastemap.cli", "tastemap.errors", "tastemap.model"]
+FRONT_END = ["tastemap", "tastemap.cli", "tastemap.errors"]
+# Every command imports ``model``, and numpy with it.
+COMMAND = [*FRONT_END, "tastemap.model"]
 STORE_READ = ["tastemap._kernels", "tastemap.csvtext", "tastemap.ingest", "tastemap.store"]
 # The tastemap modules a fresh interpreter holds after one command.
 LOADED = {
-    "synth": sorted([*FRONT_END, "tastemap.csvtext", "tastemap.synth"]),
-    "ingest": sorted([*FRONT_END, *STORE_READ]),
-    "simnet": sorted([*FRONT_END, *STORE_READ, "tastemap.prefs", "tastemap.simnet"]),
-    "signatures": sorted([*FRONT_END, *STORE_READ, "tastemap.prefs", "tastemap.signatures"]),
-    "cluster": sorted([*FRONT_END, *STORE_READ, "tastemap.boundaries", "tastemap.prefs",
+    "synth": sorted([*COMMAND, "tastemap.csvtext", "tastemap.synth"]),
+    "ingest": sorted([*COMMAND, *STORE_READ]),
+    "simnet": sorted([*COMMAND, *STORE_READ, "tastemap.prefs", "tastemap.simnet"]),
+    "signatures": sorted([*COMMAND, *STORE_READ, "tastemap.prefs", "tastemap.signatures"]),
+    "cluster": sorted([*COMMAND, *STORE_READ, "tastemap.boundaries", "tastemap.prefs",
                        "tastemap.signatures"]),
 }
 LOADED["survey"] = LOADED["cluster"]
@@ -447,10 +450,21 @@ def test_ingest_and_cluster_runs_load_no_numpy_ma(pipeline, tmp_path, command):
     assert any(out.iterdir())
 
 
-def run_entry(argv):
-    """One command through ``python -m tastemap.cli`` in a fresh interpreter."""
-    return subprocess.run([sys.executable, "-m", "tastemap.cli", *argv], capture_output=True,
-                          text=True)
+def run_child(args, **env):
+    """``python *args`` in a fresh interpreter, with every warning an error.
+    Each keyword sets an environment variable, or unsets it if ``None``."""
+    environ = {**os.environ, "PYTHONWARNINGS": "error"}
+    for name, value in env.items():
+        if value is None:
+            environ.pop(name, None)
+        else:
+            environ[name] = value
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=environ)
+
+
+def run_entry(argv, **env):
+    """One command through ``python -m tastemap.cli`` (see ``run_child``)."""
+    return run_child(["-m", "tastemap.cli", *argv], **env)
 
 
 def tree(root: Path) -> dict:
@@ -459,7 +473,8 @@ def tree(root: Path) -> dict:
 
 class TestModuleEntry:
     """``python -m tastemap.cli`` and the installed ``tastemap`` command start
-    through ``cli.entry``, which freezes the collector and then runs ``main``."""
+    through ``cli.entry``, which pins BLAS to one thread, imports numpy,
+    freezes the collector and then runs ``main``."""
 
     def test_stages_write_what_main_writes(self, pipeline, tmp_path):
         survey = tmp_path / "survey.csv"
@@ -493,6 +508,55 @@ class TestModuleEntry:
         for code, argv in cases.items():
             done = run_entry(argv)
             assert (done.returncode, done.stdout) == (code, ""), done.stderr
+
+    @pytest.mark.parametrize("module", ["tastemap", "tastemap.cli"])
+    def test_import_loads_no_numpy(self, module):
+        done = run_child(["-c", f"import sys, {module}; print('numpy' in sys.modules)"])
+        assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+
+    def test_numpy_is_frozen_before_main(self):
+        """``entry`` imports numpy before ``gc.freeze()``, so numpy's import
+        objects are frozen too: a probe in place of ``main`` sees numpy
+        loaded and at least as many frozen objects as a bare numpy import."""
+        probe = run_child(["-c", "import gc, json, sys, tastemap.cli as cli; "
+                           "cli.main = lambda: print(json.dumps(['numpy' in sys.modules, "
+                           "gc.get_freeze_count()])) or 0; sys.exit(cli.entry())"])
+        bare = run_child(["-c", "import gc, numpy; gc.freeze(); print(gc.get_freeze_count())"])
+        assert probe.returncode == bare.returncode == 0, probe.stderr + bare.stderr
+        loaded, frozen = json.loads(probe.stdout)
+        assert loaded
+        assert frozen >= int(bare.stdout)
+
+    def test_same_bytes_on_any_blas_thread_count(self, pipeline, tmp_path):
+        """``entry`` runs BLAS on one thread whatever the environment says;
+        ``np.linalg.eigh`` gives other last bits on two threads."""
+        argv = ["cluster", "--store", str(pipeline["store"]), "--level", "grid",
+                "--cities", str(pipeline["generated"].cities_path), "--rows", "3", "--cols", "3"]
+        trees = []
+        for threads in (None, "1", "2"):
+            out = tmp_path / str(threads)
+            done = run_entry([*argv, "--out-dir", str(out)], OPENBLAS_NUM_THREADS=threads)
+            assert done.returncode == 0, done.stderr
+            trees.append(tree(out))
+        assert trees[0] == trees[1] == trees[2]
+
+    def test_same_bytes_on_any_hash_seed(self, pipeline, tmp_path):
+        """Every run through ``main`` in one test process shares one string
+        hash seed; fresh interpreters on two seeds write the same bytes."""
+        generated = pipeline["generated"]
+        store = ["--store", str(pipeline["store"])]
+        cities = ["--cities", str(generated.cities_path)]
+        stages = {"signatures": ["signatures", *store, "--level", "grid", *cities],
+                  "cluster": ["cluster", *store, "--level", "city", *cities],
+                  "simnet": ["simnet", *store, "--attributes", str(generated.labels_path)]}
+        trees = []
+        for seed in ("0", "1"):
+            for stage, argv in stages.items():
+                done = run_entry([*argv, "--out-dir", str(tmp_path / seed / stage)],
+                                 PYTHONHASHSEED=seed)
+                assert done.returncode == 0, done.stderr
+            trees.append(tree(tmp_path / seed))
+        assert trees[0] == trees[1]
 
     def test_installed_command_is_the_same_entry(self):
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
