@@ -52,8 +52,8 @@ def jaccard_edges(bits: np.ndarray, threshold: float):
 # ---------------------------------------------------------------------------
 # Point-in-polygon country assignment
 #
-# Rings are stored closed (last vertex == first) and concatenated into flat
-# arrays.  A point on a ring edge counts as inside.  Rings are tried in file
+# Each ring is its own pair of x and y arrays, closed (last vertex == first).
+# A point on a ring edge counts as inside.  Rings are tried in file
 # order; the first containing ring wins.
 #
 # A horizontal ray from (x, y) can cross an edge only if the edge straddles y
@@ -112,30 +112,30 @@ def _ring_contains(px, py, rx, ry):
     return inside
 
 
-def assign_countries(px, py, ring_x, ring_y, ring_indptr, ring_country, ring_bbox):
+def assign_countries(px, py, rings):
     """Country index per point (-1 where no ring contains the point).
 
-    Each ring tests the still-unassigned points inside its bbox, against
-    only the edges whose closed y-range holds the point's y, in blocks of at
-    most ``RAY_BLOCK_ELEMENTS`` (point, edge) pairs, so memory does not grow
-    with the point count or the ring size.
+    ``rings`` holds one ``(country index, x, y)`` per closed ring.  Each ring
+    tests the still-unassigned points inside its bbox, against only the
+    edges whose closed y-range holds the point's y, in blocks of at most
+    ``RAY_BLOCK_ELEMENTS`` (point, edge) pairs, so memory does not grow with
+    the point count or the ring size.
     """
     out = np.full(px.shape[0], -1, np.int64)
-    for r in range(ring_country.shape[0]):
+    for country, rx, ry in rings:
         pending = out == -1
         if not pending.any():
             break
         in_box = (
             pending
-            & (px >= ring_bbox[r, 0])
-            & (py >= ring_bbox[r, 1])
-            & (px <= ring_bbox[r, 2])
-            & (py <= ring_bbox[r, 3])
+            & (px >= rx.min())
+            & (py >= ry.min())
+            & (px <= rx.max())
+            & (py <= ry.max())
         )
         if not in_box.any():
             continue
         idx = np.nonzero(in_box)[0]
-        lo, hi = ring_indptr[r], ring_indptr[r + 1]
-        hit = _ring_contains(px[idx], py[idx], ring_x[lo:hi], ring_y[lo:hi])
-        out[idx[hit]] = ring_country[r]
+        hit = _ring_contains(px[idx], py[idx], rx, ry)
+        out[idx[hit]] = country
     return out

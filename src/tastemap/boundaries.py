@@ -27,11 +27,13 @@ class PcaModel:
 
 
 def fit_pca(data) -> PcaModel:
-    """Exact PCA via symmetric eigendecomposition of the covariance matrix.
+    """Exact PCA via one symmetric eigendecomposition.
 
-    When there are fewer rows than columns the n x n Gram matrix is
-    decomposed instead of the d x d covariance; the nonzero spectrum is the
-    same and the memory stays proportional to the small side.
+    With fewer rows than columns the n x n Gram matrix of the centred rows is
+    decomposed instead of the d x d covariance: the nonzero spectrum is the
+    same and the memory stays proportional to the small side.  On either
+    route, eigenvalues below ``_EIG_ZERO_REL`` of the largest count as zero
+    and are dropped with their components.
     """
     X = np.asarray(data, np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
@@ -41,30 +43,16 @@ def fit_pca(data) -> PcaModel:
     n, d = X.shape
     mean = X.mean(axis=0)
     Xc = X - mean
-
-    if n < d:
-        gram = (Xc @ Xc.T) / (n - 1)
-        w, U = np.linalg.eigh(gram)
-        order = np.argsort(w)[::-1]
-        w = np.clip(w[order], 0.0, None)
-        U = U[:, order]
-        total = float(w.sum())
-        if total <= 0.0:
-            raise DataError("input has no variance")
-        keep = w > w[0] * 1e-15
-        w = w[keep]
-        U = U[:, keep]
-        components = (Xc.T @ U) / np.sqrt(w * (n - 1))
-        components = components.T
-    else:
-        cov = (Xc.T @ Xc) / (n - 1)
-        w, V = np.linalg.eigh(cov)
-        order = np.argsort(w)[::-1]
-        w = np.clip(w[order], 0.0, None)
-        components = V[:, order].T
-        total = float(w.sum())
-        if total <= 0.0:
-            raise DataError("input has no variance")
+    gram = n < d
+    w, V = np.linalg.eigh((Xc @ Xc.T if gram else Xc.T @ Xc) / (n - 1))
+    order = np.argsort(w)[::-1]
+    w = np.clip(w[order], 0.0, None)
+    if float(w.sum()) <= 0.0:
+        raise DataError("input has no variance")
+    keep = w >= w[0] * _EIG_ZERO_REL
+    w, V = w[keep], V[:, order[keep]]
+    # The Gram route's eigenvectors map back to unit components in data space.
+    components = ((Xc.T @ V) / np.sqrt(w * (n - 1))).T if gram else V.T
 
     # Fix each component's sign so results do not depend on LAPACK internals.
     flip = components[np.arange(components.shape[0]), np.abs(components).argmax(axis=1)] < 0
@@ -75,16 +63,13 @@ def fit_pca(data) -> PcaModel:
 def pca_scores(data, coverage: float = 1.0) -> np.ndarray:
     """The rows of ``data``, centred and projected on the fewest leading
     components of ``fit_pca`` whose cumulative variance ratio reaches
-    ``coverage`` (within 1e-9); eigenvalues below 1e-12 of the largest count
-    as exactly zero first.  ``coverage`` must lie in (0, 1]."""
+    ``coverage`` (within 1e-9).  ``coverage`` must lie in (0, 1]."""
     if not 0.0 < coverage <= 1.0:
         raise DataError(f"coverage must lie in (0, 1], got {coverage:g}")
     model = fit_pca(data)
-    ev = model.eigenvalues.copy()
-    ev[ev < ev[0] * _EIG_ZERO_REL] = 0.0
-    hit = np.nonzero(np.cumsum(ev / ev.sum()) >= coverage - 1e-9)[0]
-    p = int(hit[0]) + 1 if hit.size else len(ev)
-    return ((np.asarray(data, np.float64) - model.mean) @ model.components.T)[:, :p]
+    ev = model.eigenvalues
+    p = int(np.argmax(np.cumsum(ev / ev.sum()) >= coverage - 1e-9)) + 1
+    return (np.asarray(data, np.float64) - model.mean) @ model.components[:p].T
 
 
 @dataclass(frozen=True, eq=False)

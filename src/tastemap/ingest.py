@@ -341,14 +341,12 @@ def _parse_stream(source, taxonomy: Taxonomy, error_budget: float, force_csv: bo
 
 @dataclass(frozen=True, eq=False)
 class GeoIndex:
-    """Country polygons packed into flat arrays for the containment kernels."""
+    """Country codes in order of first appearance, and one ``(country index,
+    x, y)`` per closed ring in file order, with x the longitudes and y the
+    latitudes."""
 
     countries: tuple[str, ...]
-    ring_x: np.ndarray
-    ring_y: np.ndarray
-    ring_indptr: np.ndarray
-    ring_country: np.ndarray
-    ring_bbox: np.ndarray
+    rings: tuple[tuple[int, np.ndarray, np.ndarray], ...]
 
 
 def _vertex(text: str, lineno: int) -> tuple[float, float]:
@@ -367,9 +365,7 @@ def load_geo_index(path: str | Path) -> GeoIndex:
     """Load the one-ring-per-line polygon file; rings are closed on load."""
     countries: list[str] = []
     seen: dict[str, int] = {}
-    xs: list[np.ndarray] = []
-    ys: list[np.ndarray] = []
-    ring_country: list[int] = []
+    rings: list[tuple[int, np.ndarray, np.ndarray]] = []
     with utf8_input(path), open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -387,36 +383,19 @@ def load_geo_index(path: str | Path) -> GeoIndex:
             if code not in seen:
                 seen[code] = len(countries)
                 countries.append(code)
-            ring_country.append(seen[code])
-            arr = np.asarray(pts, np.float64)
-            xs.append(arr[:, 0])
-            ys.append(arr[:, 1])
+            x, y = np.asarray(pts, np.float64).T
+            rings.append((seen[code], x, y))
 
     if not countries:
         raise DataError("geo file defines no polygons")
-    lengths = np.fromiter((x.shape[0] for x in xs), np.int64, len(xs))
-    indptr = np.zeros(len(xs) + 1, np.int64)
-    np.cumsum(lengths, out=indptr[1:])
-    bbox = np.empty((len(xs), 4), np.float64)
-    for i, (x, y) in enumerate(zip(xs, ys)):
-        bbox[i] = (x.min(), y.min(), x.max(), y.max())
-    return GeoIndex(
-        countries=tuple(countries),
-        ring_x=np.concatenate(xs),
-        ring_y=np.concatenate(ys),
-        ring_indptr=indptr,
-        ring_country=np.asarray(ring_country, np.int64),
-        ring_bbox=bbox,
-    )
+    return GeoIndex(countries=tuple(countries), rings=tuple(rings))
 
 
 def geocode(geo: GeoIndex, lats: np.ndarray, lons: np.ndarray) -> np.ndarray:
     """Country index per coordinate pair, -1 where nothing matches."""
     lats = np.ascontiguousarray(lats, np.float64)
     lons = np.ascontiguousarray(lons, np.float64)
-    return _kernels.assign_countries(
-        lons, lats, geo.ring_x, geo.ring_y, geo.ring_indptr, geo.ring_country, geo.ring_bbox
-    )
+    return _kernels.assign_countries(lons, lats, geo.rings)
 
 
 # ---------------------------------------------------------------------------

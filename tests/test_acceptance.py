@@ -213,25 +213,32 @@ def test_criterion_06_pca_planted_rank():
         assert np.abs(rebuilt - data).max() < 1e-9
 
 
-def seven_culture_spec(tax):
-    names = tax.subcategories
+ZIPF12 = (8, 7, 6, 5, 4, 3, 2, 2, 1, 1, 1, 1)
+
+
+def peaked_hourly(start):
+    """Hourly weights for every class and day group: 8 on the three hours
+    from ``start``, 1 on the others."""
+    hourly = [1.0] * 24
+    for h in (start, start + 1, start + 2):
+        hourly[h] = 8.0
+    return {"*": {"weekday": hourly, "weekend": hourly}}
+
+
+def four_city_spec(habits):
+    """One country K<i> per entry of ``habits`` (its preferences and any
+    temporal fields): a 10-degree box, 200 users of 6-12 check-ins, and four
+    strip cities K<i>-0 .. K<i>-3."""
     countries = []
-    for i in range(7):
-        own = {names[12 * i + j]: w for j, w in enumerate((8, 7, 6, 5, 4, 3, 2, 2, 1, 1, 1, 1))}
-        shared = {names[84]: 0.5, names[85]: 0.5, names[86]: 0.5}
+    for i, habit in enumerate(habits):
         x0 = 20.0 * i - 70.0
-        peak = (3 * i + 2) % 22
-        hourly = [1.0] * 24
-        for h in (peak, peak + 1, peak + 2):
-            hourly[h] = 8.0
         countries.append(
             {
                 "code": f"K{i}",
                 "bbox": [x0, 0.0, x0 + 10.0, 10.0],
                 "users": 200,
                 "checkins_per_user": [6, 12],
-                "preferences": {**own, **shared},
-                "hourly": {"*": {"weekday": hourly, "weekend": hourly}},
+                **habit,
                 "cities": [
                     {"id": f"K{i}-{c}", "bbox": [x0 + 2.5 * c, 0.0, x0 + 2.5 * (c + 1), 10.0]}
                     for c in range(4)
@@ -241,42 +248,88 @@ def seven_culture_spec(tax):
     return SynthSpec.from_dict({"countries": countries})
 
 
+def seven_culture_spec(tax):
+    names = tax.subcategories
+    shared = {names[84]: 0.5, names[85]: 0.5, names[86]: 0.5}
+    return four_city_spec(
+        {
+            "preferences": {**{names[12 * i + j]: w for j, w in enumerate(ZIPF12)}, **shared},
+            "hourly": peaked_hourly((3 * i + 2) % 22),
+        }
+        for i in range(7)
+    )
+
+
+def city_level_ari(spec, tax, k, seed, base):
+    """ARI of ``cluster --level city`` on one seed's corpus against each
+    city's country, the id before the dash."""
+    generated = generate_corpus(spec, seed, base / "raw", tax)
+    assert main(
+        [
+            "ingest",
+            "--corpus", str(generated.corpus_path),
+            "--geo", str(generated.geo_path),
+            "--taxonomy", str(reference_taxonomy_path()),
+            "--out-dir", str(base / "store"),
+        ]
+    ) == 0
+    assert main(
+        [
+            "cluster",
+            "--store", str(base / "store"),
+            "--level", "city",
+            "--cities", str(generated.cities_path),
+            "--k", str(k),
+            "--seed", "0",
+            "--out-dir", str(base / "out"),
+        ]
+    ) == 0
+    report = json.loads((base / "out" / "cluster_report.json").read_text())
+    predicted = report["assignments"]
+    truth = {area: area.split("-")[0] for area in predicted}
+    return adjusted_rand_index(predicted, truth)
+
+
 @criterion(7, "end-to-end clustering recovers 7 planted cultures (ARI >= 0.9, >= 18/20 seeds, < 30 s)")
 def test_criterion_07_clustering_recovery(ref_tax, tmp_path):
     spec = seven_culture_spec(ref_tax)
     start = time.perf_counter()
     recovered = 0
     for seed in range(20):
-        base = tmp_path / f"seed{seed}"
-        generated = generate_corpus(spec, seed, base / "raw", ref_tax)
-        assert main(
-            [
-                "ingest",
-                "--corpus", str(generated.corpus_path),
-                "--geo", str(generated.geo_path),
-                "--taxonomy", str(reference_taxonomy_path()),
-                "--out-dir", str(base / "store"),
-            ]
-        ) == 0
-        assert main(
-            [
-                "cluster",
-                "--store", str(base / "store"),
-                "--level", "city",
-                "--cities", str(generated.cities_path),
-                "--k", "7",
-                "--seed", "0",
-                "--out-dir", str(base / "out"),
-            ]
-        ) == 0
-        report = json.loads((base / "out" / "cluster_report.json").read_text())
-        predicted = report["assignments"]
-        truth = {area: area.split("-")[0] for area in predicted}
-        if adjusted_rand_index(predicted, truth) >= 0.9:
+        if city_level_ari(spec, ref_tax, 7, seed, tmp_path / f"seed{seed}") >= 0.9:
             recovered += 1
     elapsed = time.perf_counter() - start
     assert recovered >= 18, f"only {recovered}/20 seeds recovered"
     assert elapsed < 30.0, f"took {elapsed:.1f} s"
+
+
+@criterion(12, "temporal habits alone draw a boundary: peaks in different 6-hour periods and "
+               "weekend share recover (ARI >= 0.9, >= 18/20 seeds), peaks in one period do not "
+               "(mean ARI < 0.25), < 20 s")
+def test_criterion_12_temporal_habits(ref_tax, tmp_path):
+    # Every country has the same preferences; only its temporal fields differ.
+    # The bounds were fixed from a first run of these specs: both positives
+    # recovered ARI 1.0 in 20/20 seeds, the control's 20-seed mean ARI stayed
+    # in [-0.09, 0.07] over seeds 0-199, and the whole check took 3-5 s.
+    same = {"preferences": dict(zip(ref_tax.subcategories, ZIPF12))}
+    start = time.perf_counter()
+    for name, habits in (
+        ("periods", [{**same, "hourly": peaked_hourly(h)} for h in (1, 7, 13, 19)]),
+        ("weekend", [{**same, "weekend_fraction": f} for f in (0.1, 0.5)]),
+    ):
+        spec = four_city_spec(habits)
+        aris = [city_level_ari(spec, ref_tax, len(habits), seed, tmp_path / name / f"seed{seed}")
+                for seed in range(20)]
+        recovered = sum(ari >= 0.9 for ari in aris)
+        assert recovered >= 18, f"{name}: only {recovered}/20 seeds recovered"
+    # Both peaks lie in [18, 24), one slot of the 6-hour layout, so the
+    # cluster vectors cannot tell the two countries apart.
+    control = four_city_spec([{**same, "hourly": peaked_hourly(h)} for h in (18, 21)])
+    aris = [city_level_ari(control, ref_tax, 2, seed, tmp_path / "control" / f"seed{seed}")
+            for seed in range(20)]
+    assert np.mean(aris) < 0.25, f"control mean ARI {np.mean(aris):.3f}"
+    elapsed = time.perf_counter() - start
+    assert elapsed < 20.0, f"took {elapsed:.1f} s"
 
 
 @criterion(8, "Spearman matches the closed form; exact 0.8 example; p(rho=1, n=16) < 1e-10")

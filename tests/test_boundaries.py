@@ -124,6 +124,13 @@ class TestFitPca:
     def test_planted_rank_three(self):
         eigenvalues = fit_pca(planted_rank(3)).eigenvalues
         assert (eigenvalues / eigenvalues.sum() > 1e-9).sum() == 3
+        # Both routes drop the numerically zero spectrum by one relative
+        # rule: fewer rows than columns (Gram) and at least as many (covariance).
+        for n_areas, n_features in ((30, 808), (60, 20), (40, 40)):
+            model = fit_pca(planted_rank(3, n_areas, n_features, seed=n_features))
+            assert model.eigenvalues.shape == (3,)
+            assert model.components.shape == (3, n_features)
+            assert (model.eigenvalues >= model.eigenvalues[0] * 1e-12).all()
 
     def test_reconstruction_round_trip(self):
         data = planted_rank(5, seed=2)

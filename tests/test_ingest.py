@@ -431,7 +431,7 @@ class TestGeoVertices:
     def test_spaces_around_numbers_are_allowed(self, tmp_path):
         path = tmp_path / "geo.txt"
         path.write_text("AA\t 0, 0; 1 ,0;1,1 ;0,1\n", encoding="utf-8")
-        assert load_geo_index(path).ring_x.tolist() == [0.0, 1.0, 1.0, 0.0, 0.0]
+        assert load_geo_index(path).rings[0][1].tolist() == [0.0, 1.0, 1.0, 0.0, 0.0]
 
 
 def ray_cast(x, y, ring):

@@ -87,10 +87,9 @@ def test_geocoding_memory_is_bounded_by_the_ray_cast_block():
     rx, ry = np.append(np.cos(ang), 1.0), np.append(np.sin(ang), 0.0)
     rng = np.random.default_rng(34)
     px, py = rng.uniform(-1.0, 1.0, 4000), rng.uniform(-1.0, 1.0, 4000)
-    ring = (rx, ry, np.array([0, rx.size]), np.array([0]), np.array([[-1.0, -1.0, 1.0, 1.0]]))
     tracemalloc.start()
     try:
-        got = _kernels.assign_countries(px, py, *ring)
+        got = _kernels.assign_countries(px, py, [(0, rx, ry)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -116,8 +115,7 @@ def test_geocoding_memory_stays_bounded_at_200k_points():
     rx, ry = np.append(np.cos(ang), 1.0), np.append(np.sin(ang), 0.0)
     rng = np.random.default_rng(34)
     px, py = rng.uniform(-1.0, 1.0, 200_000), rng.uniform(-1.0, 1.0, 200_000)
-    ring = (rx, ry, np.array([0, rx.size]), np.array([0]), np.array([[-1.0, -1.0, 1.0, 1.0]]))
-    got, peak = traced_peak(_kernels.assign_countries, px, py, *ring)
+    got, peak = traced_peak(_kernels.assign_countries, px, py, [(0, rx, ry)])
     r2 = px * px + py * py
     assert (got[r2 < 0.999] == 0).all() and (got[r2 > 1.0] == -1).all()
     assert peak < 64 * 2**20
@@ -135,9 +133,7 @@ def test_geocoding_memory_is_bounded_when_every_edge_meets_every_ray():
     j = rng.integers(1, 2 * m - 1, 2000)
     py = rng.choice([0.25, 0.5, 0.75], j.size)
     px = j + 0.125
-    ring = (rx, ry, np.array([0, rx.size]), np.array([7]),
-            np.array([[0.0, -1.0, 2.0 * m - 1.0, 2.0]]))
-    got, peak = traced_peak(_kernels.assign_countries, px, py, *ring)
+    got, peak = traced_peak(_kernels.assign_countries, px, py, [(7, rx, ry)])
     # Edge k crosses the level y between x = k + 1/3 and k + 2/3, so the ray
     # from x = j + 1/8 crosses the 2m - 1 - j zigzag edges k >= j, plus the
     # closing edge where it crosses right of the point, at (2m - 1)(y + 1)/3.
