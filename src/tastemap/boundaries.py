@@ -60,12 +60,17 @@ def fit_pca(data) -> PcaModel:
     return PcaModel(mean=mean, components=components, eigenvalues=w)
 
 
+def check_coverage(coverage: float) -> None:
+    """Raise DataError unless ``coverage`` lies in (0, 1]."""
+    if not 0.0 < coverage <= 1.0:
+        raise DataError(f"coverage must lie in (0, 1], got {coverage:g}")
+
+
 def pca_scores(data, coverage: float = 1.0) -> np.ndarray:
     """The rows of ``data``, centred and projected on the fewest leading
     components of ``fit_pca`` whose cumulative variance ratio reaches
     ``coverage`` (within 1e-9).  ``coverage`` must lie in (0, 1]."""
-    if not 0.0 < coverage <= 1.0:
-        raise DataError(f"coverage must lie in (0, 1], got {coverage:g}")
+    check_coverage(coverage)
     model = fit_pca(data)
     ev = model.eigenvalues
     p = int(np.argmax(np.cumsum(ev / ev.sum()) >= coverage - 1e-9)) + 1
@@ -152,6 +157,16 @@ def _kmeans_once(unit: np.ndarray, k: int, rng: np.random.Generator):
     return labels, centroids, objective, iterations, tuple(history)
 
 
+def check_kmeans_options(k: int, seed: int, n_restarts: int) -> None:
+    """Raise DataError unless k and ``n_restarts`` are at least 1 and seed is not negative."""
+    if k < 1:
+        raise DataError(f"k={k} must be at least 1")
+    if seed < 0:
+        raise DataError("seed must be nonnegative")
+    if n_restarts < 1:
+        raise DataError(f"n_restarts={n_restarts} must be at least 1")
+
+
 def kmeans_cosine(
     scores: np.ndarray,
     k: int,
@@ -168,16 +183,13 @@ def kmeans_cosine(
     Raises UndefinedMetric when the best restart still leaves a cluster
     empty, which happens when the rows have too few distinct directions.
     """
+    check_kmeans_options(k, seed, n_restarts)
     X = np.asarray(scores, np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise DataError("scores must be a nonempty 2-D matrix")
     n = X.shape[0]
-    if not 1 <= k <= n:
+    if k > n:
         raise DataError(f"k={k} must lie in [1, {n}]")
-    if seed < 0:
-        raise DataError("seed must be nonnegative")
-    if n_restarts < 1:
-        raise DataError(f"n_restarts={n_restarts} must be at least 1")
     norms = np.linalg.norm(X, axis=1)
     if (norms == 0).any():
         raise DataError("zero-length rows have no direction; drop them first")

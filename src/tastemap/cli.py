@@ -127,10 +127,12 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    from .ingest import assign_home_country, filter_active_users, load_geo_index, parse_corpus
+    from .ingest import assign_home_country, check_min_checkins, filter_active_users
+    from .ingest import load_geo_index, parse_corpus
     from .model import load_taxonomy
     from .store import write_store
 
+    check_min_checkins(args.min_checkins)
     taxonomy = load_taxonomy(args.taxonomy)
     geo = load_geo_index(args.geo)
     corpus = parse_corpus(args.corpus, taxonomy, args.error_budget)
@@ -288,11 +290,14 @@ def cmd_signatures(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    from .boundaries import kmeans_cosine, pca_scores
+    from .boundaries import check_coverage, check_kmeans_options, kmeans_cosine, pca_scores
     from .csvtext import write_labelled_rows, write_rows
     from .signatures import spatiotemporal_vector
     from .store import read_store
 
+    k = args.k if args.k is not None else DEFAULT_K[args.level]
+    check_coverage(args.coverage)
+    check_kmeans_options(k, args.seed, args.restarts)
     corpus, _ = read_store(args.store, args.taxonomy)
     used, cubes, empty = _level_cubes(args, corpus)
     if len(used) < 2:
@@ -300,7 +305,6 @@ def cmd_cluster(args) -> int:
     area_ids = [area.area_id for area in used]
     scores = pca_scores(spatiotemporal_vector(cubes, area_ids), args.coverage)
     p = scores.shape[1]
-    k = args.k if args.k is not None else DEFAULT_K[args.level]
     report = kmeans_cosine(scores, k, args.seed, area_ids, n_restarts=args.restarts)
     out = _outdir(args)
     doc = report.to_dict()

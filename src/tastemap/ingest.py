@@ -28,7 +28,7 @@ import json
 import json.scanner
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass, replace
 from datetime import datetime, timedelta
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
@@ -44,60 +44,52 @@ CORPUS_FIELDS = ("user", "venue", "lat", "lon", "ts", "subcat")
 COLUMNS = ("lat", "lon", "ts", "subcat_idx", "user_idx", "venue_idx")
 _EPOCH = datetime(1970, 1, 1)
 _MICROSECOND = timedelta(microseconds=1)
+# The dtype a Corpus field is normalized to, or tuple for an id table.
+_FIELD_KINDS = {"lat": np.float64, "lon": np.float64, "ts": "datetime64[us]",
+                "subcat_idx": np.int64, "user_idx": np.int64, "venue_idx": np.int64,
+                "user_country": np.int64, "user_ids": tuple, "venue_ids": tuple, "countries": tuple}
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class Corpus:
-    """An immutable check-in table held as numpy columns.
+    """An immutable check-in table held as numpy columns: what ingest read,
+    and nothing derived from it.
 
     Row columns: ``lat``, ``lon`` (float64), ``ts`` (datetime64[us],
-    venue-local wall-clock time), ``hour`` and ``is_weekend`` (derived from
-    ``ts``), ``subcat_idx`` (into ``taxonomy.subcategories``), ``user_idx``
-    (into ``user_ids``) and ``venue_idx`` (into ``venue_ids``).  The user and
-    venue tables are sorted and dense: they hold exactly the ids some row
-    uses.  One per-user column, ``user_country``, indexes each user's home
-    country in the sorted table ``countries``, or is -1 where the user has
-    none (as after :func:`parse_corpus`; :func:`assign_home_country` sets
-    it).  This is the one form a corpus takes: :func:`parse_corpus`,
-    :meth:`subset` and ``store.read_store`` all build it from columns, and
-    every aggregation in the pipeline runs on them.
+    venue-local wall-clock time, from which ``prefs.region_counts`` takes
+    the day group and hour), ``subcat_idx`` (into ``taxonomy.subcategories``),
+    ``user_idx`` (into ``user_ids``) and ``venue_idx`` (into ``venue_ids``).
+    The user and venue tables are sorted and dense: they hold exactly the
+    ids some row uses.  One per-user column, ``user_country``, indexes each
+    user's home country in the sorted table ``countries``, or is -1 where the
+    user has none (as after :func:`parse_corpus`; :func:`assign_home_country`
+    sets it).  :func:`parse_corpus` and ``store.read_store`` build a corpus
+    from columns; every other corpus, :meth:`subset`'s included, is a
+    ``dataclasses.replace`` copy, which keeps every field it does not name.
     """
 
-    def __init__(
-        self,
-        taxonomy: Taxonomy,
-        *,
-        lat: np.ndarray,
-        lon: np.ndarray,
-        ts: np.ndarray,
-        subcat_idx: np.ndarray,
-        user_idx: np.ndarray,
-        user_ids: Sequence[str],
-        venue_idx: np.ndarray,
-        venue_ids: Sequence[str],
-        countries: Sequence[str] = (),
-        user_country: np.ndarray | None = None,
-        skipped_unknown: int = 0,
-        malformed_lines: int = 0,
-    ):
-        self.taxonomy = taxonomy
-        self.skipped_unknown = skipped_unknown
-        self.malformed_lines = malformed_lines
-        self.lat = np.asarray(lat, np.float64)
-        self.lon = np.asarray(lon, np.float64)
-        self.ts = np.asarray(ts, "datetime64[us]")
-        days = self.ts.astype("datetime64[D]")
-        self.hour = ((self.ts - days) // np.timedelta64(1, "h")).astype(np.int64)
-        # Day 0 of datetime64 (1970-01-01) is a Thursday, weekday 3.
-        self.is_weekend = (days.astype(np.int64) + 3) % 7 >= 5
-        self.subcat_idx = np.asarray(subcat_idx, np.int64)
-        self.user_idx = np.asarray(user_idx, np.int64)
-        self.user_ids: tuple[str, ...] = tuple(user_ids)
-        self.venue_idx = np.asarray(venue_idx, np.int64)
-        self.venue_ids: tuple[str, ...] = tuple(venue_ids)
-        self.countries: tuple[str, ...] = tuple(countries)
-        if user_country is None:
-            user_country = np.full(len(self.user_ids), -1)
-        self.user_country = np.asarray(user_country, np.int64)
+    taxonomy: Taxonomy
+    _: KW_ONLY
+    lat: np.ndarray
+    lon: np.ndarray
+    ts: np.ndarray
+    subcat_idx: np.ndarray
+    user_idx: np.ndarray
+    user_ids: Sequence[str]
+    venue_idx: np.ndarray
+    venue_ids: Sequence[str]
+    countries: Sequence[str] = ()
+    user_country: np.ndarray | None = None
+    skipped_unknown: int = 0
+    malformed_lines: int = 0
+
+    def __post_init__(self) -> None:
+        if self.user_country is None:
+            object.__setattr__(self, "user_country", np.full(len(self.user_ids), -1))
+        for name, kind in _FIELD_KINDS.items():
+            value = getattr(self, name)
+            value = tuple(value) if kind is tuple else np.asarray(value, kind)
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.lat)
@@ -113,21 +105,11 @@ class Corpus:
         mask = np.asarray(mask, np.bool_)
         users, user_idx = np.unique(self.user_idx[mask], return_inverse=True)
         venues, venue_idx = np.unique(self.venue_idx[mask], return_inverse=True)
-        return Corpus(
-            self.taxonomy,
-            lat=self.lat[mask],
-            lon=self.lon[mask],
-            ts=self.ts[mask],
-            subcat_idx=self.subcat_idx[mask],
-            user_idx=user_idx,
-            user_ids=[self.user_ids[i] for i in users.tolist()],
-            venue_idx=venue_idx,
-            venue_ids=[self.venue_ids[i] for i in venues.tolist()],
-            countries=self.countries,
-            user_country=self.user_country[users],
-            skipped_unknown=self.skipped_unknown,
-            malformed_lines=self.malformed_lines,
-        )
+        rows = {name: getattr(self, name)[mask] for name in ("lat", "lon", "ts", "subcat_idx")}
+        return replace(self, **rows, user_idx=user_idx, venue_idx=venue_idx,
+                       user_ids=[self.user_ids[i] for i in users.tolist()],
+                       venue_ids=[self.venue_ids[i] for i in venues.tolist()],
+                       user_country=self.user_country[users])
 
 
 def _encode(ids: Sequence[str]) -> tuple[np.ndarray, list[str]]:
@@ -463,23 +445,19 @@ def assign_home_country(corpus: Corpus, geo: GeoIndex) -> tuple[Corpus, IngestRe
         skipped_unknown_subcategory=corpus.skipped_unknown,
         malformed_lines=corpus.malformed_lines,
     )
-    located = Corpus(
-        corpus.taxonomy,
-        **{name: getattr(corpus, name) for name in COLUMNS},
-        user_ids=corpus.user_ids,
-        venue_ids=corpus.venue_ids,
-        countries=countries,
-        user_country=user_country,
-        skipped_unknown=corpus.skipped_unknown,
-        malformed_lines=corpus.malformed_lines,
-    )
+    located = replace(corpus, countries=countries, user_country=user_country)
     return located.subset(user_country[corpus.user_idx] >= 0), report
+
+
+def check_min_checkins(min_checkins: int) -> None:
+    """Raise DataError unless ``min_checkins`` is at least 1."""
+    if min_checkins < 1:
+        raise DataError("min_checkins must be >= 1")
 
 
 def filter_active_users(corpus: Corpus, min_checkins: int = 7) -> Corpus:
     """Keep only users with at least ``min_checkins`` check-ins."""
-    if min_checkins < 1:
-        raise DataError("min_checkins must be >= 1")
+    check_min_checkins(min_checkins)
     if not len(corpus):
         return corpus
     counts = np.bincount(corpus.user_idx, minlength=corpus.n_users)

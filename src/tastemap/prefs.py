@@ -30,10 +30,13 @@ def region_counts(corpus: Corpus, area: Area) -> np.ndarray:
     """Check-in counts inside one area by subcategory, day group (0 weekday,
     1 weekend) and local hour, as int64[m, 2, 24].  This is the one place
     where check-ins become per-area counts; every per-area product is a
-    reduction of it."""
+    reduction of it.  The slot is floor arithmetic on whole hours h since
+    1970-01-01, a Thursday: the hour is ``h % 24``, and the weekend (Saturday,
+    Sunday) is where ``(h // 24 + 3) % 7 >= 5``, before 1970 as after."""
     m = corpus.taxonomy.m
     mask = area_mask(corpus, area)
-    cell = (corpus.subcat_idx[mask] * 2 + corpus.is_weekend[mask]) * 24 + corpus.hour[mask]
+    hours = corpus.ts[mask].view(np.int64) // 3_600_000_000  # ts counts microseconds
+    cell = (corpus.subcat_idx[mask] * 2 + ((hours // 24 + 3) % 7 >= 5)) * 24 + hours % 24
     return np.bincount(cell, minlength=m * 48).astype(np.int64).reshape(m, 2, 24)
 
 

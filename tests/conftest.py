@@ -5,12 +5,13 @@ from __future__ import annotations
 
 import io
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from tastemap.cli import main
-from tastemap.ingest import COLUMNS, Corpus, load_geo_index, parse_corpus
+from tastemap.ingest import Corpus, load_geo_index, parse_corpus
 from tastemap.model import Taxonomy, load_taxonomy, reference_taxonomy_path
 from tastemap.synth import SynthSpec, generate_corpus
 
@@ -77,16 +78,8 @@ def with_homes(corpus: Corpus, home: dict[str, str], countries=()) -> Corpus:
     ({user: country}); a user it does not name has none.  ``countries``
     adds codes to the country table that no user has."""
     countries = sorted(set(home.values()).union(countries))
-    return Corpus(
-        corpus.taxonomy,
-        **{name: getattr(corpus, name) for name in COLUMNS},
-        user_ids=corpus.user_ids,
-        venue_ids=corpus.venue_ids,
-        countries=countries,
-        user_country=[countries.index(home[u]) if u in home else -1 for u in corpus.user_ids],
-        skipped_unknown=corpus.skipped_unknown,
-        malformed_lines=corpus.malformed_lines,
-    )
+    homes = [countries.index(home[u]) if u in home else -1 for u in corpus.user_ids]
+    return replace(corpus, countries=countries, user_country=homes)
 
 
 def home_map(corpus: Corpus) -> dict[str, str]:

@@ -89,6 +89,16 @@ class TestIngest:
         assert "error budget must lie in [0, 1]" in capsys.readouterr().err
         assert not store.exists()
 
+    def test_min_checkins_below_one_is_refused_before_reading(self, pipeline, tmp_path, capsys):
+        # The corpus does not exist: only a check made before reading it can answer.
+        store = tmp_path / "store"
+        assert main(["ingest", "--corpus", str(tmp_path / "nope.jsonl"),
+                     "--geo", str(pipeline["generated"].geo_path),
+                     "--taxonomy", pipeline["taxonomy"], "--min-checkins", "0",
+                     "--out-dir", str(store)]) == 2
+        assert "min_checkins must be >= 1" in capsys.readouterr().err
+        assert not store.exists()
+
     def test_missing_file_exits_2(self, pipeline, tmp_path):
         code = main(
             [
@@ -757,6 +767,21 @@ class TestCluster:
         assert main(["cluster", "--store", str(pipeline["store"]), "--k", "3",
                      "--restarts", "0", "--out-dir", str(out)]) == 2
         assert "n_restarts=0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option,message", [
+        (["--k", "0"], "k=0 must be at least 1"),
+        (["--seed", "-1"], "seed must be nonnegative"),
+        (["--restarts", "0"], "n_restarts=0 must be at least 1"),
+        (["--coverage", "1.5"], "coverage must lie in (0, 1]"),
+    ], ids=["k", "seed", "restarts", "coverage"])
+    def test_bad_option_is_refused_before_reading_the_store(self, tmp_path, capsys, option,
+                                                            message):
+        # The store does not exist: only a check made before reading it can answer.
+        out = tmp_path / "cluster"
+        assert main(["cluster", "--store", str(tmp_path / "no-store"), *option,
+                     "--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("coverage", ["0", "-0.5", "2", "nan"])

@@ -7,6 +7,7 @@ depend on the order of the check-in rows.
 """
 
 import math
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -38,7 +39,6 @@ AREAS = [
 ]
 COUNTRIES = [Area(c, "country", country_code=c) for c in ("AA", "BB", "CC")]  # CC is empty
 COORDS = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)  # includes every cell edge and the closed ones
-DAYS = {False: "2024-04-17", True: "2024-04-20"}  # Wednesday, Saturday
 SETTINGS = settings(max_examples=60, deadline=None)
 
 rows = st.lists(
@@ -46,8 +46,8 @@ rows = st.lists(
         st.sampled_from(COORDS),  # lon
         st.sampled_from(COORDS),  # lat
         st.integers(0, 6),  # subcategory of the toy taxonomy
-        st.booleans(),  # weekend
-        st.integers(0, 23),  # hour
+        # local time: any weekday, before and after 1970, to the microsecond
+        st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59, 999999)),
         st.sampled_from(("AA", "BB")),  # home country of the row's user
     ),
     max_size=40,
@@ -57,10 +57,10 @@ rows = st.lists(
 def build(toy_tax, data):
     checkins = [
         make_checkin(user=f"u{i}", lat=lat, lon=lon, subcat=toy_tax.subcategories[s],
-                     ts=f"{DAYS[w]}T{h:02d}:30:00")
-        for i, (lon, lat, s, w, h, _) in enumerate(data)
+                     ts=stamp.isoformat())
+        for i, (lon, lat, s, stamp, _) in enumerate(data)
     ]
-    home = {f"u{i}": row[5] for i, row in enumerate(data)}
+    home = {f"u{i}": row[4] for i, row in enumerate(data)}
     return with_homes(corpus_of(toy_tax, checkins), home, countries=("AA", "BB", "CC"))
 
 
@@ -73,11 +73,16 @@ def inside(area, lon, lat, country):
     return ok_lon and ok_lat
 
 
+def slot(stamp):
+    """Day group (1 on Saturday and Sunday) and hour of a check-in time."""
+    return int(stamp.weekday() >= 5), stamp.hour
+
+
 def brute_cube(toy_tax, data, area):
     cube = np.zeros((toy_tax.m, 2, 24), np.int64)
-    for lon, lat, s, w, h, country in data:
+    for lon, lat, s, stamp, country in data:
         if inside(area, lon, lat, country):
-            cube[s, int(w), h] += 1
+            cube[(s, *slot(stamp))] += 1
     return cube
 
 
@@ -131,9 +136,10 @@ def test_counts_and_curves_equal_check_in_loops(toy_tax, data):
                 assert got.tolist() == [want]
 
         slots = [0] * (8 * toy_tax.m)
-        for lon, lat, s, w, h, country in data:
+        for lon, lat, s, stamp, country in data:
+            w, h = slot(stamp)
             if inside(area, lon, lat, country):
-                slots[s * 8 + 4 * int(w) + h // 6] += 1
+                slots[s * 8 + 4 * w + h // 6] += 1
         if max(slots) == 0:
             with pytest.raises(EmptyAreaError):
                 spatiotemporal_vector(cubes, [area.area_id])
@@ -153,9 +159,10 @@ def test_stacked_cubes_equal_check_in_loops(toy_tax, data):
 
     slots = np.zeros((len(want), 8 * toy_tax.m), np.int64)
     for i, area in enumerate(AREAS + COUNTRIES):
-        for lon, lat, s, w, h, country in data:
+        for lon, lat, s, stamp, country in data:
+            w, h = slot(stamp)
             if inside(area, lon, lat, country):
-                slots[i, s * 8 + 4 * int(w) + h // 6] += 1
+                slots[i, s * 8 + 4 * w + h // 6] += 1
     assert np.array_equal(period_counts(got), slots)
 
 

@@ -123,7 +123,8 @@ class TestParseCorpus:
         )
         corpus = parse_corpus(path, toy_tax)
         assert len(corpus) == 2
-        assert corpus.is_weekend.tolist() == [False, True]
+        assert corpus.ts.astype(object).tolist() == [datetime(2024, 4, 16, 9, 30),
+                                                      datetime(2024, 4, 20, 20)]
 
     def test_csv_bad_header_rejected(self, toy_tax, tmp_path):
         path = tmp_path / "c.csv"

@@ -1,6 +1,7 @@
 """Taxonomy loading, check-in validation, domain-type validation and class slicing."""
 
 import io
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -103,7 +104,7 @@ class TestClassSlice:
 class TestCheckIn:
     def test_valid_checkin(self, toy_tax):
         corpus = corpus_of(toy_tax, [make_checkin(lat=45.0, lon=-120.0)])
-        assert corpus.hour.tolist() == [12]
+        assert corpus.ts.astype(object).tolist() == [datetime(2024, 4, 16, 12)]
 
     @pytest.mark.parametrize("lat,lon", [(91.0, 0.0), (-91.0, 0.0), (0.0, 181.0), (0.0, -181.0)])
     def test_out_of_range_coordinates(self, toy_tax, lat, lon):

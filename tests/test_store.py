@@ -3,6 +3,7 @@ load equal what parsing the exported CSV gives, and the column operations
 equal parsing the correspondingly filtered check-in records."""
 
 import tempfile
+from dataclasses import FrozenInstanceError
 from datetime import datetime
 from pathlib import Path
 
@@ -14,10 +15,14 @@ from hypothesis import strategies as st
 from conftest import TOY_TAXONOMY, corpus_of, home_map, make_checkin, with_homes, write_taxonomy
 from tastemap.errors import DataError
 from tastemap.ingest import Corpus, assign_home_country, parse_corpus
-from tastemap.model import load_taxonomy
+from tastemap.model import Area, load_taxonomy
+from tastemap.prefs import region_counts
 from tastemap.store import read_store, write_store
 
-COLUMNS = ("lat", "lon", "ts", "hour", "is_weekend", "subcat_idx", "user_idx", "venue_idx")
+COLUMNS = ("lat", "lon", "ts", "subcat_idx", "user_idx", "venue_idx")
+# Every coordinate a check-in may have, so its region_counts cube counts every row.
+WORLD = Area("world", "city", bbox=(-180.0, -90.0, 180.0, 90.0), closed_max_lon=True,
+             closed_max_lat=True)
 SUBCATS = ("Pub", "Wine Bar", "Tea Room", "Bakery", "Burger Joint", "Steakhouse",
            "Sushi Restaurant")
 
@@ -43,6 +48,7 @@ def assert_same_corpus(a: Corpus, b: Corpus) -> None:
         assert x.tobytes() == y.tobytes(), name
     assert a.user_ids == b.user_ids
     assert a.venue_ids == b.venue_ids
+    assert np.array_equal(region_counts(a, WORLD), region_counts(b, WORLD))
 
 
 @pytest.fixture(scope="module")
@@ -54,11 +60,15 @@ class TestColumns:
     def test_hour_and_weekend_follow_the_timestamp(self, toy_tax):
         stamps = ["2024-04-20T23:59:59.999999", "2024-04-22T00:00:00", "1969-12-31T13:05:00",
                   "0001-01-01T07:00:00", "9999-12-31T23:00:00"]
-        corpus = corpus_of(toy_tax, [make_checkin(ts=ts) for ts in stamps])
+        # One subcategory per stamp, so each stamp's slot is one cube entry.
+        corpus = corpus_of(toy_tax, [make_checkin(ts=ts, subcat=toy_tax.subcategories[s])
+                                     for s, ts in enumerate(stamps)])
         parsed = [datetime.fromisoformat(ts) for ts in stamps]
-        assert corpus.hour.tolist() == [d.hour for d in parsed]
-        assert corpus.is_weekend.tolist() == [d.weekday() >= 5 for d in parsed]
+        assert np.argwhere(region_counts(corpus, WORLD)).tolist() == [
+            [s, int(d.weekday() >= 5), d.hour] for s, d in enumerate(parsed)]
         assert corpus.ts.astype(object).tolist() == parsed
+        with pytest.raises(FrozenInstanceError):
+            corpus.ts = corpus.ts[::-1]
 
     @settings(max_examples=60, deadline=None)
     @given(records=st.lists(checkins, max_size=25), data=st.data())
