@@ -72,6 +72,17 @@ def _read_cities(path: str | Path) -> list[Area]:
     return sorted(areas, key=lambda a: a.area_id)
 
 
+def _check_level_options(args) -> None:
+    """Refuse a bad ``--cities``, ``--rows``, ``--cols`` or ``--top`` before any read."""
+    from .ingest import check_grid_shape, check_top
+
+    if args.level != "country" and not args.cities:
+        raise DataError(f"level {args.level!r} needs --cities")
+    if args.level == "grid":
+        check_grid_shape(args.rows, args.cols)
+        check_top(args.top)
+
+
 def _level_cubes(args, corpus: Corpus) -> tuple[list[Area], np.ndarray, list[str]]:
     """The areas of the requested level that have check-ins, their count
     cubes (areas, m, 2, 24) and the ids of the areas left out for having
@@ -83,19 +94,13 @@ def _level_cubes(args, corpus: Corpus) -> tuple[list[Area], np.ndarray, list[str
     from .model import Area
     from .prefs import area_cubes
 
-    if args.level == "country":
-        areas = [Area(area_id=c, kind="country", country_code=c) for c in corpus.countries]
-    elif not getattr(args, "cities", None):
-        raise DataError(f"level {args.level!r} needs --cities")
-    else:
-        areas = _read_cities(args.cities)
+    areas = ([Area(area_id=c, kind="country", country_code=c) for c in corpus.countries]
+             if args.level == "country" else _read_cities(args.cities))
     if args.level != "grid":
         cubes = area_cubes(corpus, areas)
         full = cubes.any(axis=(1, 2, 3))
         return ([area for area, f in zip(areas, full) if f], cubes[full],
                 [area.area_id for area, f in zip(areas, full) if not f])
-    if args.top < 0:
-        raise DataError(f"--top must be >= 0, got {args.top}")
     cells, kept = [], []
     for city in areas:
         grid = grid_partition(city, args.rows, args.cols)
@@ -117,8 +122,9 @@ def _level_cubes(args, corpus: Corpus) -> tuple[list[Area], np.ndarray, list[str
 
 def cmd_synth(args) -> int:
     from .model import load_taxonomy
-    from .synth import SynthSpec, generate_corpus
+    from .synth import SynthSpec, check_seed, generate_corpus
 
+    check_seed(args.seed)
     taxonomy = load_taxonomy(args.taxonomy)
     spec = SynthSpec.from_file(args.spec)
     generated = generate_corpus(spec, args.seed, args.out_dir, taxonomy)
@@ -127,12 +133,13 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    from .ingest import assign_home_country, check_min_checkins, filter_active_users
-    from .ingest import load_geo_index, parse_corpus
+    from .ingest import assign_home_country, check_error_budget, check_min_checkins
+    from .ingest import filter_active_users, load_geo_index, parse_corpus
     from .model import load_taxonomy
     from .store import write_store
 
     check_min_checkins(args.min_checkins)
+    check_error_budget(args.error_budget)
     taxonomy = load_taxonomy(args.taxonomy)
     geo = load_geo_index(args.geo)
     corpus = parse_corpus(args.corpus, taxonomy, args.error_budget)
@@ -250,9 +257,10 @@ def cmd_signatures(args) -> int:
     )
     from .store import read_store
 
+    _check_level_options(args)
     corpus, taxonomy = read_store(args.store, args.taxonomy)
     scopes = [s.strip() for s in args.scope.split(",") if s.strip()]
-    unknown = [s for s in scopes if s != "all" and s not in taxonomy.class_ranges]
+    unknown = [s for s in scopes if s != "all" and s not in taxonomy.class_ids]
     if not scopes:
         raise DataError(f"--scope names no scope: use 'all' or one of {taxonomy.class_ids}")
     if unknown:
@@ -280,7 +288,7 @@ def cmd_signatures(args) -> int:
     write_rows(out / "entropy.csv", ["class", "subcategory", "entropy_bits"],
                ((class_id, taxonomy.subcategories[i], entropies[i])
                 for class_id in taxonomy.class_ids
-                for i in range(*taxonomy.class_ranges[class_id])))
+                for i in range(taxonomy.m)[taxonomy.block(class_id)]))
     write_rows(out / "entropy_summary.csv", ["class", "level", "n_subcategories", "mean", "sigma"],
                map(dataclasses.astuple, entropy_summary(taxonomy, used[0].kind, entropies)))
     _write_json({"areas_used": area_ids, "excluded_empty": empty},
@@ -298,6 +306,7 @@ def cmd_cluster(args) -> int:
     k = args.k if args.k is not None else DEFAULT_K[args.level]
     check_coverage(args.coverage)
     check_kmeans_options(k, args.seed, args.restarts)
+    _check_level_options(args)
     corpus, _ = read_store(args.store, args.taxonomy)
     used, cubes, empty = _level_cubes(args, corpus)
     if len(used) < 2:

@@ -119,6 +119,12 @@ def _encode(ids: Sequence[str]) -> tuple[np.ndarray, list[str]]:
     return np.fromiter(map(position.__getitem__, ids), np.int64, len(ids)), table
 
 
+def check_error_budget(error_budget: float) -> None:
+    """Raise DataError unless ``error_budget`` lies in [0, 1]."""
+    if not 0.0 <= error_budget <= 1.0:
+        raise DataError(f"error budget must lie in [0, 1], got {error_budget:g}")
+
+
 def parse_corpus(source, taxonomy: Taxonomy, error_budget: float = 0.001) -> Corpus:
     """Parse a JSONL or CSV check-in stream into a validated Corpus.
 
@@ -127,8 +133,7 @@ def parse_corpus(source, taxonomy: Taxonomy, error_budget: float = 0.001) -> Cor
     carrying timestamps) are tolerated up to ``error_budget`` as a fraction
     of data lines; beyond that the parse aborts, citing the first bad line.
     """
-    if not 0.0 <= error_budget <= 1.0:
-        raise DataError(f"error budget must lie in [0, 1], got {error_budget:g}")
+    check_error_budget(error_budget)
     if isinstance(source, (str, Path)):
         force_csv = Path(source).suffix.lower() == ".csv"
         with utf8_input(source), open(source, encoding="utf-8") as fh:
@@ -429,8 +434,8 @@ def assign_home_country(corpus: Corpus, geo: GeoIndex) -> tuple[Corpus, IngestRe
     discarded = n_users - len(homed)
     per_class: dict[str, ClassStats] = {}
     for class_id in corpus.taxonomy.class_ids:
-        lo, hi = corpus.taxonomy.class_ranges[class_id]
-        mask = (corpus.subcat_idx >= lo) & (corpus.subcat_idx < hi)
+        block = corpus.taxonomy.block(class_id)
+        mask = (corpus.subcat_idx >= block.start) & (corpus.subcat_idx < block.stop)
         # bincount, not np.unique, which would import numpy.ma (10 ms).
         venues = int(np.count_nonzero(np.bincount(corpus.venue_idx[mask])))
         users = int(np.count_nonzero(np.bincount(corpus.user_idx[mask])))
@@ -469,6 +474,12 @@ def filter_active_users(corpus: Corpus, min_checkins: int = 7) -> Corpus:
 # ---------------------------------------------------------------------------
 
 
+def check_grid_shape(rows: int, cols: int) -> None:
+    """Raise DataError unless the grid has at least one row and one column."""
+    if rows < 1 or cols < 1:
+        raise DataError("grid must have at least one row and one column")
+
+
 def grid_partition(city: Area, rows: int, cols: int) -> list[Area]:
     """Tile a city's bounding box into rows x cols non-overlapping cells.
 
@@ -476,8 +487,7 @@ def grid_partition(city: Area, rows: int, cols: int) -> list[Area]:
     column, which are closed, so every point in the box lands in exactly one
     cell.  Cell ids are ``{city}:{row}:{col}`` in row-major order.
     """
-    if rows < 1 or cols < 1:
-        raise DataError("grid must have at least one row and one column")
+    check_grid_shape(rows, cols)
     if city.bbox is None:
         raise DataError(f"city {city.area_id!r} has no bounding box")
     min_lon, min_lat, max_lon, max_lat = city.bbox
@@ -525,6 +535,12 @@ def area_mask(corpus: Corpus, area: Area) -> np.ndarray:
     return ok_lon & ok_lat
 
 
+def check_top(n: int) -> None:
+    """Raise DataError if the cell count ``n`` of ``--top`` is negative."""
+    if n < 0:
+        raise DataError(f"--top must be >= 0, got {n}")
+
+
 def top_cells(cell_ids: Sequence[str], totals: Sequence[int], n: int) -> list[int]:
     """Positions of the n most popular cells, given each cell's id and
     check-in count.
@@ -532,6 +548,7 @@ def top_cells(cell_ids: Sequence[str], totals: Sequence[int], n: int) -> list[in
     Ties break toward the lexicographically smaller cell id; asking for more
     cells than have any check-ins is an error.
     """
+    check_top(n)
     nonempty = [(-int(total), cell_id, i)
                 for i, (cell_id, total) in enumerate(zip(cell_ids, totals, strict=True))
                 if total > 0]

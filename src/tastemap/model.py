@@ -38,22 +38,22 @@ class Taxonomy:
     class_ranges: Mapping[str, tuple[int, int]]
     excluded: frozenset[str] = frozenset()
     _index: Mapping[str, int] = field(default_factory=dict, repr=False, compare=False)
+    _classes: tuple[str, ...] = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
         index: dict[str, int] = {}
         for i, name in enumerate(self.subcategories):
-            if name in index:
+            if index.setdefault(name, i) != i:
                 raise TaxonomyError(f"duplicate subcategory: {name!r}")
-            index[name] = i
         object.__setattr__(self, "_index", index)
-        covered = sorted(self.class_ranges[c] for c in self.class_ids)
-        pos = 0
-        for lo, hi in covered:
-            if lo != pos or hi <= lo:
+        classes: list[str] = []  # the class of each subcategory
+        for (lo, hi), class_id in sorted((self.class_ranges[c], c) for c in self.class_ids):
+            if lo != len(classes) or not lo < hi <= self.m:
                 raise TaxonomyError("class ranges must tile the feature axis contiguously")
-            pos = hi
-        if pos != len(self.subcategories):
+            classes += [class_id] * (hi - lo)
+        if len(classes) != self.m:
             raise TaxonomyError("class ranges do not cover every subcategory")
+        object.__setattr__(self, "_classes", tuple(classes))
 
     @property
     def m(self) -> int:
@@ -70,16 +70,14 @@ class Taxonomy:
             raise TaxonomyError(f"unknown subcategory: {name!r}") from None
 
     def class_of(self, name: str) -> str:
-        i = self.index_of(name)
-        for class_id in self.class_ids:
-            lo, hi = self.class_ranges[class_id]
-            if lo <= i < hi:
-                return class_id
-        raise TaxonomyError(f"subcategory {name!r} not covered by any class")
+        return self._classes[self.index_of(name)]
 
-    def _range(self, class_id: str) -> tuple[int, int]:
+    def block(self, class_id: str) -> slice:
+        """The class's contiguous block of the feature axis: index the last
+        axis of any per-subcategory array with it.  The blocks of
+        ``class_ids`` tile the axis."""
         try:
-            return self.class_ranges[class_id]
+            return slice(*self.class_ranges[class_id])
         except KeyError:
             raise TaxonomyError(f"unknown class id: {class_id!r}") from None
 
@@ -87,10 +85,10 @@ class Taxonomy:
 def load_taxonomy(path: str | Path) -> Taxonomy:
     """Parse and validate a taxonomy file.
 
-    Raises TaxonomyError on duplicate subcategories, unknown class ids,
-    malformed lines, or classes left empty after exclusions.
+    Raises TaxonomyError on malformed lines, unknown class ids, classes left
+    empty after exclusions, or duplicate subcategories.
     """
-    entries: list[tuple[str, str]] = []
+    by_class: dict[str, list[str]] = {}  # classes in order of first appearance
     excluded: set[str] = set()
     with utf8_input(path), open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -103,45 +101,23 @@ def load_taxonomy(path: str | Path) -> Taxonomy:
                 raise TaxonomyError(f"line {lineno}: expected 'class<TAB>subcategory'")
             if head == "!exclude":
                 excluded.add(name)
-                continue
-            if head not in VALID_CLASS_IDS:
+            elif head in VALID_CLASS_IDS:
+                by_class.setdefault(head, []).append(name)
+            else:
                 raise TaxonomyError(f"line {lineno}: unknown class id {head!r}")
-            entries.append((head, name))
-
-    declared: list[str] = []
-    for class_id, _ in entries:
-        if class_id not in declared:
-            declared.append(class_id)
-    if not declared:
+    if not by_class:
         raise TaxonomyError("taxonomy defines no subcategories")
-
-    by_class: dict[str, list[str]] = {c: [] for c in declared}
-    seen: set[str] = set()
-    for class_id, name in entries:
-        if name in excluded:
-            continue
-        if name in seen:
-            raise TaxonomyError(f"duplicate subcategory: {name!r}")
-        seen.add(name)
-        by_class[class_id].append(name)
-
-    for class_id in declared:
-        if not by_class[class_id]:
-            raise TaxonomyError(f"class {class_id!r} has no subcategories after exclusions")
 
     subcategories: list[str] = []
     ranges: dict[str, tuple[int, int]] = {}
-    for class_id in declared:
+    for class_id, names in by_class.items():
         lo = len(subcategories)
-        subcategories.extend(by_class[class_id])
+        subcategories += (name for name in names if name not in excluded)
+        if len(subcategories) == lo:
+            raise TaxonomyError(f"class {class_id!r} has no subcategories after exclusions")
         ranges[class_id] = (lo, len(subcategories))
-
-    return Taxonomy(
-        class_ids=tuple(declared),
-        subcategories=tuple(subcategories),
-        class_ranges=ranges,
-        excluded=frozenset(excluded),
-    )
+    # Taxonomy refuses a name listed twice.
+    return Taxonomy(tuple(by_class), tuple(subcategories), ranges, frozenset(excluded))
 
 
 def reference_taxonomy_path() -> Path:
@@ -183,16 +159,3 @@ class Area:
             min_lon, min_lat, max_lon, max_lat = self.bbox
             if not (min_lon <= max_lon and min_lat <= max_lat):
                 raise DataError(f"invalid bounding box for area {self.area_id!r}")
-
-
-def class_slice(taxonomy: Taxonomy, vec, class_id: str) -> np.ndarray:
-    """Project feature vectors (the last axis) onto one class's contiguous
-    block.  Concatenating the class slices in declared order reconstructs
-    the full vector."""
-    lo, hi = taxonomy._range(class_id)
-    arr = np.asarray(vec)
-    if arr.shape[-1] != taxonomy.m:
-        raise DataError(
-            f"vector length {arr.shape[-1]} does not match taxonomy size {taxonomy.m}"
-        )
-    return arr[..., lo:hi]

@@ -3,8 +3,9 @@
 Every per-area product is a reduction of one aggregation, the stack of count
 cubes ``prefs.area_cubes`` gives: shape (areas, m subcategories, 2 day groups,
 24 hours), weekday before weekend.  Spatial counts sum out day group and
-hour; ``temporal_series`` sums one class's rows of one day group into an
-hourly curve per area; ``subcategory_entropy`` reduces the spatial counts
+hour; a class scope is the class's ``Taxonomy.block`` of subcategories;
+``temporal_series`` sums one class's rows of one day group into an hourly
+curve per area; ``subcategory_entropy`` reduces the spatial counts
 over the areas and ``entropy_summary`` summarizes it per class.  The
 spatio-temporal signature splits the day into the four 6-hour periods
 [0,6), [6,12), [12,18), [18,24): ``period_counts`` reshapes each cube to
@@ -23,7 +24,7 @@ import numpy as np
 
 from .csvtext import write_labelled_rows
 from .errors import DataError, UndefinedMetric
-from .model import Taxonomy, class_slice
+from .model import Taxonomy
 from .prefs import normalized_rows
 
 DAY_GROUPS = ("weekday", "weekend")
@@ -65,7 +66,8 @@ def correlation_matrix(
     subcategory matrix, such as ``normalized_rows`` gives; ``labels`` names
     the areas in row order.
 
-    ``scope`` restricts the comparison to one class's feature block; "all"
+    ``scope`` restricts the comparison to one class's feature block
+    (``Taxonomy.block``), whose rows must then be ``taxonomy.m`` wide; "all"
     uses the full rows.  Rows are centred and scaled to unit length, so one
     matrix product gives every pair.  A constant row (``np.ptp == 0``, the
     rule ``pearson`` uses) has no defined correlation: its row and column are
@@ -75,13 +77,21 @@ def correlation_matrix(
     """
     if len(rows) < 2 or len(rows) != len(labels):
         raise DataError("need at least two rows, one per label, to correlate")
-    X = np.array(rows if scope == "all" else class_slice(taxonomy, rows, scope), np.float64)
+    if scope != "all":
+        block, rows = taxonomy.block(scope), np.asarray(rows)
+        if rows.shape[-1] != taxonomy.m:
+            raise DataError(f"vector length {rows.shape[-1]} does not match taxonomy size "
+                            f"{taxonomy.m}")
+        rows = rows[..., block]
+    X = np.array(rows, np.float64)
     varies = np.ptp(X, axis=1) > 0
     X -= X.mean(axis=1, keepdims=True)
     X[varies] /= np.linalg.norm(X[varies], axis=1, keepdims=True)
-    values = np.clip(X @ X.T, -1.0, 1.0)
-    lower = np.tril_indices(len(values), -1)
-    values[lower] = values.T[lower]
+    values = X @ X.T
+    np.clip(values, -1.0, 1.0, out=values)
+    # Row by row, so no index array or copy of the matrix is made.
+    for i in range(len(values) - 1):
+        values[i + 1:, i] = values[i, i + 1:]
     np.fill_diagonal(values, 1.0)
     values[~varies] = values[:, ~varies] = np.nan
     return CorrelationMatrix(labels=tuple(labels), values=values, scope=scope)
@@ -120,11 +130,11 @@ def write_matrix_csv(matrix: CorrelationMatrix, path: str | Path) -> None:
     write_labelled_rows(path, ["area", *matrix.labels], matrix.labels, rows())
 
 
-def _block(taxonomy: Taxonomy, class_id: str, day_group: str) -> tuple[int, int, int]:
-    """Subcategory range and day-group index of one class x day-group block."""
+def _day_group_index(day_group: str) -> int:
+    """Position of ``day_group`` on the day-group axis of a count cube."""
     if day_group not in DAY_GROUPS:
         raise DataError(f"day_group must be one of {DAY_GROUPS}")
-    return (*taxonomy._range(class_id), DAY_GROUPS.index(day_group))
+    return DAY_GROUPS.index(day_group)
 
 
 def temporal_series(
@@ -134,8 +144,8 @@ def temporal_series(
     of a stack of count cubes (areas, m, 2, 24), each row divided by its
     busiest hour.  Weekend means Saturday or Sunday.  An empty curve stays
     all-zero."""
-    lo, hi, w = _block(taxonomy, class_id, day_group)
-    counts = cubes[:, lo:hi, w].sum(axis=1).astype(np.float64)
+    w = _day_group_index(day_group)
+    counts = cubes[:, taxonomy.block(class_id), w].sum(axis=1).astype(np.float64)
     peak = counts.max(axis=1, keepdims=True)
     np.divide(counts, peak, out=counts, where=peak > 0)
     return counts
@@ -162,9 +172,9 @@ def spatiotemporal_vector(cubes: np.ndarray, area_ids: Sequence[str]) -> np.ndar
 def class_period_indices(taxonomy: Taxonomy, class_id: str, day_group: str) -> np.ndarray:
     """Positions of one class x day-group block inside the flattened layout
     (all four periods, every subcategory of the class)."""
-    lo, hi, w = _block(taxonomy, class_id, day_group)
+    w = _day_group_index(day_group)
     layout = np.arange(taxonomy.m * SLOTS_PER_SUBCATEGORY).reshape(taxonomy.m, -1, PERIODS_PER_DAY)
-    return layout[lo:hi, w].ravel()
+    return layout[taxonomy.block(class_id), w].ravel()
 
 
 def subcategory_entropy(counts: np.ndarray) -> list[float | None]:
@@ -197,13 +207,7 @@ def entropy_summary(
     entries of ``subcategory_entropy``, at the granularity ``level`` names."""
     rows = []
     for class_id in taxonomy.class_ids:
-        lo, hi = taxonomy.class_ranges[class_id]
-        defined = [h for h in entropies[lo:hi] if h is not None]
-        if defined:
-            arr = np.asarray(defined)
-            rows.append(
-                EntropySummary(class_id, level, len(defined), float(arr.mean()), float(arr.std()))
-            )
-        else:
-            rows.append(EntropySummary(class_id, level, 0, None, None))
+        defined = np.array([h for h in entropies[taxonomy.block(class_id)] if h is not None])
+        stats = (float(defined.mean()), float(defined.std())) if defined.size else (None, None)
+        rows.append(EntropySummary(class_id, level, defined.size, *stats))
     return rows

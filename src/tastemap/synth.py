@@ -361,6 +361,12 @@ def _label_rows(spec: SynthSpec):
             user_index += 1
 
 
+def check_seed(seed: int) -> None:
+    """Raise DataError if ``seed`` is negative."""
+    if seed < 0:
+        raise DataError("seed must be nonnegative")
+
+
 def generate_corpus(
     spec: SynthSpec, seed: int, out_dir: str | Path, taxonomy: Taxonomy
 ) -> GeneratedCorpus:
@@ -370,8 +376,7 @@ def generate_corpus(
     rectangular ring per country) and cities.csv when any country has
     cities.  Identical (spec, seed) inputs produce byte-identical files.
     """
-    if seed < 0:
-        raise DataError("seed must be nonnegative")
+    check_seed(seed)
     for country in spec.countries:
         for name in country.preferences:
             if name not in taxonomy:

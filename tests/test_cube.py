@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from conftest import corpus_of, make_checkin, with_homes
 from tastemap.errors import EmptyAreaError, UndefinedMetric
 from tastemap.ingest import grid_partition
-from tastemap.model import Area, class_slice
+from tastemap.model import Area
 from tastemap.prefs import area_cubes, normalized_rows, region_counts
 from tastemap.signatures import (
     DAY_GROUPS,
@@ -227,7 +227,7 @@ def test_correlation_matrix_equals_pairwise_pearson(toy_tax, vectors):
     sigs = normalized_rows(np.array(counts_), labels)
     for scope in ("all", *toy_tax.class_ids):
         matrix = correlation_matrix(labels, sigs, toy_tax, scope).values
-        rows_ = [s if scope == "all" else class_slice(toy_tax, s, scope) for s in sigs]
+        rows_ = [s if scope == "all" else s[toy_tax.block(scope)] for s in sigs]
         for i, x in enumerate(rows_):
             for j, y in enumerate(rows_):
                 try:

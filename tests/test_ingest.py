@@ -807,6 +807,10 @@ class TestTopCells:
         with pytest.raises(DataError):
             top_ids(cells, totals, 4)
 
+    def test_negative_count_is_refused(self):
+        with pytest.raises(DataError, match="--top must be >= 0, got -1"):
+            top_cells(["a", "b", "c"], [3, 2, 1], -1)
+
     def test_tie_broken_by_id_string_not_row(self):
         # Rows 2 and 10 tie; "c:10:0" sorts before "c:2:0" although row 2
         # comes first in row-major order.

@@ -9,7 +9,8 @@ import pytest
 from conftest import corpus_of, jsonl_text, make_checkin, write_taxonomy
 from tastemap.errors import DataError, ParseError, TaxonomyError
 from tastemap.ingest import area_mask, parse_corpus
-from tastemap.model import Area, class_slice, load_taxonomy
+from tastemap.model import Area, load_taxonomy
+from tastemap.signatures import correlation_matrix
 
 
 class TestLoadTaxonomy:
@@ -38,6 +39,11 @@ class TestLoadTaxonomy:
     def test_duplicate_subcategory_rejected(self, tmp_path):
         text = "Drink\tPub\nFastFood\tPub\n"
         with pytest.raises(TaxonomyError, match="duplicate"):
+            load_taxonomy(write_taxonomy(tmp_path / "t.txt", text))
+
+    def test_empty_class_is_reported_before_a_duplicate(self, tmp_path):
+        text = "Drink\tPub\nFastFood\tPub\nSlowFood\tDiner\n!exclude\tDiner\n"
+        with pytest.raises(TaxonomyError, match="'SlowFood' has no subcategories"):
             load_taxonomy(write_taxonomy(tmp_path / "t.txt", text))
 
     def test_empty_class_rejected(self, tmp_path):
@@ -72,30 +78,36 @@ class TestLoadTaxonomy:
 class TestClassSlice:
     def test_drink_slice_is_21_dim(self, ref_tax):
         vec = np.arange(ref_tax.m, dtype=float)
-        assert class_slice(ref_tax, vec, "Drink").shape == (21,)
+        assert vec[ref_tax.block("Drink")].shape == (21,)
 
     def test_all_zero_vector_slices_to_zero(self, ref_tax):
-        assert not class_slice(ref_tax, np.zeros(ref_tax.m), "SlowFood").any()
+        assert not np.zeros(ref_tax.m)[ref_tax.block("SlowFood")].any()
 
     def test_slowfood_bit_invisible_to_drink_slice(self, ref_tax):
         vec = np.zeros(ref_tax.m)
         vec[ref_tax.index_of("Steakhouse")] = 1.0
-        drink = class_slice(ref_tax, vec, "Drink")
+        drink = vec[ref_tax.block("Drink")]
         assert drink.shape == (21,) and not drink.any()
 
     def test_unknown_class_rejected(self, toy_tax):
         with pytest.raises(TaxonomyError):
-            class_slice(toy_tax, np.zeros(toy_tax.m), "Dessert")
+            toy_tax.block("Dessert")
 
     def test_wrong_length_rejected(self, toy_tax):
-        with pytest.raises(DataError):
-            class_slice(toy_tax, np.zeros(toy_tax.m + 1), "Drink")
+        with pytest.raises(DataError, match="does not match taxonomy size"):
+            correlation_matrix(["a", "b"], np.eye(2, toy_tax.m + 1), toy_tax, "Drink")
 
     def test_slices_concatenate_to_full_vector(self, ref_tax, toy_tax):
         for tax in (ref_tax, toy_tax):
             vec = np.arange(tax.m, dtype=float)
-            parts = [class_slice(tax, vec, c) for c in tax.class_ids]
+            parts = [vec[tax.block(c)] for c in tax.class_ids]
             assert np.array_equal(np.concatenate(parts), vec)
+
+    def test_class_of_names_the_block_holding_the_subcategory(self, ref_tax, toy_tax):
+        for tax in (ref_tax, toy_tax):
+            for class_id in tax.class_ids:
+                names = tax.subcategories[tax.block(class_id)]
+                assert names and all(tax.class_of(name) == class_id for name in names)
 
     def test_m_consistent_with_class_counts(self, ref_tax):
         assert ref_tax.m == sum(hi - lo for lo, hi in ref_tax.class_ranges.values())

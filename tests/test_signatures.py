@@ -1,6 +1,7 @@
 """Pearson matrices, temporal curves, spatio-temporal layout, entropy."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,6 +196,25 @@ class TestCorrelationMatrix:
         constant = np.ptp(vectors, axis=1) == 0
         assert np.array_equal(np.isnan(values).all(axis=1), constant)
         assert np.array_equal(np.isnan(values), constant[:, None] | constant[None, :])
+
+    @pytest.mark.parametrize("scope", ["all", "Drink"])
+    def test_peak_memory_is_about_one_matrix(self, ref_tax, scope):
+        # The result is the one n x n matrix: clipped in place and mirrored row
+        # by row, with no index arrays and no second matrix.  A constant row
+        # takes the NaN path too.
+        n = 1000
+        counts = np.random.default_rng(7).integers(0, 20, size=(n, ref_tax.m))
+        counts[:, 0] += 1
+        counts[1] = 5
+        labels, sigs = signatures(counts)
+        tracemalloc.start()
+        try:
+            values = correlation_matrix(labels, sigs, ref_tax, scope).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isnan(values[1]).all() and values[0, 0] == 1.0
+        assert peak <= 1.5 * n * n * 8
 
 
 class TestTemporalSeries:

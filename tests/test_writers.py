@@ -28,7 +28,6 @@ from tastemap.model import load_taxonomy
 from tastemap.signatures import (
     DAY_GROUPS,
     CorrelationMatrix,
-    _block,
     temporal_series,
     write_matrix_csv,
 )
@@ -55,8 +54,8 @@ def old_write_matrix_csv(matrix, path):
 
 
 def old_hourly_curve(cube, taxonomy, class_id, day_group):
-    lo, hi, w = _block(taxonomy, class_id, day_group)
-    counts = cube[lo:hi, w].sum(axis=0).astype(np.float64)
+    counts = cube[taxonomy.block(class_id), DAY_GROUPS.index(day_group)].sum(axis=0)
+    counts = counts.astype(np.float64)
     peak = counts.max()
     if peak > 0:
         counts /= peak
