@@ -255,16 +255,17 @@ def cmd_signatures(args) -> int:
         temporal_series,
         write_matrix_csv,
     )
-    from .store import read_store
+    from .store import read_store, store_taxonomy
 
     _check_level_options(args)
-    corpus, taxonomy = read_store(args.store, args.taxonomy)
+    taxonomy = store_taxonomy(args.store, args.taxonomy)
     scopes = [s.strip() for s in args.scope.split(",") if s.strip()]
     unknown = [s for s in scopes if s != "all" and s not in taxonomy.class_ids]
     if not scopes:
         raise DataError(f"--scope names no scope: use 'all' or one of {taxonomy.class_ids}")
     if unknown:
         raise DataError(f"unknown scope(s) {unknown}: use 'all' or one of {taxonomy.class_ids}")
+    corpus, _ = read_store(args.store, args.taxonomy)
     used, cubes, empty = _level_cubes(args, corpus)
     if len(used) < 2:
         raise UndefinedMetric("fewer than two areas have check-ins; nothing to correlate")
@@ -272,10 +273,6 @@ def cmd_signatures(args) -> int:
     counts = cubes.sum(axis=(2, 3))
     spatial = normalized_rows(counts, area_ids)
     out = _outdir(args)
-
-    for scope in scopes:
-        matrix = correlation_matrix(area_ids, spatial, taxonomy, scope)
-        write_matrix_csv(matrix, out / f"corr_{scope}.csv")
 
     header = ["area", *(f"h{h:02d}" for h in range(24))]
     for class_id in taxonomy.class_ids:
@@ -291,6 +288,10 @@ def cmd_signatures(args) -> int:
                 for i in range(taxonomy.m)[taxonomy.block(class_id)]))
     write_rows(out / "entropy_summary.csv", ["class", "level", "n_subcategories", "mean", "sigma"],
                map(dataclasses.astuple, entropy_summary(taxonomy, used[0].kind, entropies)))
+    del corpus, cubes, counts  # the matrices come last, one at a time, with nothing else
+    for scope in scopes:
+        write_matrix_csv(area_ids, correlation_matrix(spatial, taxonomy, scope),
+                         out / f"corr_{scope}.csv")
     _write_json({"areas_used": area_ids, "excluded_empty": empty},
                 out / "areas_used.json")
     print(f"signature reports written to {out}")

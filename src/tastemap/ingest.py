@@ -28,6 +28,7 @@ import json
 import json.scanner
 import math
 import operator
+import re
 from dataclasses import KW_ONLY, dataclass, replace
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -42,6 +43,9 @@ from .model import Area, Taxonomy
 CORPUS_FIELDS = ("user", "venue", "lat", "lon", "ts", "subcat")
 # The row columns of a Corpus, as its constructor names them.
 COLUMNS = ("lat", "lon", "ts", "subcat_idx", "user_idx", "venue_idx")
+# The edge list's field separator and every character ``str.splitlines``
+# breaks a line on: a record whose user id holds one is malformed.
+USER_ID_BREAKS = re.compile("[\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 _EPOCH = datetime(1970, 1, 1)
 _MICROSECOND = timedelta(microseconds=1)
 # The dtype a Corpus field is normalized to, or tuple for an id table.
@@ -130,8 +134,9 @@ def parse_corpus(source, taxonomy: Taxonomy, error_budget: float = 0.001) -> Cor
 
     Records naming an unknown subcategory are skipped and counted.  Malformed
     records (bad JSON, missing fields, out-of-range coordinates, offset-
-    carrying timestamps) are tolerated up to ``error_budget`` as a fraction
-    of data lines; beyond that the parse aborts, citing the first bad line.
+    carrying timestamps, user ids with a tab or line break) are tolerated up
+    to a fraction ``error_budget`` of data lines; beyond that the parse
+    aborts, citing the first bad line.
     """
     check_error_budget(error_budget)
     if isinstance(source, (str, Path)):
@@ -245,8 +250,8 @@ def _parse_stream(source, taxonomy: Taxonomy, error_budget: float, force_csv: bo
 
     A field that does not coerce makes its record malformed; a record that
     coerces but names an unknown subcategory is skipped; only then is an
-    out-of-range coordinate (NaN and inf included) or a timestamp with a
-    UTC offset malformed.
+    out-of-range coordinate (NaN and inf included), a timestamp with a UTC
+    offset or a user id holding a ``USER_ID_BREAKS`` character malformed.
     """
     subcat_index = {name: i for i, name in enumerate(taxonomy.subcategories)}
     user_codes: dict[str, int] = {}
@@ -280,6 +285,9 @@ def _parse_stream(source, taxonomy: Taxonomy, error_budget: float, force_csv: bo
         lon = np.fromiter(lon, np.float64, len(lon))
         invalid = ~((lat >= -90.0) & (lat <= 90.0) & (lon >= -180.0) & (lon <= 180.0))
         invalid |= np.fromiter((ts.tzinfo is not None for ts in stamps), np.bool_, len(stamps))
+        if USER_ID_BREAKS.search("\0".join(users)):
+            invalid |= np.fromiter((USER_ID_BREAKS.search(u) is not None for u in users),
+                                   np.bool_, len(users))
         bad = uncoerced | (invalid & ~unknown)
         keep = ~(bad | unknown)
         skipped_unknown += int(unknown.sum())

@@ -16,6 +16,7 @@ normalizes the result per area.  That reshape is the layout: the entry for
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -50,21 +51,9 @@ def pearson(x, y) -> float:
     return float(min(1.0, max(-1.0, r)))
 
 
-@dataclass(frozen=True, eq=False)
-class CorrelationMatrix:
-    """Pairwise area correlations; entries are NaN where undefined."""
-
-    labels: tuple[str, ...]
-    values: np.ndarray
-    scope: str
-
-
-def correlation_matrix(
-    labels: Sequence[str], rows, taxonomy: Taxonomy, scope: str = "all"
-) -> CorrelationMatrix:
+def correlation_matrix(rows, taxonomy: Taxonomy, scope: str = "all") -> np.ndarray:
     """Pearson correlation between every pair of rows of an area x
-    subcategory matrix, such as ``normalized_rows`` gives; ``labels`` names
-    the areas in row order.
+    subcategory matrix, such as ``normalized_rows`` gives.
 
     ``scope`` restricts the comparison to one class's feature block
     (``Taxonomy.block``), whose rows must then be ``taxonomy.m`` wide; "all"
@@ -75,8 +64,8 @@ def correlation_matrix(
     exactly symmetric, bit for bit and NaN included: the lower triangle is a
     copy of the upper one.
     """
-    if len(rows) < 2 or len(rows) != len(labels):
-        raise DataError("need at least two rows, one per label, to correlate")
+    if len(rows) < 2:
+        raise DataError("need at least two rows to correlate")
     if scope != "all":
         block, rows = taxonomy.block(scope), np.asarray(rows)
         if rows.shape[-1] != taxonomy.m:
@@ -94,40 +83,37 @@ def correlation_matrix(
         values[i + 1:, i] = values[i, i + 1:]
     np.fill_diagonal(values, 1.0)
     values[~varies] = values[:, ~varies] = np.nan
-    return CorrelationMatrix(labels=tuple(labels), values=values, scope=scope)
+    return values
 
 
-def write_matrix_csv(matrix: CorrelationMatrix, path: str | Path) -> None:
-    """CSV of the matrix: a header row ``area,<labels>``, then one row per
-    label.  An undefined (NaN) entry is an empty field, any other the
-    ``repr`` of its float.
+def write_matrix_csv(labels: Sequence[str], values: np.ndarray, path: str | Path) -> None:
+    """CSV of a matrix over ``labels``: a header row ``area,<labels>``, then
+    one row per label.  An undefined (NaN) entry is an empty field, any other
+    the ``repr`` of its float.
 
     The matrix must be exactly symmetric over its labels, NaN and the sign
     of zero included, as ``correlation_matrix`` makes it; anything else is a
     DataError.  Each entry of the upper triangle, diagonal included, is
-    formatted once, when its row is written, and its string is kept for the
-    mirrored entry of a later row only until that row is written.
+    formatted once, when its row is written; row i queues the strings it
+    owes to later rows, and row j takes the head of every earlier queue.
     """
-    values = matrix.values
-    n = len(matrix.labels)
+    n = len(labels)
     if values.shape != (n, n) or not (
         np.array_equal(values, values.T, equal_nan=True)
         and np.array_equal(np.signbit(values), np.signbit(values.T))
     ):
-        raise DataError(f"correlation matrix {matrix.scope!r} is not symmetric over its labels")
-    undefined = np.isnan(values)
+        raise DataError("correlation matrix is not symmetric over its labels")
 
     def rows():
-        cells = np.empty((n, n), object)
+        owed: list[deque[str]] = []
         for i in range(n):
-            strings = np.array(list(map(repr, values[i, i:].tolist())), object)
-            cells[i, i:] = strings
-            cells[i:, i] = strings
-            cells[i, undefined[i]] = ""
-            yield cells[i].tolist()
-            cells[i] = None
+            strings = list(map(repr, values[i, i:].tolist()))
+            for j in np.flatnonzero(np.isnan(values[i, i:])).tolist():
+                strings[j] = ""
+            yield [*map(deque.popleft, owed), *strings]
+            owed.append(deque(strings[1:]))
 
-    write_labelled_rows(path, ["area", *matrix.labels], matrix.labels, rows())
+    write_labelled_rows(path, ["area", *labels], labels, rows())
 
 
 def _day_group_index(day_group: str) -> int:

@@ -21,7 +21,6 @@ over the classes, and that quotient is the only form a network takes here:
 from __future__ import annotations
 
 import itertools
-import re
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -30,13 +29,11 @@ import numpy as np
 from . import _kernels
 from .csvtext import quote_fields
 from .errors import DataError, UndefinedMetric
+from .ingest import USER_ID_BREAKS
 
 # Bytes of edge lines assembled at once by the edge-list writer: about 1M
 # edges for short ids, and bounded whatever their length.
 EDGE_CHUNK_BYTES = 1 << 24
-# The edge list's field separator and every character ``str.splitlines``
-# breaks a line on: an id holding one cannot be read back from its lines.
-_EDGE_LIST_BREAKS = re.compile("[\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -299,11 +296,12 @@ def degree_assortativity(net: QuotientNetwork) -> float:
 def edge_id_table(ids: Sequence[str]) -> np.ndarray:
     """The ids for ``write_edge_list``: each one's UTF-8 bytes padded with
     0xFF (a byte UTF-8 never uses) to one width of at least a byte, as one
-    fixed-size ``np.void`` entry.  An id holding a tab or a line break is a
-    DataError naming the first such id.  The ids are searched as one string,
-    and one by one only once that finds such a character."""
-    if _EDGE_LIST_BREAKS.search("\0".join(ids)):
-        bad = next(u for u in ids if _EDGE_LIST_BREAKS.search(u))
+    fixed-size ``np.void`` entry.  An id holding a tab or a line break
+    (``ingest.USER_ID_BREAKS``, refused by parsing but not in an older store)
+    is a DataError naming the first such id.  The ids are searched as one
+    string, and one by one only once that finds such a character."""
+    if USER_ID_BREAKS.search("\0".join(ids)):
+        bad = next(u for u in ids if USER_ID_BREAKS.search(u))
         raise DataError(f"user id {bad!r} holds a tab or a line break, "
                         "which the edge list cannot carry")
     encoded = [u.encode("utf-8") for u in ids]

@@ -160,6 +160,15 @@ def _load_arrays(store: Path) -> dict[str, np.ndarray]:
         raise DataError(f"unreadable {CORPUS_FILE} in {store}: {exc}") from None
 
 
+def store_taxonomy(store: str | Path, taxonomy_path: str | Path | None = None) -> Taxonomy:
+    """The taxonomy a store is read with: ``taxonomy_path`` if given, else the
+    store's own ``taxonomy.txt``.  It reads nothing else of the store."""
+    taxonomy_path = Path(taxonomy_path) if taxonomy_path else Path(store) / "taxonomy.txt"
+    if not taxonomy_path.exists():
+        raise DataError(f"taxonomy file not found: {taxonomy_path}")
+    return load_taxonomy(taxonomy_path)
+
+
 def read_store(
     store: str | Path, taxonomy_path: str | Path | None = None
 ) -> tuple[Corpus, Taxonomy]:
@@ -169,12 +178,8 @@ def read_store(
     corpus's ``countries`` table holds the home of every user in the store,
     including a country whose users lose every row to the override taxonomy.
     """
-    store = Path(store)
-    taxonomy_path = Path(taxonomy_path) if taxonomy_path else store / "taxonomy.txt"
-    if not taxonomy_path.exists():
-        raise DataError(f"taxonomy file not found: {taxonomy_path}")
-    taxonomy = load_taxonomy(taxonomy_path)
-    arrays = _load_arrays(store)
+    taxonomy = store_taxonomy(store, taxonomy_path)
+    arrays = _load_arrays(Path(store))
 
     names = arrays["subcategories"].tolist()
     remap = np.array([taxonomy.index_of(n) if n in taxonomy else -1 for n in names], np.int64)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import tomllib
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,9 +18,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_checkin, write_geo, write_jsonl
+from conftest import corpus_of, make_checkin, with_homes, write_geo, write_jsonl
 from tastemap.cli import build_parser, entry, main
-from tastemap.model import reference_taxonomy_path
+from tastemap.model import load_taxonomy, reference_taxonomy_path
+from tastemap.store import write_store
 
 SURVEY_HEADER = "country,trad_secular,surv_selfexpr\n"
 
@@ -222,16 +224,15 @@ class TestSimnet:
 
     def test_id_with_a_tab_or_line_break_exits_2_and_writes_nothing(self, pipeline, tmp_path,
                                                                     capsys):
-        corpus = tmp_path / "c.jsonl"
-        corpus.write_text("".join(
-            json.dumps({"user": user, "venue": f"v{i}", "lat": 1.0, "lon": 1.0,
-                        "ts": "2024-04-16T12:00:00", "subcat": "Pub"}) + "\n"
-            for user in ("a\tb", "c", "d\ne") for i in range(7)), encoding="utf-8")
-        geo = tmp_path / "geo.txt"
-        geo.write_text("AA\t0,0;10,0;10,10;0,10;0,0\n", encoding="utf-8")
+        # Parsing refuses such ids, so the store is written directly.
+        taxonomy = load_taxonomy(pipeline["taxonomy"])
+        parsed = corpus_of(taxonomy, [make_checkin(user=user, venue=f"v{i}")
+                                      for user in ("u0", "u1", "u2") for i in range(7)])
+        ids = ("a\tb", "c", "d\ne")
         store = tmp_path / "store"
-        assert main(["ingest", "--corpus", str(corpus), "--geo", str(geo),
-                     "--taxonomy", pipeline["taxonomy"], "--out-dir", str(store)]) == 0
+        store.mkdir()
+        write_store(store, with_homes(replace(parsed, user_ids=ids), dict.fromkeys(ids, "AA")),
+                    Path(pipeline["taxonomy"]))
         out = tmp_path / "net"
         assert main(["simnet", "--store", str(store), "--out-dir", str(out)]) == 2
         assert "user id 'a\\tb' holds a tab or a line break" in capsys.readouterr().err
@@ -681,6 +682,18 @@ class TestSignatures:
         assert main(["signatures", "--store", str(pipeline["store"]),
                      "--scope", scope, "--out-dir", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_scope_is_refused_before_the_corpus_is_read(self, pipeline, tmp_path,
+                                                                capsys):
+        store = tmp_path / "store"
+        shutil.copytree(pipeline["store"], store)
+        (store / "corpus.npz").write_bytes(b"not a zip archive")
+        out = tmp_path / "sig"
+        assert main(["signatures", "--store", str(store), "--scope", "Dessert",
+                     "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown scope(s) ['Dessert']" in err and "manifest" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["signatures", "cluster"])

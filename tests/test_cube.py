@@ -226,7 +226,7 @@ def test_correlation_matrix_equals_pairwise_pearson(toy_tax, vectors):
     labels = [f"a{i}" for i in range(len(vectors))]
     sigs = normalized_rows(np.array(counts_), labels)
     for scope in ("all", *toy_tax.class_ids):
-        matrix = correlation_matrix(labels, sigs, toy_tax, scope).values
+        matrix = correlation_matrix(sigs, toy_tax, scope)
         rows_ = [s if scope == "all" else s[toy_tax.block(scope)] for s in sigs]
         for i, x in enumerate(rows_):
             for j, y in enumerate(rows_):

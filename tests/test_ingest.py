@@ -103,6 +103,18 @@ class TestParseCorpus:
             with pytest.raises(ParseError):
                 parse_corpus(path, toy_tax)
 
+    @pytest.mark.parametrize("user", ["a\tb", "a\nb", "a\r", "\x85", "a\u2029b"])
+    def test_user_id_with_a_tab_or_line_break_is_malformed(self, toy_tax, tmp_path, user):
+        records = [make_checkin(user="u0"), make_checkin(user=user)]
+        records += [make_checkin(user=f"u{i}") for i in range(1, 9)]
+        path = write_jsonl(tmp_path / "c.jsonl", records)
+        corpus = parse_corpus(path, toy_tax, error_budget=0.1)
+        assert (len(corpus), corpus.malformed_lines) == (9, 1)
+        assert user not in corpus.user_ids
+        with pytest.raises(ParseError) as err:
+            parse_corpus(path, toy_tax)
+        assert err.value.line_number == 2
+
     @pytest.mark.parametrize("line", [
         json.dumps(make_checkin()).replace('"lat": 1.0', f'"lat": 1{"0" * 400}'),  # no float
         json.dumps(make_checkin()).replace('"lat": 1.0', f'"lat": 1{"0" * 5000}'),  # no int
@@ -160,6 +172,9 @@ def oracle_checkin(rec, taxonomy):
         raise DataError(f"longitude out of range: {lon!r}")
     if ts.tzinfo is not None:
         raise DataError("timestamps must be naive venue-local times (no UTC offset)")
+    # A tab, or a character that splits the id into two lines.
+    if "\t" in user or len((user + "x").splitlines()) > 1:
+        raise DataError(f"user id {user!r} holds a tab or a line break")
     return user, venue, lat, lon, ts, subcat
 
 
@@ -232,7 +247,7 @@ def oracle_columns(checkins, taxonomy):
 SUBCATS = ("Pub", "Wine Bar", "Bakery", "Steakhouse", "Sushi Restaurant")
 BAD_NUMBERS = [95.0, -91.0, 181.0, -180.5, math.nan, math.inf, -math.inf, "abc", "", "1.5"]
 field_values = {
-    "user": st.sampled_from(["u1", "u2", "\u00fc", "u 3", 7]),
+    "user": st.sampled_from(["u1", "u2", "\u00fc", "u 3", 7, "u\t4", "u\n5", "u\u20286"]),
     "venue": st.sampled_from(["v1", "v2", "v,3"]),
     "lat": st.one_of(st.floats(-90.0, 90.0), st.sampled_from(BAD_NUMBERS)),
     "lon": st.one_of(st.floats(-180.0, 180.0), st.sampled_from(BAD_NUMBERS)),

@@ -95,7 +95,7 @@ class TestClassSlice:
 
     def test_wrong_length_rejected(self, toy_tax):
         with pytest.raises(DataError, match="does not match taxonomy size"):
-            correlation_matrix(["a", "b"], np.eye(2, toy_tax.m + 1), toy_tax, "Drink")
+            correlation_matrix(np.eye(2, toy_tax.m + 1), toy_tax, "Drink")
 
     def test_slices_concatenate_to_full_vector(self, ref_tax, toy_tax):
         for tax in (ref_tax, toy_tax):

@@ -20,6 +20,7 @@ from tastemap.signatures import (
     spatiotemporal_vector,
     subcategory_entropy,
     temporal_series,
+    write_matrix_csv,
 )
 
 BOX = Area("box", "city", bbox=(0.0, 0.0, 2.0, 2.0))
@@ -31,9 +32,8 @@ def spatial_counts(corpus, areas):
 
 
 def signatures(counts):
-    """Labels a0, a1, ... and the normalized rows of area count vectors."""
-    labels = [f"a{i}" for i in range(len(counts))]
-    return labels, normalized_rows(np.array(counts), labels)
+    """The normalized rows of area count vectors, labelled a0, a1, ..."""
+    return normalized_rows(np.array(counts), [f"a{i}" for i in range(len(counts))])
 
 
 def two_pass_pearson(x, y):
@@ -98,24 +98,24 @@ class TestPearson:
 class TestCorrelationMatrix:
     def test_identical_signatures_fully_correlated(self, toy_tax):
         counts = np.array([4, 2, 1, 0, 3, 2, 1])
-        matrix = correlation_matrix(*signatures([counts, counts * 3]), toy_tax)
-        assert matrix.values[0, 1] == pytest.approx(1.0)
-        assert matrix.values[0, 0] == 1.0
+        matrix = correlation_matrix(signatures([counts, counts * 3]), toy_tax)
+        assert matrix[0, 1] == pytest.approx(1.0)
+        assert matrix[0, 0] == 1.0
 
     def test_scope_restricts_to_class_block(self, ref_tax):
         rng = np.random.default_rng(23)
-        labels, sigs = signatures(rng.integers(1, 40, size=(3, ref_tax.m)))
-        matrix = correlation_matrix(labels, sigs, ref_tax, scope="Drink")
+        sigs = signatures(rng.integers(1, 40, size=(3, ref_tax.m)))
+        matrix = correlation_matrix(sigs, ref_tax, scope="Drink")
         lo, hi = ref_tax.class_ranges["Drink"]
         assert hi - lo == 21
         expected = two_pass_pearson(sigs[0, lo:hi].tolist(), sigs[1, lo:hi].tolist())
-        assert matrix.values[0, 1] == pytest.approx(expected, abs=1e-12)
+        assert matrix[0, 1] == pytest.approx(expected, abs=1e-12)
 
     def test_disjoint_support_anticorrelated(self, toy_tax):
         matrix = correlation_matrix(
-            *signatures([[5, 5, 5, 0, 0, 0, 0], [0, 0, 0, 5, 5, 5, 5]]), toy_tax
+            signatures([[5, 5, 5, 0, 0, 0, 0], [0, 0, 0, 5, 5, 5, 5]]), toy_tax
         )
-        assert matrix.values[0, 1] < 0
+        assert matrix[0, 1] < 0
 
     def test_matches_brute_force_on_random_areas(self, toy_tax):
         rng = np.random.default_rng(24)
@@ -123,22 +123,22 @@ class TestCorrelationMatrix:
         for _ in range(8):
             counts.append(rng.integers(0, 30, size=toy_tax.m))
             counts[-1][rng.integers(toy_tax.m)] += 5
-        labels, sigs = signatures(counts)
-        matrix = correlation_matrix(labels, sigs, toy_tax)
+        sigs = signatures(counts)
+        matrix = correlation_matrix(sigs, toy_tax)
         for i in range(8):
             for j in range(8):
                 if i == j:
                     continue
                 expected = two_pass_pearson(sigs[i].tolist(), sigs[j].tolist())
-                assert matrix.values[i, j] == pytest.approx(expected, abs=1e-12)
+                assert matrix[i, j] == pytest.approx(expected, abs=1e-12)
 
     def test_constant_signature_marked_nan(self, toy_tax):
         labels = ["flat", "varied"]
         rows = normalized_rows(np.array([[1] * 7, [3, 1, 0, 0, 2, 0, 1]]), labels)
-        matrix = correlation_matrix(labels, rows, toy_tax)
-        assert np.isnan(matrix.values[0, 1])
-        assert np.isnan(matrix.values[0, 0])
-        assert matrix.values[1, 1] == 1.0
+        matrix = correlation_matrix(rows, toy_tax)
+        assert np.isnan(matrix[0, 1])
+        assert np.isnan(matrix[0, 0])
+        assert matrix[1, 1] == 1.0
 
     def test_constant_class_block_is_nan_against_every_area(self, ref_tax):
         # Every Drink count at 1 and one other count at 10: the Drink block of
@@ -148,7 +148,7 @@ class TestCorrelationMatrix:
         flat[hi] = 10
         rng = np.random.default_rng(28)
         counts = [flat, *rng.integers(1, 40, size=(3, ref_tax.m))]
-        values = correlation_matrix(*signatures(counts), ref_tax, scope="Drink").values
+        values = correlation_matrix(signatures(counts), ref_tax, scope="Drink")
         assert np.isnan(values[0]).all() and np.isnan(values[:, 0]).all()
         assert not np.isnan(values[1:, 1:]).any()
 
@@ -159,9 +159,9 @@ class TestCorrelationMatrix:
         counts[3] = 7  # constant everywhere
         lo, hi = ref_tax.class_ranges["FastFood"]
         counts[5, lo:hi] = 3  # constant FastFood block
-        labels, sigs = signatures(counts)
+        sigs = signatures(counts)
         for scope in ("all", "FastFood"):
-            values = correlation_matrix(labels, sigs, ref_tax, scope).values
+            values = correlation_matrix(sigs, ref_tax, scope)
             vectors = [s if scope == "all" else s[lo:hi] for s in sigs]
             for i in range(12):
                 for j in range(12):
@@ -187,8 +187,8 @@ class TestCorrelationMatrix:
         lo, hi = toy_tax.class_ranges["Drink"]
         for i in data.draw(st.lists(st.integers(0, n - 1), max_size=n)):
             counts[i, lo:hi] = 3  # constant Drink block
-        labels, sigs = signatures(counts)
-        values = correlation_matrix(labels, sigs, toy_tax, scope).values
+        sigs = signatures(counts)
+        values = correlation_matrix(sigs, toy_tax, scope)
         # bit for bit: equal values, equal signs of zero, equal NaNs
         assert np.array_equal(values.view(np.uint64), values.T.view(np.uint64))
         block = slice(None) if scope == "all" else slice(*toy_tax.class_ranges[scope])
@@ -206,15 +206,35 @@ class TestCorrelationMatrix:
         counts = np.random.default_rng(7).integers(0, 20, size=(n, ref_tax.m))
         counts[:, 0] += 1
         counts[1] = 5
-        labels, sigs = signatures(counts)
+        sigs = signatures(counts)
         tracemalloc.start()
         try:
-            values = correlation_matrix(labels, sigs, ref_tax, scope).values
+            values = correlation_matrix(sigs, ref_tax, scope)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert np.isnan(values[1]).all() and values[0, 0] == 1.0
         assert peak <= 1.5 * n * n * 8
+
+    def test_writer_peak_is_at_most_2_7_matrices(self, ref_tax, tmp_path):
+        # Each row's strings live only until their mirrored entries are
+        # written: at most n*n/4 of them at once, and no n x n object array.
+        # The constant row writes empty fields.
+        n = 1000
+        counts = np.random.default_rng(7).integers(0, 20, size=(n, ref_tax.m))
+        counts[:, 0] += 1
+        counts[1] = 5
+        labels = [f"a{i}" for i in range(n)]
+        values = correlation_matrix(normalized_rows(counts, labels), ref_tax)
+        tracemalloc.start()
+        try:
+            write_matrix_csv(labels, values, tmp_path / "m.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        lines = (tmp_path / "m.csv").read_text(encoding="utf-8").splitlines()
+        assert len(lines) == n + 1 and lines[2] == "a1" + "," * n
+        assert peak <= 2.7 * n * n * 8
 
 
 class TestTemporalSeries:
