@@ -198,7 +198,7 @@ def cmd_simnet(args) -> int:
         if tag in tags[:i]:
             raise DataError(f"bad threshold list: two thresholds share the file tag {tag!r}")
     check_thresholds(thresholds)
-    corpus, _ = read_store(args.store, args.taxonomy)
+    corpus = read_store(args.store, args.taxonomy)
     # Profiles come in user id order, the ids being sorted and unique.  Zero
     # users are refused by ProfileClasses, before the attributes are read.
     profiles = build_profiles(corpus)
@@ -265,7 +265,7 @@ def cmd_signatures(args) -> int:
         raise DataError(f"--scope names no scope: use 'all' or one of {taxonomy.class_ids}")
     if unknown:
         raise DataError(f"unknown scope(s) {unknown}: use 'all' or one of {taxonomy.class_ids}")
-    corpus, _ = read_store(args.store, args.taxonomy)
+    corpus = read_store(args.store, args.taxonomy)
     used, cubes, empty = _level_cubes(args, corpus)
     if len(used) < 2:
         raise UndefinedMetric("fewer than two areas have check-ins; nothing to correlate")
@@ -308,7 +308,7 @@ def cmd_cluster(args) -> int:
     check_coverage(args.coverage)
     check_kmeans_options(k, args.seed, args.restarts)
     _check_level_options(args)
-    corpus, _ = read_store(args.store, args.taxonomy)
+    corpus = read_store(args.store, args.taxonomy)
     used, cubes, empty = _level_cubes(args, corpus)
     if len(used) < 2:
         raise UndefinedMetric("fewer than two areas have check-ins; nothing to cluster")
@@ -351,7 +351,7 @@ def cmd_survey(args) -> int:
     from .signatures import class_period_indices, spatiotemporal_vector
     from .store import read_store
 
-    corpus, taxonomy = read_store(args.store, args.taxonomy)
+    corpus = read_store(args.store, args.taxonomy)
     survey = _read_survey(args.survey)
     countries = sorted(survey)
     missing = [c for c in countries if c not in corpus.countries]
@@ -364,7 +364,7 @@ def cmd_survey(args) -> int:
     if args.dataset in ("full", "both"):
         datasets.append(("dataset1", vectors))
     if args.dataset in ("ffood_weekend", "both"):
-        ffood_weekend = class_period_indices(taxonomy, "FastFood", "weekend")
+        ffood_weekend = class_period_indices(corpus.taxonomy, "FastFood", "weekend")
         datasets.append(("dataset2", vectors[:, ffood_weekend]))
 
     results = {}
@@ -472,11 +472,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    return run(args)
+
+
+def run(args) -> int:
+    """Run a parsed command line; a typed error becomes a message on stderr
+    and its exit code."""
     try:
         return args.func(args)
     except UndefinedMetric as exc:
@@ -494,20 +499,24 @@ def entry() -> int:
     """Process entry of ``python -m tastemap.cli`` and of the installed
     ``tastemap`` command: ``main`` on ``sys.argv``.
 
-    It pins OpenBLAS, OpenMP and MKL to one thread, overriding any value
-    already set, because ``np.linalg.eigh`` in ``cluster`` returns other last
-    bits on other thread counts.  It imports numpy, which reads them as it
-    loads, and then moves every object alive so far (the front end's and
-    numpy's, about 21k) into the collector's permanent generation, so no
-    collection in the command and none at interpreter exit traverses them
-    again.  ``main`` does none of this, because tests and the benchmark's
-    tracer call it in-process."""
+    It parses the command line first, so a usage error (exit 1) or
+    ``--help`` (exit 0) ends the process through argparse's ``SystemExit``
+    before numpy loads.  For a command, it pins OpenBLAS, OpenMP and MKL to
+    one thread, overriding any value already set, because
+    ``np.linalg.eigh`` in ``cluster`` returns other last bits on other
+    thread counts.  It imports numpy, which reads them as it loads, and then
+    moves every object alive so far (the front end's and numpy's, about
+    21k) into the collector's permanent generation, so no collection in the
+    command and none at interpreter exit traverses them again.  Then it
+    calls ``run``.  ``main`` does none of this, because tests and the
+    benchmark's tracer call it in-process."""
+    args = build_parser().parse_args()
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[name] = "1"
     import numpy  # noqa: F401
 
     gc.freeze()
-    return main()
+    return run(args)
 
 
 if __name__ == "__main__":

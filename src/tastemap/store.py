@@ -49,16 +49,18 @@ TABLES = ("subcategories", "user_ids", "venue_ids", "home")
 CSV_CHUNK = 1 << 16  # rows of corpus.csv formatted at once
 
 
-def _npz_bytes(arrays: Mapping[str, np.ndarray]) -> bytes:
-    """``np.savez`` layout with a fixed timestamp on every member, so equal
-    arrays always give equal bytes."""
-    buf = io.BytesIO()
-    with zipfile.ZipFile(buf, "w") as zf:
+def _write_npz(path: Path, arrays: Mapping[str, np.ndarray]) -> str:
+    """Write ``arrays`` to ``path`` in ``np.savez``'s layout, with a fixed
+    timestamp on every member so equal arrays always give equal bytes, and
+    return the file's sha256.  The archive goes straight to disk, so no
+    copy of it is ever held in memory."""
+    with zipfile.ZipFile(path, "w") as zf:
         for name, arr in arrays.items():
             info = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
             with zf.open(info, "w", force_zip64=True) as fh:
                 np.lib.format.write_array(fh, arr, allow_pickle=False)
-    return buf.getvalue()
+    with open(path, "rb") as fh:
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 def _isoformat(ts: np.ndarray) -> list[str]:
@@ -116,14 +118,13 @@ def write_store(store: Path, corpus: Corpus, taxonomy_path: Path) -> None:
         # numpy unicode arrays drop trailing NULs; refuse rather than alter an id.
         if arrays[name].tolist() != list(table):
             raise DataError(f"{name}: an id ending in a NUL character cannot be stored")
-    data = _npz_bytes(arrays)
-    (store / CORPUS_FILE).write_bytes(data)
+    digest = _write_npz(store / CORPUS_FILE, arrays)
 
     _write_corpus_csv(store / "corpus.csv", corpus)
     write_rows(store / "home_countries.csv", ["user", "country"], zip(corpus.user_ids, home))
     (store / "taxonomy.txt").write_bytes(Path(taxonomy_path).read_bytes())
 
-    manifest = {"corpus_sha256": hashlib.sha256(data).hexdigest(), "format": FORMAT_VERSION}
+    manifest = {"corpus_sha256": digest, "format": FORMAT_VERSION}
     (store / MANIFEST_FILE).write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
@@ -169,10 +170,9 @@ def store_taxonomy(store: str | Path, taxonomy_path: str | Path | None = None) -
     return load_taxonomy(taxonomy_path)
 
 
-def read_store(
-    store: str | Path, taxonomy_path: str | Path | None = None
-) -> tuple[Corpus, Taxonomy]:
-    """Corpus and taxonomy of a store.
+def read_store(store: str | Path, taxonomy_path: str | Path | None = None) -> Corpus:
+    """The corpus of a store; ``corpus.taxonomy`` is the taxonomy it was
+    read with.
 
     ``taxonomy_path`` overrides the store's own ``taxonomy.txt``.  The
     corpus's ``countries`` table holds the home of every user in the store,
@@ -200,6 +200,4 @@ def read_store(
         user_country=user_country,
         skipped_unknown=int(np.count_nonzero(~known)),
     )
-    if not known.all():
-        corpus = corpus.subset(known)
-    return corpus, taxonomy
+    return corpus if known.all() else corpus.subset(known)

@@ -484,8 +484,8 @@ def tree(root: Path) -> dict:
 
 class TestModuleEntry:
     """``python -m tastemap.cli`` and the installed ``tastemap`` command start
-    through ``cli.entry``, which pins BLAS to one thread, imports numpy,
-    freezes the collector and then runs ``main``."""
+    through ``cli.entry``, which parses the command line, pins BLAS to one
+    thread, imports numpy, freezes the collector and then runs the command."""
 
     def test_stages_write_what_main_writes(self, pipeline, tmp_path):
         survey = tmp_path / "survey.csv"
@@ -527,16 +527,30 @@ class TestModuleEntry:
 
     def test_numpy_is_frozen_before_main(self):
         """``entry`` imports numpy before ``gc.freeze()``, so numpy's import
-        objects are frozen too: a probe in place of ``main`` sees numpy
-        loaded and at least as many frozen objects as a bare numpy import."""
+        objects are frozen too: a probe in place of ``run``, which runs the
+        parsed command, sees numpy loaded and at least as many frozen
+        objects as a bare numpy import."""
         probe = run_child(["-c", "import gc, json, sys, tastemap.cli as cli; "
-                           "cli.main = lambda: print(json.dumps(['numpy' in sys.modules, "
-                           "gc.get_freeze_count()])) or 0; sys.exit(cli.entry())"])
+                           "cli.run = lambda args: print(json.dumps(['numpy' in sys.modules, "
+                           "gc.get_freeze_count()])) or 0; sys.exit(cli.entry())",
+                           "synth", "--spec", "s", "--taxonomy", "t", "--out-dir", "o"])
         bare = run_child(["-c", "import gc, numpy; gc.freeze(); print(gc.get_freeze_count())"])
         assert probe.returncode == bare.returncode == 0, probe.stderr + bare.stderr
         loaded, frozen = json.loads(probe.stdout)
         assert loaded
         assert frozen >= int(bare.stdout)
+
+    @pytest.mark.parametrize("argv, code", [(["frobnicate"], 1), (["--help"], 0),
+                                            (["cluster", "--help"], 0)])
+    def test_usage_error_and_help_load_no_numpy(self, argv, code):
+        """``entry`` parses before it imports numpy, so a command line that
+        runs no command exits without loading it."""
+        done = run_child(["-c", "import atexit, sys, tastemap.cli as cli; "
+                          "atexit.register(lambda: print('numpy' in sys.modules, "
+                          "file=sys.stderr)); sys.exit(cli.entry())", *argv])
+        assert done.returncode == code, done.stderr
+        assert done.stderr.splitlines()[-1] == "False"
+        assert ("usage: tastemap" in done.stdout) == (code == 0)
 
     def test_same_bytes_on_any_blas_thread_count(self, pipeline, tmp_path):
         """``entry`` runs BLAS on one thread whatever the environment says;

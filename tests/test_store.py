@@ -2,7 +2,9 @@
 load equal what parsing the exported CSV gives, and the column operations
 equal parsing the correspondingly filtered check-in records."""
 
+import hashlib
 import tempfile
+import tracemalloc
 from dataclasses import FrozenInstanceError
 from datetime import datetime
 from pathlib import Path
@@ -17,7 +19,7 @@ from tastemap.errors import DataError
 from tastemap.ingest import Corpus, assign_home_country, parse_corpus
 from tastemap.model import Area, load_taxonomy
 from tastemap.prefs import region_counts
-from tastemap.store import read_store, write_store
+from tastemap.store import _write_npz, read_store, write_store
 
 COLUMNS = ("lat", "lon", "ts", "subcat_idx", "user_idx", "venue_idx")
 # Every coordinate a check-in may have, so its region_counts cube counts every row.
@@ -107,7 +109,7 @@ class TestStoreRoundTrip:
             store = Path(tmp)
             home = {u: f"C{i % 3}" for i, u in enumerate(corpus.user_ids)}
             write_store(store, with_homes(corpus, home), tax_path)
-            loaded, _ = read_store(store, taxonomy)
+            loaded = read_store(store, taxonomy)
             parsed = parse_corpus(store / "corpus.csv", load_taxonomy(taxonomy or tax_path))
         return loaded, parsed, home
 
@@ -161,3 +163,46 @@ class TestStoreRoundTrip:
             write_store(tmp_path, with_homes(corpus, {"a": "AA"}), tax_path)
         assert list(tmp_path.iterdir()) == []
 
+
+class TestStoreBytes:
+    def test_store_digest_is_pinned(self, toy_tax, tax_path, tmp_path):
+        """The bytes of ``corpus.npz`` (fixed member timestamps, numpy's npy
+        header layout) and of the manifest that hashes it."""
+        records = [make_checkin(user="b", venue="v2", lat=-3.25, lon=170.5,
+                                ts="2024-04-20T23:59:59.999999", subcat="Sushi Restaurant"),
+                   make_checkin(user="a", venue="v1", lat=1.0, lon=2.0, subcat="Pub"),
+                   make_checkin(user="ü", venue="v\u00e9", lat=0.1, lon=-0.2,
+                                ts="1969-12-31T13:05:00", subcat="Tea Room"),
+                   make_checkin(user="a", venue="v2", lat=89.5, lon=-179.75,
+                                ts="0001-01-01T07:00:00", subcat="Bakery")]
+        corpus = with_homes(corpus_of(toy_tax, records), {"a": "AA", "b": "BB", "ü": "AA"})
+        write_store(tmp_path, corpus, tax_path)
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("corpus.npz", "manifest.json")}
+        assert digests == {
+            "corpus.npz": "b967ba6cf5d123b17ff4138142101384e61be85103ecbb5599294f2943062b7f",
+            "manifest.json": "e6ef1adf7bf1ec52ea0300aafead91598ca6f682529c0eada6f14325094731aa",
+        }
+
+    def test_archive_writer_holds_no_copy_of_the_archive(self, tmp_path):
+        """``corpus.npz`` goes straight to disk: the writer's peak is one
+        column's bytes (numpy writes an array to a zip member in chunks of
+        at most 16 MiB), not the archive."""
+        n = 1 << 18
+        rng = np.random.default_rng(7)
+        arrays = {"lat": rng.uniform(-90, 90, n), "lon": rng.uniform(-180, 180, n),
+                  "ts": rng.integers(0, 10**15, n).astype("datetime64[us]"),
+                  "subcat_idx": rng.integers(0, 7, n), "user_idx": rng.integers(0, n // 8, n),
+                  "venue_idx": rng.integers(0, n // 4, n),
+                  "user_ids": np.array([f"u{i}" for i in range(n // 8)])}
+        path = tmp_path / "corpus.npz"
+        tracemalloc.start()
+        try:
+            digest = _write_npz(path, arrays)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        with np.load(path, allow_pickle=False) as npz:
+            assert all(np.array_equal(npz[name], arr) for name, arr in arrays.items())
+        assert peak <= 0.2 * path.stat().st_size
